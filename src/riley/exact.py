@@ -346,7 +346,8 @@ def squarefree_part(a: UniPoly) -> UniPoly:
         return UniPoly.const(1)
     g = poly_gcd(a, a.derivative())
     q, r = divmod(a, g)
-    assert r.is_zero()
+    if not r.is_zero():
+        raise ArithmeticError("gcd(a, a') does not divide a")
     return q.monic()
 
 

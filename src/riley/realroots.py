@@ -7,6 +7,13 @@ positive rescaling (primitive pseudo-remainder sequences); a positive
 rescale preserves every sign in the sequence, hence every variation
 count, while keeping coefficients far smaller than naive rational
 remainders would.
+
+One remainder sequence per input suffices.  The Sturm sequence of f is,
+up to sign, the Euclidean sequence of f and f', so it ends in
++-gcd(f, f').  When that last element is a nonzero constant, f is
+squarefree and the sequence is already its Sturm chain.  Only otherwise
+is f divided exactly by the gcd and the chain built again on the
+squarefree part.
 """
 
 from __future__ import annotations
@@ -19,7 +26,6 @@ from .exact import (
     UniPoly,
     _int_coeffs,
     _int_derivative,
-    _int_gcd,
     _int_prem_pos,
     _int_primitive,
 )
@@ -53,16 +59,26 @@ class RootCount:
     intervals: tuple[tuple[Fraction, Fraction], ...] | None = None
 
 
-def _int_squarefree(f: list[int]) -> list[int]:
-    """Squarefree part of a primitive integer coefficient list."""
-    if len(f) - 1 < 1:
-        return list(f)
-    g = _int_gcd(f, _int_derivative(f))
-    if len(g) == 1:
-        return list(f)
+def _int_squarefree(f: list[int], g: list[int]) -> list[int]:
+    """Squarefree part f / g of a primitive integer coefficient list f,
+    given g = +-gcd(f, f'); the result keeps the sign of f."""
+    if g[-1] < 0:
+        g = [-c for c in g]
     q, r = divmod(UniPoly(f), UniPoly(g))
-    assert r.is_zero()
+    if not r.is_zero():
+        raise ArithmeticError("gcd(f, f') does not divide f")
     return _int_primitive(_int_coeffs(q))
+
+
+def _int_sturm(f: list[int]) -> list[list[int]]:
+    """Sturm sequence of a primitive integer coefficient list f, every
+    element primitive; its last element is +-gcd(f, f')."""
+    chain = [f, _int_primitive(_int_derivative(f))]
+    while True:
+        rem = _int_prem_pos(chain[-2], chain[-1])
+        if not rem:
+            return chain
+        chain.append([-c for c in _int_primitive(rem)])
 
 
 def _sign(v: int) -> int:
@@ -100,14 +116,14 @@ class _IntChain:
             raise ValueError("Sturm chain of the zero polynomial is undefined")
         if f.degree < 1:
             raise ValueError("Sturm chain of a constant polynomial is undefined")
-        sf = _int_squarefree(_int_primitive(_int_coeffs(f)))
-        chain = [sf, _int_primitive(_int_derivative(sf))]
-        while True:
-            rem = _int_prem_pos(chain[-2], chain[-1])
-            if not rem:
-                break
-            chain.append([-c for c in _int_primitive(rem)])
-        assert len(chain[-1]) == 1, "chain of a squarefree polynomial ends in a constant"
+        f_int = _int_primitive(_int_coeffs(f))
+        chain = _int_sturm(f_int)
+        if len(chain[-1]) > 1:
+            chain = _int_sturm(_int_squarefree(f_int, chain[-1]))
+            if len(chain[-1]) != 1:
+                raise ArithmeticError(
+                    "Sturm chain of the squarefree part does not end in a constant"
+                )
         self.chain = chain
 
     def variations_at(self, v: Fraction) -> int:
@@ -223,5 +239,8 @@ def isolate_roots(f: UniPoly, max_width: Fraction = DEFAULT_ISOLATION_WIDTH) -> 
 
     split(-bound, bound, total)
     intervals.sort()
-    assert len(intervals) == total
+    if len(intervals) != total:
+        raise ArithmeticError(
+            f"isolation found {len(intervals)} intervals for {total} roots"
+        )
     return RootCount(total, tuple(intervals))

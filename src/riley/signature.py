@@ -5,16 +5,19 @@ representative of q or p-q) as an even continued fraction
 
     p/q* = 2b_1 - 1/(2b_2 - 1/( ... - 1/(2b_k)))
 
-and form the symmetric tridiagonal matrix with diagonal (2b_1, ..., 2b_k)
-and off-diagonal 1.  Its signature is the knot signature (up to the
-mirror convention fixed by choosing the even representative) and its
-determinant is +-p, which is asserted on every call as a corruption
-check.  Eigenvalue counts are exact: negative eigenvalues are counted by
-Sturm's method on the characteristic polynomial.
+whose entries e_i = 2b_i are the diagonal of a symmetric tridiagonal
+matrix with off-diagonal 1.  Its signature is the knot signature (up to
+the mirror convention fixed by choosing the even representative) and its
+determinant is +-p, which is checked on every call as a corruption check.
+
+The signature is a sign count.  The LDL^T pivots of the matrix are
+d_1 = e_1 and d_i = e_i - 1/d_{i-1}.  Every |e_i| >= 2, so by induction
+|d_i| > 1 and sign d_i = sign e_i; by Sylvester's law of inertia the
+signature is therefore sum(sign(e_i)), with no eigenvalue computation.
 
 For the four double twist families the signatures are known in closed
 form (2, 0, 2-2n, 2n); signature_family provides them for
-cross-validation against the matrix computation.
+cross-validation against the continued-fraction computation.
 """
 
 from __future__ import annotations
@@ -22,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import UniPoly, poly_gcd
-from .realroots import cauchy_bound, count_in_interval
 from .twobridge import DoubleTwist, KnotId
 
 
@@ -37,7 +38,8 @@ class EvenCF:
 
     Evaluating entries (e_1, ..., e_k) as e_1 - 1/(e_2 - 1/(...)) must
     reproduce p/q* exactly; for knot inputs k is even (asserted where
-    the expansion is produced).
+    the expansion is produced).  The entries are the diagonal of the
+    symmetric tridiagonal form with off-diagonal 1.
     """
 
     entries: tuple[int, ...]
@@ -58,34 +60,17 @@ class EvenCF:
     def __len__(self) -> int:
         return len(self.entries)
 
+    def determinant(self) -> int:
+        """Determinant of the tridiagonal form, by the continuant recurrence."""
+        prev, det = 0, 1
+        for e in self.entries:
+            prev, det = det, e * det - prev
+        return det
 
-@dataclass(frozen=True, slots=True)
-class SymMatrix:
-    """Dense symmetric matrix of exact integers."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        k = len(self.rows)
-        for row in self.rows:
-            if len(row) != k:
-                raise ValueError("matrix must be square")
-        for i in range(k):
-            for j in range(i):
-                if self.rows[i][j] != self.rows[j][i]:
-                    raise ValueError(f"matrix not symmetric at ({i}, {j})")
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def is_tridiagonal(self) -> bool:
-        return all(
-            self.rows[i][j] == 0
-            for i in range(self.dim)
-            for j in range(self.dim)
-            if abs(i - j) > 1
-        )
+    def signature(self) -> int:
+        """Signature of the tridiagonal form: the pivot-sign count
+        sum(sign(e_i)) (module docstring)."""
+        return sum(1 if e > 0 else -1 for e in self.entries)
 
 
 def even_cf(k: KnotId) -> EvenCF:
@@ -123,102 +108,6 @@ def even_cf(k: KnotId) -> EvenCF:
     return cf
 
 
-def goeritz_like_matrix(cf: EvenCF) -> SymMatrix:
-    """Symmetric tridiagonal matrix: diagonal = cf entries, off-diagonal 1."""
-    k = len(cf)
-    rows = [
-        tuple(
-            cf.entries[i] if i == j else (1 if abs(i - j) == 1 else 0)
-            for j in range(k)
-        )
-        for i in range(k)
-    ]
-    return SymMatrix(tuple(rows))
-
-
-def _tridiagonal_charpoly(m: SymMatrix) -> UniPoly:
-    """det(lambda*I - M) by cofactor expansion along the last row."""
-    prev: list[int] = [1]
-    cur: list[int] = [-m.rows[0][0], 1]
-    for i in range(1, m.dim):
-        a = m.rows[i][i]
-        b2 = m.rows[i][i - 1] ** 2
-        nxt = [0] * (len(cur) + 1)
-        for j, c in enumerate(cur):
-            nxt[j + 1] += c
-            nxt[j] -= a * c
-        for j, c in enumerate(prev):
-            nxt[j] -= b2 * c
-        prev, cur = cur, nxt
-    return UniPoly(cur)
-
-
-def _faddeev_leverrier_charpoly(m: SymMatrix) -> UniPoly:
-    """det(lambda*I - M) by the trace recursion; fine for small matrices."""
-    k = m.dim
-    a = [[Fraction(v) for v in row] for row in m.rows]
-    coeffs = [Fraction(0)] * (k + 1)
-    coeffs[k] = Fraction(1)
-    work = [[Fraction(0)] * k for _ in range(k)]
-    for step in range(1, k + 1):
-        for i in range(k):
-            work[i][i] += coeffs[k - step + 1]
-        prod = [
-            [sum(a[i][t] * work[t][j] for t in range(k)) for j in range(k)]
-            for i in range(k)
-        ]
-        tr = sum(prod[i][i] for i in range(k))
-        coeffs[k - step] = -tr / step
-        work = prod
-    return UniPoly(coeffs)
-
-
-def charpoly(m: SymMatrix) -> UniPoly:
-    """Monic characteristic polynomial det(lambda*I - M), exact."""
-    if m.dim == 0:
-        raise ValueError("empty matrix")
-    if m.is_tridiagonal():
-        return _tridiagonal_charpoly(m)
-    return _faddeev_leverrier_charpoly(m)
-
-
-def tridiagonal_det(m: SymMatrix) -> int:
-    """Determinant by the continuant recurrence (tridiagonal only)."""
-    if not m.is_tridiagonal():
-        raise ValueError("continuant determinant requires a tridiagonal matrix")
-    prev, cur = 1, m.rows[0][0]
-    for i in range(1, m.dim):
-        prev, cur = cur, m.rows[i][i] * cur - m.rows[i][i - 1] ** 2 * prev
-    return cur
-
-
-def matrix_signature(m: SymMatrix) -> int:
-    """(#positive - #negative eigenvalues) of a nonsingular symmetric
-    integer matrix, computed exactly as dim - 2 * (#negative roots of the
-    characteristic polynomial).
-
-    Negative roots are counted by Sturm's method on (-B, 0) with B past
-    the Cauchy bound.  An unreduced tridiagonal matrix has simple
-    eigenvalues, so the distinct-root count is already the multiplicity
-    count; otherwise multiplicities are recovered by stripping repeated
-    factors with gcd levels.
-    """
-    chi = charpoly(m)
-    if chi(0) == 0:
-        raise SignatureError("singular matrix: signature of a degenerate form is undefined here")
-    bound = cauchy_bound(chi) + 1
-    simple = m.is_tridiagonal() and all(
-        m.rows[i][i - 1] != 0 for i in range(1, m.dim)
-    )
-    neg = count_in_interval(chi, -bound, 0)
-    if not simple:
-        level = poly_gcd(chi, chi.derivative())
-        while level.degree >= 1:
-            neg += count_in_interval(level, -bound, 0)
-            level = poly_gcd(level, level.derivative())
-    return m.dim - 2 * neg
-
-
 @dataclass(frozen=True, slots=True)
 class TwoBridgeSignature:
     """Signature data of b(p, q) under the q*-even convention.
@@ -234,19 +123,18 @@ class TwoBridgeSignature:
 
 
 def signature_two_bridge(k: KnotId) -> TwoBridgeSignature:
-    """Signature of b(p, q) via the even continued fraction matrix.
+    """Signature of b(p, q) from the even continued fraction.
 
     Raises SignatureError when |det| != p, which would mean the expansion
-    or the matrix construction is corrupted.
+    is corrupted.
     """
     cf = even_cf(k)
-    m = goeritz_like_matrix(cf)
-    det = tridiagonal_det(m)
+    det = cf.determinant()
     if abs(det) != k.p:
         raise SignatureError(
             f"|det| = {abs(det)} != p = {k.p} for {k}: continued-fraction matrix is inconsistent"
         )
-    signed = matrix_signature(m)
+    signed = cf.signature()
     return TwoBridgeSignature(
         sigma_abs=abs(signed), sigma_signed=signed, cf=cf, determinant=det
     )

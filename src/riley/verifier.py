@@ -279,17 +279,6 @@ def cross_validate(d: DoubleTwist) -> bool:
     raise CrossValidationError(d, "\n".join(lines))
 
 
-def cross_validate_all(m_max: int, n_max: int) -> list[tuple[DoubleTwist, bool]]:
-    """cross_validate over every family and 1 <= m, n <= bounds."""
-    results = []
-    for family in FAMILIES:
-        for m in range(1, m_max + 1):
-            for n in range(1, n_max + 1):
-                d = DoubleTwist(family, m, n)
-                results.append((d, cross_validate(d)))
-    return results
-
-
 # ---------------------------------------------------------------------------
 # Report emission.
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import pytest
 from riley.chebyshev import cheb_diff, cheb_poly
 from riley.exact import BiPoly, UniPoly, compose
 from riley.rileypoly import closed_form_params, riley_general, riley_parabolic
-from riley.signature import even_cf, goeritz_like_matrix, signature_family, signature_two_bridge, tridiagonal_det
+from riley.signature import signature_family, signature_two_bridge
 from riley.twobridge import FAMILIES, DoubleTwist, KnotId, epsilon, epsilon_fast, family_to_pq
 from riley.verifier import check_theorem1, check_theorem2, cross_validate, enumerate_knots
 
@@ -111,8 +111,7 @@ def test_criterion_6_signatures():
     for p in range(3, 100, 2):
         for q in range(1, p):
             if math.gcd(p, q) == 1:
-                m = goeritz_like_matrix(even_cf(KnotId(p, q)))
-                assert abs(tridiagonal_det(m)) == p, (p, q)
+                assert abs(signature_two_bridge(KnotId(p, q)).determinant) == p, (p, q)
     _ok(6, "family signatures match (m,n <= 6) and |det| = p for every knot with p <= 99")
 
 

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from riley.exact import UniPoly
+import riley.realroots
+from riley.exact import UniPoly, squarefree_part
 from riley.realroots import (
     cauchy_bound,
     count_in_interval,
@@ -14,6 +15,7 @@ from riley.realroots import (
 
 Y = UniPoly.gen()
 CUBIC = UniPoly([-1, 2, -3, 1])  # y^3 - 3y^2 + 2y - 1, discriminant -23
+REPEATED = (Y - 1) ** 2 * (Y + 2) ** 3 * (Y * Y - 2)  # distinct roots -2, -sqrt2, 1, sqrt2
 
 
 def test_chain_linear():
@@ -90,6 +92,48 @@ def test_count_in_interval_bad_bounds():
 def test_multiplicities_do_not_inflate_counts():
     f = (Y - 1) * (Y - 1) * (Y + 2)
     assert count_real_roots(f).total_real == 2
+
+
+def test_repeated_factors_chain_is_squarefree_chain():
+    for f in (REPEATED, (Y - 1) ** 2, Y**3 * (Y + 1) ** 2, (Y * Y + 1) ** 2 * (Y - 3)):
+        assert sturm_chain(f) == sturm_chain(squarefree_part(f))
+
+
+def test_repeated_factors_count_and_isolation():
+    assert count_real_roots(REPEATED).total_real == 4
+    assert count_real_roots(-REPEATED).total_real == 4
+    rc = isolate_roots(REPEATED)
+    assert rc.total_real == 4
+    (a1, b1), (a2, b2), (a3, b3), (a4, b4) = rc.intervals
+    assert a1 < -2 < b1
+    assert b2 < 0 and a2 * a2 > 2 > b2 * b2
+    assert a3 < 1 < b3
+    assert a4 > 0 and a4 * a4 < 2 < b4 * b4
+    assert all(count_in_interval(REPEATED, lo, hi) == 1 for lo, hi in rc.intervals)
+
+
+def test_chain_contract_raises_when_squarefree_part_is_wrong(monkeypatch):
+    # with the division skipped, the rebuilt chain still ends in gcd(f, f')
+    monkeypatch.setattr(riley.realroots, "_int_squarefree", lambda f, g: f)
+    assert count_real_roots(CUBIC).total_real == 1  # squarefree: no fallback
+    with pytest.raises(ArithmeticError, match="constant"):
+        count_real_roots(REPEATED)
+
+
+def test_count_matches_sympy_with_repeated_factors():
+    sympy = pytest.importorskip("sympy")
+    y = sympy.Symbol("y")
+    rng = random.Random(67)
+    for _ in range(60):
+        f = UniPoly.const(rng.choice([-3, -1, 1, 2]))
+        for _ in range(rng.randint(1, 4)):
+            factor = UniPoly([rng.randint(-6, 6) for _ in range(rng.randint(2, 4))])
+            if factor.degree >= 1:
+                f = f * factor ** rng.randint(1, 3)
+        if f.degree < 1:
+            continue
+        ref = sympy.Poly([int(c) for c in reversed(f.coeffs)], y).count_roots()
+        assert count_real_roots(f).total_real == ref, f
 
 
 def test_isolate_linear():

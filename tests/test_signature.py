@@ -3,19 +3,34 @@ from fractions import Fraction
 
 import pytest
 
-from riley.signature import (
-    EvenCF,
-    SignatureError,
-    SymMatrix,
-    charpoly,
-    even_cf,
-    goeritz_like_matrix,
-    matrix_signature,
-    signature_family,
-    signature_two_bridge,
-    tridiagonal_det,
-)
+from riley.exact import UniPoly
+from riley.realroots import cauchy_bound, count_in_interval
+from riley.signature import EvenCF, even_cf, signature_family, signature_two_bridge
 from riley.twobridge import DoubleTwist, KnotId, family_to_pq
+
+
+def _charpoly(entries):
+    """det(lambda*I - M) for the tridiagonal M with diagonal `entries` and
+    off-diagonal 1, by cofactor expansion along the last row."""
+    prev, cur = [1], [-entries[0], 1]
+    for a in entries[1:]:
+        nxt = [0] * (len(cur) + 1)
+        for j, c in enumerate(cur):
+            nxt[j + 1] += c
+            nxt[j] -= a * c
+        for j, c in enumerate(prev):
+            nxt[j] -= c
+        prev, cur = cur, nxt
+    return UniPoly(cur)
+
+
+def _oracle_signature(entries):
+    """dim - 2 * (#negative eigenvalues), counted by Sturm's method on the
+    characteristic polynomial.  An unreduced tridiagonal matrix has simple
+    eigenvalues, so distinct roots are all the roots."""
+    chi = _charpoly(entries)
+    bound = cauchy_bound(chi) + 1
+    return len(entries) - 2 * count_in_interval(chi, -bound, 0)
 
 
 def test_even_cf_hand_expansions():
@@ -52,51 +67,37 @@ def test_even_cf_validation():
         EvenCF(())
 
 
-def test_goeritz_matrix_small():
-    assert goeritz_like_matrix(EvenCF((2, 2))).rows == ((2, 1), (1, 2))
-    assert goeritz_like_matrix(EvenCF((2, -2))).rows == ((2, 1), (1, -2))
-    assert goeritz_like_matrix(EvenCF((4, 2))).rows == ((4, 1), (1, 2))
-    m = goeritz_like_matrix(EvenCF((2, 4, -6, 8)))
-    assert m.rows == ((2, 1, 0, 0), (1, 4, 1, 0), (0, 1, -6, 1), (0, 0, 1, 8))
-    assert m.is_tridiagonal()
+def test_even_cf_signature_examples():
+    assert EvenCF((2, 2)).signature() == 2  # eigenvalues 1, 3
+    assert EvenCF((2, -2)).signature() == 0  # det < 0
+    assert EvenCF((4, 2)).signature() == 2
+    assert EvenCF((-4,)).signature() == -1
+    # continuant abcd - cd - ad - ab + 1 at (a, b, c, d) = (2, 4, -6, 8)
+    assert EvenCF((2, 4, -6, 8)).determinant() == -359
 
 
-def test_symmatrix_validation():
-    with pytest.raises(ValueError, match="symmetric"):
-        SymMatrix(((1, 2), (3, 4)))
-    with pytest.raises(ValueError, match="square"):
-        SymMatrix(((1, 2),))
+def test_signature_matches_charpoly_oracle_p99():
+    for p in range(3, 100, 2):
+        for q in range(1, p):
+            if math.gcd(p, q) != 1:
+                continue
+            s = signature_two_bridge(KnotId(p, q))
+            assert s.sigma_signed == _oracle_signature(s.cf.entries), (p, q)
 
 
-def test_matrix_signature_examples():
-    assert matrix_signature(SymMatrix(((2, 1), (1, 2)))) == 2  # eigenvalues 1, 3
-    assert matrix_signature(SymMatrix(((2, 1), (1, -2)))) == 0  # det < 0
-    assert matrix_signature(SymMatrix(((4, 1), (1, 2)))) == 2
-    assert matrix_signature(SymMatrix(((-3,),))) == -1
-    assert matrix_signature(SymMatrix(((2, 0), (0, 5)))) == 2
+def test_signature_matches_charpoly_oracle_random_entries():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    even = st.integers(-20, 20).filter(lambda e: e != 0).map(lambda e: 2 * e)
 
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.lists(even, min_size=1, max_size=12))
+    def check(entries):
+        cf = EvenCF(tuple(entries))
+        assert cf.signature() == _oracle_signature(entries)
+        assert cf.determinant() == (-1) ** len(entries) * _charpoly(entries)(0)
 
-def test_matrix_signature_with_repeated_eigenvalues():
-    # diag(1, 1, -2) via a non-tridiagonal-looking dense symmetric matrix
-    m = SymMatrix(((1, 0, 0), (0, 1, 0), (0, 0, -2)))
-    assert matrix_signature(m) == 1
-    # identity has eigenvalue 1 with multiplicity 3
-    assert matrix_signature(SymMatrix(((1, 0, 0), (0, 1, 0), (0, 0, 1)))) == 3
-
-
-def test_matrix_signature_singular_raises():
-    with pytest.raises(SignatureError):
-        matrix_signature(SymMatrix(((1, 1), (1, 1))))
-
-
-def test_charpoly_tridiagonal_vs_trace_recursion():
-    m = SymMatrix(((2, 1, 0), (1, -4, 1), (0, 1, 6)))
-    dense = SymMatrix(tuple(tuple(v for v in row) for row in m.rows))
-    from riley.signature import _faddeev_leverrier_charpoly, _tridiagonal_charpoly
-
-    assert _tridiagonal_charpoly(m) == _faddeev_leverrier_charpoly(dense)
-    assert charpoly(m).degree == 3
-    assert charpoly(m).leading == 1
+    check()
 
 
 def test_determinant_identity_full_scan():
@@ -104,9 +105,7 @@ def test_determinant_identity_full_scan():
         for q in range(1, p):
             if math.gcd(p, q) != 1:
                 continue
-            k = KnotId(p, q)
-            m = goeritz_like_matrix(even_cf(k))
-            assert abs(tridiagonal_det(m)) == p, (p, q)
+            assert abs(signature_two_bridge(KnotId(p, q)).determinant) == p, (p, q)
 
 
 def test_signature_two_bridge_examples():

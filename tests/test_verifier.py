@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -198,6 +199,20 @@ def test_emit_report_csv_header():
     lines = text.splitlines()
     assert lines[0] == "knot,sigma_abs,degree,real_roots,holds,flag"
     assert lines[1] == "b(3,1),2,1,1,true,"
+
+
+def test_report_bytes_pinned_p59():
+    # criterion 10: any change to a count, a signature or the serialization
+    # moves these digests
+    recs = scan_conjecture(59).records
+    digests = {
+        fmt: hashlib.sha256(emit_report(recs, format=fmt).encode()).hexdigest()
+        for fmt in ("jsonl", "csv")
+    }
+    assert digests == {
+        "jsonl": "b7985d3dddff5d40084acf22c7652996da659054ac55309b6eda472f5bfb36a1",
+        "csv": "75bc92f432cfaf4c3c61b09424151d519584bc128871a4a2e0019c1cc0459bc8",
+    }
 
 
 def test_emit_report_theorem_records():
