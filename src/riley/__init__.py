@@ -11,7 +11,6 @@ from .chebyshev import cheb_diff, cheb_eval, cheb_poly, trace_poly
 from .exact import (
     BiPoly,
     Rational,
-    SymLaurent,
     SymmetryError,
     UniPoly,
     compose,
@@ -30,14 +29,12 @@ from .realroots import (
 )
 from .rileypoly import (
     ClosedFormParams,
-    Mat2Sym,
     RileyPoly,
     RileyValidationError,
     closed_form_params,
     riley_closed_form,
     riley_general,
     riley_parabolic,
-    rho_generator,
     word_matrix,
 )
 from .signature import (
@@ -87,7 +84,6 @@ __all__ = [
     "DoubleTwist",
     "EvenCF",
     "KnotId",
-    "Mat2Sym",
     "Rational",
     "RileyPoly",
     "RileyValidationError",
@@ -96,7 +92,6 @@ __all__ = [
     "SchubertWord",
     "SignatureError",
     "SturmChain",
-    "SymLaurent",
     "SymmetryError",
     "TheoremRecord",
     "TwoBridgeSignature",
@@ -128,7 +123,6 @@ __all__ = [
     "riley_closed_form",
     "riley_general",
     "riley_parabolic",
-    "rho_generator",
     "scan_conjecture",
     "schubert_word",
     "signature_family",

@@ -449,7 +449,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "crosscheck":
             return _cmd_crosscheck(args.mmax, args.nmax)
         parser.error(f"unknown command {args.command!r}")
-    except (RileyValidationError, SignatureError) as exc:
+    except (RileyValidationError, SignatureError, ArithmeticError) as exc:
         print(f"internal validation error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except CrossValidationError as exc:

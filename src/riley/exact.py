@@ -1,27 +1,32 @@
-"""Exact polynomial arithmetic over the rationals.
+"""Exact polynomial arithmetic: one integer coefficient kernel, with
+rationals only at the edges.
 
-Everything in this package computes with exact arbitrary-precision
-rationals (`fractions.Fraction`); no floating point enters any result.
-Three polynomial containers are provided:
+UniPoly (dense, ascending coefficients) and BiPoly (a polynomial in y
+over UniPoly coefficients in x) are immutable containers over
+`fractions.Fraction` for results, rational x0 and isolating intervals.
+Everything heavier runs on plain int coefficient lists (ascending,
+trimmed, [] for zero): ring operations (_zadd, _zsub, _zmul), primitive
+pseudo-remainder gcds with content removal, and exact division.
 
-  UniPoly     dense univariate polynomial, coefficients ascending by degree
-  BiPoly      polynomial in y whose coefficients are UniPoly values in x
-  SymLaurent  Laurent polynomial in s whose coefficients are UniPoly
-              values in y (exponents may be negative)
+Divisibility over Q is decided by exact division in Z[y]: when the
+divisor d is primitive, Gauss's lemma says d divides e in Q[y] exactly
+when it does in Z[y], i.e. when integer long division leaves no
+remainder (_int_exact_div).
 
-A Laurent polynomial invariant under s -> 1/s rewrites exactly into a
-BiPoly via x = s + 1/s (see symmetrize_to_xy).
-
-Polynomial gcds run over integer coefficient lists using primitive
-pseudo-remainder sequences with content removal, which keeps
-intermediate coefficients small while staying exact.
+Laurent polynomials in s over Z[y] (the entries of the Riley word
+matrix) are maps from s-exponent to such a list; multiplying by a power
+of s only moves exponents.  At a rational s0 = a/b a Laurent polynomial
+f with exponents in [-K, K] is evaluated over the integers as
+sum c_k a^(k+K) b^(K-k) = f(s0) (ab)^K, a nonzero multiple of f(s0)
+with the same zero set.  One invariant under s -> 1/s rewrites exactly
+into a BiPoly via x = s + 1/s (see symmetrize_to_xy).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Rational = Fraction
 Scalar = Union[int, Fraction]
@@ -189,12 +194,6 @@ class UniPoly:
                     rem[i - db + j] -= q * cb
         return UniPoly._raw(_trim(quot)), UniPoly._raw(_trim(rem))
 
-    def __floordiv__(self, other: "UniPoly") -> "UniPoly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "UniPoly") -> "UniPoly":
-        return divmod(self, other)[1]
-
     def __call__(self, v: Scalar) -> Fraction:
         """Exact evaluation by Horner's rule."""
         v = Fraction(v)
@@ -242,13 +241,82 @@ def _as_unipoly(v: "UniPoly | Scalar") -> "UniPoly":
 
 
 # ---------------------------------------------------------------------------
-# Integer-coefficient kernels.
+# The integer coefficient kernel.
 #
-# gcd, squarefree parts and Sturm chains clear denominators once and run
-# over plain int lists: primitive pseudo-remainder sequences keep the
-# numbers small and Python-int arithmetic is much faster than Fraction.
-# Scaling by positive constants is harmless everywhere these are used.
+# Word products, gcds, squarefree parts, divisibility checks and Sturm
+# chains run over plain int lists (ascending, trimmed): primitive
+# pseudo-remainder sequences keep the numbers small and Python-int
+# arithmetic is much faster than Fraction.  Scaling by nonzero constants
+# is harmless everywhere these are used: it changes no zero set, and
+# positive scaling changes no sign.
 # ---------------------------------------------------------------------------
+
+
+def _zadd(a: list[int], b: list[int]) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return _int_trim(out)
+
+
+def _zsub(a: list[int], b: list[int]) -> list[int]:
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] -= c
+    return _int_trim(out)
+
+
+def _zmul_two_minus_y(a: list[int]) -> list[int]:
+    """Multiply by (2 - y)."""
+    if not a:
+        return []
+    out = [0] * (len(a) + 1)
+    for i, c in enumerate(a):
+        out[i] += 2 * c
+        out[i + 1] -= c
+    return out
+
+
+def _zmul(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return _int_trim(out)
+
+
+def _int_exact_div(a: Sequence[int], d: Sequence[int]) -> list[int] | None:
+    """Quotient q with q * d == a in Z[y], or None when the division
+    leaves a remainder.  d need not be monic; when d is primitive, None
+    means exactly that d does not divide a over Q (Gauss's lemma)."""
+    if not d:
+        raise ZeroDivisionError("polynomial division by zero polynomial")
+    if not a:
+        return []
+    dd = len(d) - 1
+    if len(a) - 1 < dd:
+        return None
+    rem = list(a)
+    lead = d[-1]
+    quot = [0] * (len(rem) - dd)
+    for i in range(len(rem) - 1, dd - 1, -1):
+        top = rem[i]
+        if top:
+            q, r = divmod(top, lead)
+            if r:
+                return None
+            off = i - dd
+            quot[off] = q
+            for j in range(dd):
+                rem[off + j] -= q * d[j]
+    if any(rem[:dd]):
+        return None
+    return quot
 
 
 def _int_coeffs(p: UniPoly) -> list[int]:
@@ -337,6 +405,15 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     return UniPoly(g).monic()
 
 
+def _int_squarefree_part(f: list[int]) -> list[int]:
+    """f / gcd(f, f') for a non-constant integer list f, up to sign and
+    content: exact division by the primitive gcd."""
+    q = _int_exact_div(f, _int_gcd(f, _int_derivative(f)))
+    if q is None:
+        raise ArithmeticError("gcd(f, f') does not divide f")
+    return q
+
+
 def squarefree_part(a: UniPoly) -> UniPoly:
     """Monic a / gcd(a, a'), i.e. the product of a's distinct irreducible
     factors.  Raises ValueError on zero input."""
@@ -344,11 +421,7 @@ def squarefree_part(a: UniPoly) -> UniPoly:
         raise ValueError("squarefree part of the zero polynomial is undefined")
     if a.degree == 0:
         return UniPoly.const(1)
-    g = poly_gcd(a, a.derivative())
-    q, r = divmod(a, g)
-    if not r.is_zero():
-        raise ArithmeticError("gcd(a, a') does not divide a")
-    return q.monic()
+    return UniPoly(_int_squarefree_part(_int_coeffs(a))).monic()
 
 
 class BiPoly:
@@ -537,136 +610,90 @@ def compose(outer: UniPoly, inner: BiPoly) -> BiPoly:
     return acc
 
 
-class SymLaurent:
-    """Laurent polynomial in s over UniPoly coefficients in y.
+# ---------------------------------------------------------------------------
+# Laurent polynomials in s over Z[y]: {s-exponent: int list in y}, with no
+# empty lists.  Lists may be shared between maps and are never mutated.
+# ---------------------------------------------------------------------------
 
-    Stored as a map from (possibly negative) s-exponent to a nonzero
-    UniPoly in y; no zero coefficients are kept.  Immutable by
-    convention: no method mutates an existing instance.
-    """
+Laurent = dict[int, list[int]]
 
-    __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[int, UniPoly | Scalar] | None = None):
-        out: dict[int, UniPoly] = {}
-        for k, v in (terms or {}).items():
-            p = v if isinstance(v, UniPoly) else UniPoly.const(v)
-            if not p.is_zero():
-                out[int(k)] = p
-        self.terms = out
+def _laurent_shift(f: Laurent, k: int) -> Laurent:
+    """s^k * f."""
+    return {e + k: c for e, c in f.items()}
 
-    @classmethod
-    def zero(cls) -> "SymLaurent":
-        return cls()
 
-    @classmethod
-    def one(cls) -> "SymLaurent":
-        return cls({0: 1})
-
-    @classmethod
-    def s_power(cls, k: int, coeff: UniPoly | Scalar = 1) -> "SymLaurent":
-        return cls({k: coeff})
-
-    @classmethod
-    def from_y(cls, p: UniPoly) -> "SymLaurent":
-        return cls({0: p})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def term(self, k: int) -> UniPoly:
-        return self.terms.get(k, UniPoly.zero())
-
-    def items(self) -> Iterator[tuple[int, UniPoly]]:
-        return iter(sorted(self.terms.items()))
-
-    def __add__(self, other: "SymLaurent") -> "SymLaurent":
-        if not isinstance(other, SymLaurent):
-            return NotImplemented
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k, UniPoly.zero()) + v
-            if s.is_zero():
-                out.pop(k, None)
+def _laurent_add(f: Laurent, g: Laurent) -> Laurent:
+    out = dict(f)
+    for e, c in g.items():
+        old = out.get(e)
+        if old is None:
+            out[e] = c
+        else:
+            c = _zadd(old, c)
+            if c:
+                out[e] = c
             else:
-                out[k] = s
-        res = SymLaurent.__new__(SymLaurent)
-        res.terms = out
-        return res
-
-    def __sub__(self, other: "SymLaurent") -> "SymLaurent":
-        return self + (-other)
-
-    def __neg__(self) -> "SymLaurent":
-        res = SymLaurent.__new__(SymLaurent)
-        res.terms = {k: -v for k, v in self.terms.items()}
-        return res
-
-    def __mul__(self, other: "SymLaurent | UniPoly | Scalar") -> "SymLaurent":
-        if isinstance(other, (int, Fraction, UniPoly)):
-            p = other if isinstance(other, UniPoly) else UniPoly.const(other)
-            if p.is_zero():
-                return SymLaurent.zero()
-            res = SymLaurent.__new__(SymLaurent)
-            res.terms = {k: v * p for k, v in self.terms.items()}
-            return res
-        if not isinstance(other, SymLaurent):
-            return NotImplemented
-        out: dict[int, UniPoly] = {}
-        for ka, va in self.terms.items():
-            for kb, vb in other.terms.items():
-                k = ka + kb
-                prod = va * vb
-                acc = out.get(k)
-                s = prod if acc is None else acc + prod
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        res = SymLaurent.__new__(SymLaurent)
-        res.terms = out
-        return res
-
-    __rmul__ = __mul__
-
-    def eval_s(self, s0: Scalar) -> UniPoly:
-        """Substitute s := s0 (nonzero rational), leaving a UniPoly in y."""
-        s0 = Fraction(s0)
-        if s0 == 0:
-            raise ZeroDivisionError("cannot substitute s = 0 into a Laurent polynomial")
-        acc = UniPoly.zero()
-        for k, v in self.terms.items():
-            acc = acc + v * s0**k
-        return acc
-
-    def asymmetry_exponent(self) -> int | None:
-        """Smallest positive exponent witnessing failure of s <-> 1/s
-        symmetry, or None when symmetric."""
-        for k in sorted({abs(k) for k in self.terms if k != 0}):
-            if self.term(k) != self.term(-k):
-                return k
-        return None
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SymLaurent):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __repr__(self) -> str:
-        return f"SymLaurent({{ {', '.join(f'{k}: {list(v.coeffs)}' for k, v in self.items())} }})"
+                del out[e]
+    return out
 
 
-def symmetrize_to_xy(f: SymLaurent) -> BiPoly:
+def _laurent_sub(f: Laurent, g: Laurent) -> Laurent:
+    return _laurent_add(f, {e: [-v for v in c] for e, c in g.items()})
+
+
+def _laurent_mul_two_minus_y(f: Laurent) -> Laurent:
+    """(2 - y) * f."""
+    return {e: _zmul_two_minus_y(c) for e, c in f.items()}
+
+
+def _laurent_mul(f: Laurent, g: Laurent) -> Laurent:
+    out: Laurent = {}
+    for ef, cf in f.items():
+        for eg, cg in g.items():
+            out[ef + eg] = _zadd(out.get(ef + eg, []), _zmul(cf, cg))
+    return {e: c for e, c in out.items() if c}
+
+
+def _laurent_width(f: Laurent) -> int:
+    """Largest |exponent| of f (0 for f = 0)."""
+    return max((abs(e) for e in f), default=0)
+
+
+def _laurent_eval(f: Laurent, num: int, den: int, width: int | None = None) -> list[int]:
+    """f(num/den) * (num*den)^K over the integers, K = width (default
+    _laurent_width(f)): sum c_k num^(k+K) den^(K-k).  num, den nonzero."""
+    if width is None:
+        width = _laurent_width(f)
+    out: list[int] = []
+    for e, c in f.items():
+        w = num ** (width + e) * den ** (width - e)
+        out = _zadd(out, [w * v for v in c])
+    return out
+
+
+def asymmetry_exponent(f: Laurent) -> int | None:
+    """Smallest positive exponent k whose s^k term differs from its s^-k
+    term, or None when f is invariant under s -> 1/s."""
+    for k in sorted({abs(e) for e in f if e != 0}):
+        if f.get(k) != f.get(-k):
+            return k
+    return None
+
+
+def symmetrize_to_xy(f: Laurent) -> BiPoly:
     """Rewrite a Laurent polynomial symmetric under s -> 1/s as an exactly
     equal BiPoly in x = s + 1/s and y.
 
-    Each pair s**k + s**-k is replaced by the trace polynomial p_k(x)
-    (p_0 = 2, p_1 = x, p_k = x*p_{k-1} - p_{k-2}).  Raises SymmetryError
-    carrying the offending exponent when the input is not symmetric.
+    f maps each s-exponent to its coefficient list in y (ascending,
+    trimmed).  Each pair s**k + s**-k is replaced by the trace polynomial
+    p_k(x) (p_0 = 2, p_1 = x, p_k = x*p_{k-1} - p_{k-2}).  Raises
+    SymmetryError carrying the offending exponent when the input is not
+    symmetric.
     """
     from .chebyshev import trace_poly
 
-    bad = f.asymmetry_exponent()
+    bad = asymmetry_exponent(f)
     if bad is not None:
         raise SymmetryError(bad)
     result = BiPoly.zero()
@@ -676,6 +703,6 @@ def symmetrize_to_xy(f: SymLaurent) -> BiPoly:
         # c is the y-coefficient of s^k (+ s^-k for k > 0): contributes
         # c(y) * p_k(x), except k = 0 contributes c(y) * 1 (half of p_0).
         xpart = trace_poly(k) if k > 0 else UniPoly.const(1)
-        contrib = BiPoly._raw(tuple(UniPoly.const(cy) for cy in c.coeffs))
+        contrib = BiPoly._raw(tuple(UniPoly.const(cy) for cy in c))
         result = result + contrib * xpart
     return result

@@ -26,6 +26,7 @@ from .exact import (
     UniPoly,
     _int_coeffs,
     _int_derivative,
+    _int_exact_div,
     _int_prem_pos,
     _int_primitive,
 )
@@ -64,10 +65,10 @@ def _int_squarefree(f: list[int], g: list[int]) -> list[int]:
     given g = +-gcd(f, f'); the result keeps the sign of f."""
     if g[-1] < 0:
         g = [-c for c in g]
-    q, r = divmod(UniPoly(f), UniPoly(g))
-    if not r.is_zero():
+    q = _int_exact_div(f, g)
+    if q is None:
         raise ArithmeticError("gcd(f, f') does not divide f")
-    return _int_primitive(_int_coeffs(q))
+    return q
 
 
 def _int_sturm(f: list[int]) -> list[list[int]]:

@@ -6,23 +6,42 @@ b(p, q) sends the meridians to
     rho(a) = [[s, 1], [0, 1/s]]      rho(b) = [[s, 0], [2-y, 1/s]]
 
 (s != 0, y != 2), and the defining relation rho(w a) = rho(b w) reduces
-to one polynomial condition.  With W = rho(w) the candidate used here is
+to one polynomial condition.  Every entry of W = rho(w) lies in
+Z[s^±1, y] and is kept as a map from s-exponent to an int coefficient
+list in y (the Laurent kernel in exact.py).  Multiplying W on the right
+by a generator image is one column operation on its columns c1, c2; the
+s-shifts only move exponents:
+
+    a:     c1 <- s c1                  c2 <- c1 + s^-1 c2
+    a^-1:  c1 <- s^-1 c1               c2 <- -c1 + s c2
+    b:     c1 <- s c1 + (2-y) c2       c2 <- s^-1 c2
+    b^-1:  c1 <- s^-1 c1 - (2-y) c2    c2 <- s c2
+
+The candidate used here is
 
     Phi~(s, y) = W11 + (1/s - s) * W12,
 
 which is symmetric under s -> 1/s and therefore rewrites exactly as a
 polynomial Phi(x, y) in x = s + 1/s and y.  Here x is the meridian
 trace and y = tr rho(a b^-1).  Because the reduction formula is not
-rederived here, every construction machine-checks it: the entries of
-rho(w a) - rho(b w) must all vanish wherever Phi~ vanishes (checked by
-exact divisibility at s = 1 and at random rational s), and any failure
-raises instead of returning a possibly-wrong polynomial.
+rederived here, every construction machine-checks it.  The relation
+defect rho(w a) - rho(b w) is, from the four entries,
+
+    [[0, Phi~], [(s - 1/s) W21 - (2-y) W11, W21 - (2-y) W12]],
+
+and its entries must all vanish wherever Phi~ vanishes: checked by
+exact divisibility at s = 1 and by zero-set containment at 20 random
+rational s.  All of it runs over the integers: at s0 = a/b an entry is
+evaluated scaled by (ab)^K, which changes no zero set, and each
+divisibility test is exact division in Z[y] by a primitive divisor,
+which by Gauss's lemma is divisibility over Q.  Any failure raises
+instead of returning a possibly-wrong polynomial.
 
 Closed-form route: for a double twist knot the Riley polynomial is
 S_n(t) - mu * S_{n-1}(t) with family-specific t and mu built from
-Chebyshev polynomials in y.  The two routes share nothing but the
-normalization step, so their exact agreement (see verifier.cross_validate)
-is a meaningful check of both.
+Chebyshev polynomials in y.  The two routes share nothing but basic
+polynomial arithmetic and the normalization step, so their exact
+agreement (see verifier.cross_validate) is a meaningful check of both.
 
 Normalization: Riley polynomials are defined up to units, so results are
 scaled to integer coefficients with content 1 and sign chosen to make
@@ -39,15 +58,33 @@ from fractions import Fraction
 from .chebyshev import cheb_poly
 from .exact import (
     BiPoly,
-    SymLaurent,
+    Laurent,
     UniPoly,
-    squarefree_part,
-    symmetrize_to_xy,
+    _int_exact_div,
+    _int_primitive,
+    _int_squarefree_part,
+    _laurent_add,
+    _laurent_eval,
+    _laurent_mul,
+    _laurent_mul_two_minus_y,
+    _laurent_shift,
+    _laurent_sub,
+    _laurent_width,
+    _zadd,
+    _zmul,
+    _zmul_two_minus_y,
+    _zsub,
+    asymmetry_exponent,
     compose,
+    squarefree_part,  # noqa: F401  (bound here for perfbench/traced.py)
+    symmetrize_to_xy,
 )
 from .twobridge import DoubleTwist, KnotId, SchubertWord, schubert_word
 
 _VALIDATION_POINTS = 20
+# Draws of s0 allowed for the validation points; a real relator word
+# skips almost none, so hitting the cap means a degenerate word.
+_MAX_VALIDATION_DRAWS = 200
 
 
 class RileyValidationError(RuntimeError):
@@ -55,90 +92,48 @@ class RileyValidationError(RuntimeError):
     for some word; the computed candidate must not be used."""
 
 
-@dataclass(frozen=True, slots=True)
-class Mat2Sym:
-    """2x2 matrix over SymLaurent entries (Laurent in s, polynomial in y)."""
-
-    a11: SymLaurent
-    a12: SymLaurent
-    a21: SymLaurent
-    a22: SymLaurent
-
-    @classmethod
-    def identity(cls) -> "Mat2Sym":
-        one, zero = SymLaurent.one(), SymLaurent.zero()
-        return cls(one, zero, zero, one)
-
-    def __matmul__(self, other: "Mat2Sym") -> "Mat2Sym":
-        return Mat2Sym(
-            self.a11 * other.a11 + self.a12 * other.a21,
-            self.a11 * other.a12 + self.a12 * other.a22,
-            self.a21 * other.a11 + self.a22 * other.a21,
-            self.a21 * other.a12 + self.a22 * other.a22,
-        )
-
-    def __sub__(self, other: "Mat2Sym") -> "Mat2Sym":
-        return Mat2Sym(
-            self.a11 - other.a11,
-            self.a12 - other.a12,
-            self.a21 - other.a21,
-            self.a22 - other.a22,
-        )
-
-    def det(self) -> SymLaurent:
-        return self.a11 * self.a22 - self.a12 * self.a21
-
-    def trace(self) -> SymLaurent:
-        return self.a11 + self.a22
-
-    def entries(self) -> tuple[SymLaurent, SymLaurent, SymLaurent, SymLaurent]:
-        return (self.a11, self.a12, self.a21, self.a22)
+# Each letter maps a row (W_i1, W_i2) of the matrix to the same row of
+# W * rho(letter); the same column operation acts on both rows.
+_COLUMN_OPS = {
+    ("a", 1): lambda u, v: (_laurent_shift(u, 1), _laurent_add(u, _laurent_shift(v, -1))),
+    ("a", -1): lambda u, v: (_laurent_shift(u, -1), _laurent_sub(_laurent_shift(v, 1), u)),
+    ("b", 1): lambda u, v: (
+        _laurent_add(_laurent_shift(u, 1), _laurent_mul_two_minus_y(v)), _laurent_shift(v, -1)
+    ),
+    ("b", -1): lambda u, v: (
+        _laurent_sub(_laurent_shift(u, -1), _laurent_mul_two_minus_y(v)), _laurent_shift(v, 1)
+    ),
+}
 
 
-_TWO_MINUS_Y = UniPoly([2, -1])
-
-
-def rho_generator(gen: str, exponent: int) -> Mat2Sym:
-    """Image of a generator letter; inverses via the adjugate (det = 1)."""
-    if gen not in ("a", "b") or exponent not in (1, -1):
-        raise ValueError(f"invalid letter ({gen!r}, {exponent})")
-    s, s_inv = SymLaurent.s_power(1), SymLaurent.s_power(-1)
-    zero, one = SymLaurent.zero(), SymLaurent.one()
-    if gen == "a":
-        if exponent == 1:
-            return Mat2Sym(s, one, zero, s_inv)
-        return Mat2Sym(s_inv, -one, zero, s)
-    low = SymLaurent.from_y(_TWO_MINUS_Y)
-    if exponent == 1:
-        return Mat2Sym(s, zero, low, s_inv)
-    return Mat2Sym(s_inv, zero, -low, s)
-
-
-def word_matrix(w: SchubertWord) -> Mat2Sym:
-    """Left-to-right product of generator images over the word.
+def word_matrix(w: SchubertWord) -> tuple[Laurent, Laurent, Laurent, Laurent]:
+    """Entries (W11, W12, W21, W22) of the product of generator images
+    over the word, one column operation per letter.
 
     The determinant must be exactly 1 (every generator image is
-    unimodular); this is asserted symbolically for short words and by
-    exact evaluation at several rational s for long ones, where the full
-    symbolic product would be needlessly expensive.
+    unimodular); this is checked symbolically for short words and, for
+    long ones, by exact integer evaluation at s in {1, 2, -3/2}, where
+    with all entries scaled by (ab)^K at s = a/b it must be (ab)^(2K).
     """
-    result = Mat2Sym.identity()
-    for gen, exp in w.letters:
-        result = result @ rho_generator(gen, exp)
+    row1: tuple[Laurent, Laurent] = ({0: [1]}, {})
+    row2: tuple[Laurent, Laurent] = ({}, {0: [1]})
+    for letter in w.letters:
+        op = _COLUMN_OPS[letter]
+        row1, row2 = op(*row1), op(*row2)
+    w11, w12, w21, w22 = entries = (*row1, *row2)
     if len(w) <= 24:
-        if result.det() != SymLaurent.one():
+        if _laurent_sub(_laurent_mul(w11, w22), _laurent_mul(w12, w21)) != {0: [1]}:
             raise RileyValidationError(f"word matrix determinant differs from 1 for word {w.compact()}")
     else:
-        for s0 in (Fraction(1), Fraction(2), Fraction(-3, 2)):
-            d = (
-                result.a11.eval_s(s0) * result.a22.eval_s(s0)
-                - result.a12.eval_s(s0) * result.a21.eval_s(s0)
-            )
-            if d != UniPoly.const(1):
+        width = max(_laurent_width(e) for e in entries)
+        for num, den in ((1, 1), (2, 1), (-3, 2)):
+            e11, e12, e21, e22 = (_laurent_eval(e, num, den, width) for e in entries)
+            if _zsub(_zmul(e11, e22), _zmul(e12, e21)) != [(num * den) ** (2 * width)]:
                 raise RileyValidationError(
-                    f"word matrix determinant differs from 1 at s={s0} for word {w.compact()}"
+                    f"word matrix determinant differs from 1 at s={Fraction(num, den)} "
+                    f"for word {w.compact()}"
                 )
-    return result
+    return entries
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,24 +180,28 @@ def normalize_parabolic(phi: UniPoly) -> UniPoly:
     return -phi if phi.leading < 0 else phi
 
 
-def _reduction_candidate(wmat: Mat2Sym) -> SymLaurent:
-    return wmat.a11 + SymLaurent({-1: 1, 1: -1}) * wmat.a12
+def _reduction_candidate(w11: Laurent, w12: Laurent) -> Laurent:
+    """W11 + (1/s - s) W12."""
+    return _laurent_sub(_laurent_add(w11, _laurent_shift(w12, -1)), _laurent_shift(w12, 1))
 
 
-def _relation_defect(wmat: Mat2Sym) -> Mat2Sym:
-    """rho(w a) - rho(b w); must vanish exactly on the zero set of the
-    reduction candidate."""
-    return wmat @ rho_generator("a", 1) - rho_generator("b", 1) @ wmat
+def _relation_defect(w11: Laurent, w12: Laurent, w21: Laurent) -> tuple[Laurent, Laurent]:
+    """Entries (2,1) and (2,2) of rho(w a) - rho(b w); its (1,1) entry is
+    0 and its (1,2) entry is the reduction candidate itself, so these two
+    must vanish exactly on the zero set of the candidate."""
+    d21 = _laurent_sub(
+        _laurent_sub(_laurent_shift(w21, 1), _laurent_shift(w21, -1)),
+        _laurent_mul_two_minus_y(w11),
+    )
+    d22 = _laurent_sub(w21, _laurent_mul_two_minus_y(w12))
+    return d21, d22
 
 
-def _check_common_divisor(phi_y: UniPoly, entries: list[UniPoly], where: str) -> None:
-    if phi_y.is_zero():
-        raise RileyValidationError(f"reduction candidate vanishes identically {where}")
-    sf = squarefree_part(phi_y)
+def _check_divides(divisor: list[int], entries: list[list[int]], where: str) -> None:
+    """Every nonzero entry must be an exact Z[y]-multiple of the primitive
+    divisor (equivalently, by Gauss's lemma, a Q[y]-multiple)."""
     for e in entries:
-        if e.is_zero():
-            continue
-        if not (e % sf).is_zero():
+        if e and _int_exact_div(e, divisor) is None:
             raise RileyValidationError(
                 f"relation defect entry is not divisible by the reduction candidate {where}"
             )
@@ -211,39 +210,48 @@ def _check_common_divisor(phi_y: UniPoly, entries: list[UniPoly], where: str) ->
 def _riley_from_word(word: SchubertWord, label: object, seed: int) -> RileyPoly:
     """Shared general-route pipeline: product, reduction, validation,
     rewrite to (x, y), normalization."""
-    wmat = word_matrix(word)
-    phi_tilde = _reduction_candidate(wmat)
+    w11, w12, w21, _ = word_matrix(word)
+    phi_tilde = _reduction_candidate(w11, w12)
 
-    bad = phi_tilde.asymmetry_exponent()
+    bad = asymmetry_exponent(phi_tilde)
     if bad is not None:
         raise RileyValidationError(
             f"reduction candidate for {label} is not symmetric under s -> 1/s "
             f"(first offending s-exponent: {bad}); refusing to guess a unit multiple"
         )
 
-    defect = _relation_defect(wmat)
+    defect = _relation_defect(w11, w12, w21)
     # (i) exact divisibility at s = 1 (the parabolic slice).
-    phi_1 = phi_tilde.eval_s(1)
-    if phi_1.is_zero():
+    phi_1 = _laurent_eval(phi_tilde, 1, 1)
+    if not phi_1:
         raise RileyValidationError(f"reduction candidate for {label} vanishes at s = 1")
-    for e in (entry.eval_s(1) for entry in defect.entries()):
-        if not e.is_zero() and not (e % phi_1).is_zero():
-            raise RileyValidationError(
-                f"relation defect for {label} is not divisible by the candidate at s = 1"
-            )
-    # (ii) zero-set containment at random rational s, via y-variable gcds.
+    _check_divides(
+        _int_primitive(phi_1), [_laurent_eval(e, 1, 1) for e in defect], f"at s = 1 for {label}"
+    )
+    # (ii) zero-set containment at random rational s: the defect entries
+    # must be divisible by the squarefree part of the candidate.
     rng = random.Random(seed)
-    done = 0
+    done = draws = 0
     while done < _VALIDATION_POINTS:
+        if draws == _MAX_VALIDATION_DRAWS:
+            raise RileyValidationError(
+                f"reduction candidate for {label} is constant in y at {draws - done} of "
+                f"{draws} random s; cannot validate"
+            )
+        draws += 1
         s0 = Fraction(rng.randint(1, 12), rng.randint(1, 12))
         if rng.random() < 0.5:
             s0 = -s0
-        phi_s0 = phi_tilde.eval_s(s0)
-        if phi_s0.is_zero() or phi_s0.degree < 1:
+        num, den = s0.numerator, s0.denominator
+        phi_s0 = _laurent_eval(phi_tilde, num, den)
+        if len(phi_s0) < 2:
             continue
-        _check_common_divisor(
-            phi_s0, [e.eval_s(s0) for e in defect.entries()], f"at s = {s0} for {label}"
-        )
+        phi_s0 = _int_primitive(phi_s0)
+        entries = [_laurent_eval(e, num, den) for e in defect]
+        # The squarefree part divides phi_s0, so an entry that phi_s0
+        # divides passes; only the others need the squarefree part.
+        if any(e and _int_exact_div(e, phi_s0) is None for e in entries):
+            _check_divides(_int_squarefree_part(phi_s0), entries, f"at s = {s0} for {label}")
         done += 1
 
     return RileyPoly(normalize_bipoly(symmetrize_to_xy(phi_tilde)), "general")
@@ -252,7 +260,7 @@ def _riley_from_word(word: SchubertWord, label: object, seed: int) -> RileyPoly:
 def riley_general(k: KnotId) -> RileyPoly:
     """Riley polynomial from the symbolic matrix product over the relator.
 
-    Always-on validation: (i) at s = 1 the candidate must divide all four
+    Always-on validation: (i) at s = 1 the candidate must divide all
     entries of rho(w a) - rho(b w); (ii) the same divisibility (of
     squarefree parts, i.e. zero-set containment) must hold at 20 random
     rational s; (iii) the candidate must be symmetric under s -> 1/s.
@@ -263,56 +271,10 @@ def riley_general(k: KnotId) -> RileyPoly:
 
 
 # ---------------------------------------------------------------------------
-# Parabolic fast path: substituting s = 1 from the start keeps every
-# matrix entry in Z[y], so the whole word product runs over plain integer
-# coefficient lists.  This is what the large conjecture scans use.
+# Parabolic fast path: the same column operations at s = 1, where every
+# s-shift disappears and each entry is a single list in Z[y].  This is
+# what the large conjecture scans use.
 # ---------------------------------------------------------------------------
-
-
-def _zadd(a: list[int], b: list[int]) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _zsub(a: list[int], b: list[int]) -> list[int]:
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] -= c
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _zmul_two_minus_y(a: list[int]) -> list[int]:
-    """Multiply by (2 - y)."""
-    if not a:
-        return []
-    out = [0] * (len(a) + 1)
-    for i, c in enumerate(a):
-        out[i] += 2 * c
-        out[i + 1] -= c
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _zmul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    while out and out[-1] == 0:
-        out.pop()
-    return out
 
 
 def _parabolic_word_product(word: SchubertWord) -> tuple[list[int], list[int], list[int], list[int]]:
@@ -347,19 +309,24 @@ def riley_parabolic(k: KnotId) -> UniPoly:
     content normalization, but is computed directly over Z[y].  The same
     validation idea as the general route runs here (cheaply): at s = 1
     the relation defect reduces to the single divisibility
-    w11 | w21 - (2-y)*w12, plus the exact determinant identity.
+    w11 | w21 - (2-y)*w12, an exact division by the primitive part of
+    w11, plus the exact determinant identity.
     """
     word = schubert_word(k)
     w11, w12, w21, w22 = _parabolic_word_product(word)
     if _zsub(_zmul(w11, w22), _zmul(w12, w21)) != [1]:
         raise RileyValidationError(f"parabolic word matrix for {k} has determinant != 1")
-    phi = UniPoly(w11)
-    defect = UniPoly(_zsub(w21, _zmul_two_minus_y(w12)))
-    if not defect.is_zero() and not (defect % phi).is_zero():
+    if not w11:
+        raise RileyValidationError(f"parabolic reduction candidate for {k} vanishes")
+    phi = _int_primitive(w11)
+    if phi[-1] < 0:
+        phi = [-c for c in phi]
+    defect = _zsub(w21, _zmul_two_minus_y(w12))
+    if defect and _int_exact_div(defect, phi) is None:
         raise RileyValidationError(
             f"parabolic relation defect for {k} is not divisible by the candidate"
         )
-    return normalize_parabolic(phi)
+    return UniPoly(phi)
 
 
 # ---------------------------------------------------------------------------

@@ -258,5 +258,6 @@ def family_word(d: DoubleTwist) -> SchubertWord:
     else:  # ON
         exps += ([1, -1] * m + [1, 1] + [-1, 1] * m) * n
     word = _word_from_exponents(exps)
-    assert len(word) == _word_length(d)
+    if len(word) != _word_length(d):
+        raise ValueError(f"family word of {d} has length {len(word)}, expected {_word_length(d)}")
     return word

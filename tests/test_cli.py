@@ -118,6 +118,18 @@ def test_roots_command(capsys):
     assert len(interval_lines) == 1
 
 
+def test_roots_contract_failure_exits_internal(capsys, monkeypatch):
+    # a Sturm sequence missing its last element breaks the chain contract;
+    # the ArithmeticError must end in exit 3, not a traceback
+    import riley.realroots
+
+    real_sturm = riley.realroots._int_sturm
+    monkeypatch.setattr(riley.realroots, "_int_sturm", lambda f: real_sturm(f)[:-1])
+    code, _, err = run_cli(capsys, "roots", "7", "3")
+    assert code == 3
+    assert err.startswith("internal validation error: ")
+
+
 def test_signature_command(capsys):
     code, out, _ = run_cli(capsys, "signature", "7", "5")
     assert code == 0

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,9 +6,17 @@ import pytest
 
 from riley.exact import (
     BiPoly,
-    SymLaurent,
     SymmetryError,
     UniPoly,
+    _int_exact_div,
+    _laurent_add,
+    _laurent_eval,
+    _laurent_mul,
+    _laurent_shift,
+    _laurent_sub,
+    _zadd,
+    _zmul,
+    _zsub,
     compose,
     format_rational,
     parse_rational,
@@ -168,54 +177,135 @@ def test_bipoly_subs_y():
 
 def test_symmetrize_examples():
     x = UniPoly.gen()
-    assert symmetrize_to_xy(SymLaurent({1: 1, -1: 1})) == BiPoly.from_x(x)
-    c = Fraction(5)
-    assert symmetrize_to_xy(SymLaurent({2: 1, 0: c, -2: 1})) == BiPoly.from_x(
-        UniPoly([c - 2, 0, 1])
-    )
-    assert symmetrize_to_xy(SymLaurent({0: UniPoly.gen()})) == BiPoly.y()
+    assert symmetrize_to_xy({1: [1], -1: [1]}) == BiPoly.from_x(x)
+    c = 5
+    assert symmetrize_to_xy({2: [1], 0: [c], -2: [1]}) == BiPoly.from_x(UniPoly([c - 2, 0, 1]))
+    assert symmetrize_to_xy({0: [0, 1]}) == BiPoly.y()
 
 
 def test_symmetrize_asymmetric_raises_with_exponent():
-    f = SymLaurent({2: 1, -2: 2})
+    f = {2: [1], -2: [2]}
     with pytest.raises(SymmetryError) as exc:
         symmetrize_to_xy(f)
     assert exc.value.exponent == 2
 
 
-def _rand_symmetric(rng) -> SymLaurent:
-    half = {
-        rng.randint(1, 4): UniPoly([rng.randint(-5, 5) for _ in range(rng.randint(1, 3))])
-        for _ in range(rng.randint(1, 3))
-    }
-    terms = dict(half)
-    for k, v in half.items():
-        terms[-k] = v
-    terms[0] = UniPoly([rng.randint(-5, 5) for _ in range(rng.randint(1, 3))])
-    return SymLaurent(terms)
+def _rand_ylist(rng) -> list[int]:
+    coeffs = [rng.randint(-5, 5) for _ in range(rng.randint(1, 3))]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs or [1]
+
+
+def _rand_symmetric(rng) -> dict[int, list[int]]:
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randint(1, 4)
+        terms[k] = terms[-k] = _rand_ylist(rng)
+    terms[0] = _rand_ylist(rng)
+    return terms
 
 
 def test_symmetrize_is_ring_homomorphism():
     rng = random.Random(13)
     for _ in range(20):
         f, g = _rand_symmetric(rng), _rand_symmetric(rng)
-        assert symmetrize_to_xy(f * g) == symmetrize_to_xy(f) * symmetrize_to_xy(g)
-        assert symmetrize_to_xy(f + g) == symmetrize_to_xy(f) + symmetrize_to_xy(g)
+        assert symmetrize_to_xy(_laurent_mul(f, g)) == symmetrize_to_xy(f) * symmetrize_to_xy(g)
+        assert symmetrize_to_xy(_laurent_add(f, g)) == symmetrize_to_xy(f) + symmetrize_to_xy(g)
 
 
 def test_symmetrize_exactness_via_eval():
-    # the rewrite must be exactly equal at x = s + 1/s
+    # the rewrite must be exactly equal at x = s + 1/s; the integer
+    # evaluation at s0 = a/b carries the factor (ab)^K
     rng = random.Random(31)
     for _ in range(10):
         f = _rand_symmetric(rng)
-        s0 = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-        x0 = s0 + 1 / s0
-        assert symmetrize_to_xy(f).eval_x(x0) == f.eval_s(s0)
+        a, b = rng.randint(1, 9), rng.randint(1, 9)
+        s0 = Fraction(a, b)
+        width = max(abs(k) for k in f)
+        scaled = symmetrize_to_xy(f).eval_x(s0 + 1 / s0) * (a * b) ** width
+        assert scaled == UniPoly(_laurent_eval(f, a, b))
 
 
-def test_symlaurent_eval_s():
-    f = SymLaurent({-2: UniPoly.gen(), 1: 3})
-    assert f.eval_s(Fraction(1, 2)) == UniPoly([Fraction(3, 2), 4])
+def test_laurent_eval_scaled():
+    # f = y s^-2 + 3 s at s = 1/2, scaled by (1*2)^2: 4*(4y + 3/2) = 16y + 6
+    f = {-2: [0, 1], 1: [3]}
+    assert _laurent_eval(f, 1, 2) == [6, 16]
+    assert _laurent_eval(f, 1, 2, width=3) == [12, 32]
+    assert _laurent_eval(f, 1, 1) == [3, 1]
+    assert _laurent_eval({}, 2, 3) == []
+
+
+def test_laurent_shift_and_sub():
+    f = {0: [1], 1: [0, 2]}
+    assert _laurent_shift(f, -1) == {-1: [1], 0: [0, 2]}
+    assert _laurent_sub(f, f) == {}
+    assert _laurent_sub({}, f) == {0: [-1], 1: [0, -2]}
+
+
+def test_int_exact_div_examples():
+    # (y - 1)(2y + 3) = 2y^2 + y - 3
+    assert _int_exact_div([-3, 1, 2], [-1, 1]) == [3, 2]
+    assert _int_exact_div([-3, 1, 2], [3, 2]) == [-1, 1]
+    # non-monic divisor with a remainder over Z (and over Q: 2y + 1 is primitive)
+    assert _int_exact_div([1, 1], [1, 2]) is None
+    assert _int_exact_div([1], [0, 1]) is None
+    assert _int_exact_div([], [5, 1]) == []
+    with pytest.raises(ZeroDivisionError):
+        _int_exact_div([1], [])
+
+
+def test_int_exact_div_agrees_with_rational_division():
+    # for a primitive divisor, exact division over Z succeeds exactly when
+    # the rational remainder is zero (Gauss's lemma)
+    rng = random.Random(17)
+    for _ in range(200):
+        d = _rand_ylist(rng)
+        if abs(math.gcd(*d)) != 1:
+            continue
+        e = _zmul(_rand_ylist(rng), d) if rng.random() < 0.5 else _rand_ylist(rng)
+        q, r = divmod(UniPoly(e), UniPoly(d))
+        got = _int_exact_div(e, d)
+        if r.is_zero():
+            assert got is not None and UniPoly(got) == q
+        else:
+            assert got is None
+
+
+def test_int_kernel_properties_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    ints = st.integers(min_value=-10**6, max_value=10**6)
+    polys = st.lists(ints, max_size=8).map(lambda c: _zadd(c, []))
+    nonzero = polys.filter(bool)
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(polys, polys, polys)
+    def ring_laws(a, b, c):
+        assert _zadd(a, b) == _zadd(b, a)
+        assert _zadd(_zadd(a, b), c) == _zadd(a, _zadd(b, c))
+        assert _zsub(_zadd(a, b), b) == a
+        assert _zmul(a, b) == _zmul(b, a)
+        assert _zmul(_zmul(a, b), c) == _zmul(a, _zmul(b, c))
+        assert _zmul(a, _zadd(b, c)) == _zadd(_zmul(a, b), _zmul(a, c))
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(polys, nonzero, polys)
+    def exact_division(q, d, r):
+        assert _int_exact_div(_zmul(q, d), d) == q
+        e = _zadd(_zmul(q, d), r)
+        got = _int_exact_div(e, d)
+        if got is not None:
+            assert _zmul(got, d) == e
+        # None exactly when the remainder is nonzero, once d is primitive
+        g = math.gcd(*d)
+        prim = [v // g for v in d]
+        rem = divmod(UniPoly(e), UniPoly(prim))[1]
+        assert (_int_exact_div(e, prim) is None) == (not rem.is_zero())
+
+    ring_laws()
+    exact_division()
 
 
 def test_rational_formatting():

@@ -1,15 +1,26 @@
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from riley import rileypoly
 from riley.chebyshev import cheb_poly
-from riley.exact import BiPoly, SymLaurent, UniPoly
+from riley.exact import (
+    BiPoly,
+    UniPoly,
+    _laurent_add,
+    _laurent_eval,
+    _laurent_mul,
+    _laurent_mul_two_minus_y,
+    _laurent_shift,
+    _laurent_sub,
+)
 from riley.realroots import count_real_roots
 from riley.rileypoly import (
     ClosedFormParams,
-    Mat2Sym,
     RileyValidationError,
     closed_form_params,
     normalize_bipoly,
@@ -17,10 +28,10 @@ from riley.rileypoly import (
     riley_closed_form,
     riley_general,
     riley_parabolic,
-    rho_generator,
     word_matrix,
 )
 from riley.twobridge import DoubleTwist, KnotId, SchubertWord, schubert_word
+from riley.verifier import enumerate_knots
 
 Y = UniPoly.gen()
 
@@ -74,13 +85,8 @@ def oracle_word_matrix(word: SchubertWord):
     return m
 
 
-def to_flat(entry: SymLaurent):
-    return {
-        (k, j): coeff
-        for k, poly in entry.items()
-        for j, coeff in enumerate(poly.coeffs)
-        if coeff
-    }
+def to_flat(entry):
+    return {(k, j): coeff for k, ys in entry.items() for j, coeff in enumerate(ys) if coeff}
 
 
 def _word(compact: str) -> SchubertWord:
@@ -89,19 +95,33 @@ def _word(compact: str) -> SchubertWord:
     )
 
 
+_IDENTITY_ROWS = (({0: [1]}, {}), ({}, {0: [1]}))
+
+
+def _apply(letters):
+    """Rows of the product of the letters' images, by the column
+    operations themselves (the letters need not alternate)."""
+    rows = _IDENTITY_ROWS
+    for letter in letters:
+        op = rileypoly._COLUMN_OPS[letter]
+        rows = tuple(op(*row) for row in rows)
+    return rows
+
+
 def test_rho_inverses_give_identity():
     for gen in ("a", "b"):
-        prod = Mat2Sym.identity() @ rho_generator(gen, 1) @ rho_generator(gen, -1)
-        assert prod == Mat2Sym.identity()
+        assert _apply([(gen, 1), (gen, -1)]) == _IDENTITY_ROWS
+        assert _apply([(gen, -1), (gen, 1)]) == _IDENTITY_ROWS
 
 
 def test_rho_traces():
     # meridian trace is s + 1/s
-    assert rho_generator("a", 1).trace() == SymLaurent({1: 1, -1: 1})
-    assert rho_generator("b", 1).trace() == SymLaurent({1: 1, -1: 1})
+    for gen in ("a", "b"):
+        (w11, _), (_, w22) = _apply([(gen, 1)])
+        assert _laurent_add(w11, w22) == {1: [1], -1: [1]}
     # trace of rho(a b^-1) is y, symbolically
-    prod = rho_generator("a", 1) @ rho_generator("b", -1)
-    assert prod.trace() == SymLaurent({0: UniPoly.gen()})
+    w11, _, _, w22 = word_matrix(_word("aB"))
+    assert _laurent_add(w11, w22) == {0: [0, 1]}
 
 
 def test_word_matrix_against_flat_oracle():
@@ -115,30 +135,103 @@ def test_word_matrix_against_flat_oracle():
         schubert_word(KnotId(11, 3)),
         schubert_word(KnotId(13, 4)),
     ]
+    words += [
+        schubert_word(KnotId(p, q))
+        for p in range(3, 26, 2)
+        for q in range(1, p)
+        if math.gcd(p, q) == 1
+    ]
     for w in words:
-        ours = word_matrix(w)
+        ours = [to_flat(e) for e in word_matrix(w)]
         oracle = oracle_word_matrix(w)
-        assert to_flat(ours.a11) == oracle[0][0], w.compact()
-        assert to_flat(ours.a12) == oracle[0][1], w.compact()
-        assert to_flat(ours.a21) == oracle[1][0], w.compact()
-        assert to_flat(ours.a22) == oracle[1][1], w.compact()
+        assert ours == [oracle[0][0], oracle[0][1], oracle[1][0], oracle[1][1]], w.compact()
 
 
 def test_word_matrix_hand_values():
     # w = ab: entry (1,1) is s^2 + 2 - y
-    w11 = word_matrix(_word("ab")).a11
+    w11 = word_matrix(_word("ab"))[0]
     assert to_flat(w11) == {(2, 0): 1, (0, 0): 2, (0, 1): -1}
     # w = ab^-1a^-1b at s = 1, entry (1,1) is (2-y)^2 - (2-y) + 1
-    w11 = word_matrix(_word("aBAb")).a11.eval_s(1)
+    w11 = _laurent_eval(word_matrix(_word("aBAb"))[0], 1, 1)
     u = UniPoly([2, -1])
-    assert w11 == u * u - u + 1
+    assert UniPoly(w11) == u * u - u + 1
     # empty word
-    assert word_matrix(SchubertWord(())) == Mat2Sym.identity()
+    assert word_matrix(SchubertWord(())) == ({0: [1]}, {}, {}, {0: [1]})
 
 
 def test_word_matrix_det_is_one():
     for compact in ("ab", "aBAb", "aBabAb", "abab"):
-        assert word_matrix(_word(compact)).det() == SymLaurent.one()
+        w11, w12, w21, w22 = word_matrix(_word(compact))
+        assert _laurent_sub(_laurent_mul(w11, w22), _laurent_mul(w12, w21)) == {0: [1]}
+
+
+def test_word_matrix_long_word_determinant_check(monkeypatch):
+    # words longer than 24 letters are checked at s in {1, 2, -3/2};
+    # a broken column operation (det != 1) must be caught there too
+    word = schubert_word(KnotId(61, 17))
+    assert len(word) > 24
+    word_matrix(word)
+    broken = lambda u, v: (_laurent_shift(u, 2), _laurent_add(u, _laurent_shift(v, -1)))  # noqa: E731
+    monkeypatch.setitem(rileypoly._COLUMN_OPS, ("a", 1), broken)
+    with pytest.raises(RileyValidationError, match="determinant differs from 1 at s="):
+        word_matrix(word)
+
+
+def test_mutated_column_operation_is_caught(monkeypatch):
+    # b^-1 with the sign of its (2-y) term flipped is still unimodular,
+    # so only the relation validation can catch it
+    flipped = lambda u, v: (  # noqa: E731
+        _laurent_add(_laurent_shift(u, -1), _laurent_mul_two_minus_y(v)),
+        _laurent_shift(v, 1),
+    )
+    monkeypatch.setitem(rileypoly._COLUMN_OPS, ("b", -1), flipped)
+    for k in (KnotId(5, 2), KnotId(7, 3), KnotId(61, 17)):
+        with pytest.raises(RileyValidationError):
+            riley_general(k)
+
+
+def test_divisibility_checks_catch_a_wrong_defect(monkeypatch):
+    # a defect entry off by the constant 1 is not divisible by a
+    # non-constant candidate: caught at s = 1
+    true_defect = rileypoly._relation_defect
+
+    def off_by_one(w11, w12, w21):
+        d21, d22 = true_defect(w11, w12, w21)
+        return d21, _laurent_add(d22, {0: [1]})
+
+    monkeypatch.setattr(rileypoly, "_relation_defect", off_by_one)
+    with pytest.raises(RileyValidationError, match="not divisible .* at s = 1 "):
+        riley_general(KnotId(7, 3))
+    # the same defect times (s - 1) vanishes at s = 1: caught at a random s
+    monkeypatch.setattr(
+        rileypoly,
+        "_relation_defect",
+        lambda *w: tuple(_laurent_sub(_laurent_shift(d, 1), d) for d in off_by_one(*w)),
+    )
+    with pytest.raises(RileyValidationError, match="not divisible") as exc:
+        riley_general(KnotId(7, 3))
+    assert "at s = 1 for" not in str(exc.value)
+
+
+def test_empty_word_validation_raises_promptly():
+    # the identity matrix gives the constant candidate 1: every random
+    # point is degenerate, so the bounded draw loop must give up
+    from riley.rileypoly import _riley_from_word
+
+    with pytest.raises(RileyValidationError, match="constant in y"):
+        _riley_from_word(SchubertWord(()), "empty word", 1)
+
+
+def test_riley_general_pinned_p31():
+    # sha256 of the general route over every knot with p <= 31, taken
+    # with the Fraction matrix product this kernel replaced
+    text = "".join(
+        json.dumps([str(k), riley_general(k).phi_xy.to_json_dict()]) + "\n"
+        for k in enumerate_knots(31)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "59c49a0127a8c867b1bc8b237acddc7a71d543a39f9ddbb4d04dfa0c0292c5e1"
+    )
 
 
 def test_riley_general_trefoil():

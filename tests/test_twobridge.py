@@ -127,6 +127,15 @@ def test_family_word_small():
     assert family_word(DoubleTwist("ON", 1, 1)).compact() == "aBabAb"
 
 
+def test_family_word_length_contract_raises(monkeypatch):
+    # a plain exception, so the check survives python -O
+    import riley.twobridge
+
+    monkeypatch.setattr(riley.twobridge, "_word_length", lambda d: 0)
+    with pytest.raises(ValueError, match="length"):
+        family_word(DoubleTwist("EE", 1, 1))
+
+
 def test_family_word_matches_schubert_word():
     for family in FAMILIES:
         for m in range(1, 9):
