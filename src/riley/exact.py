@@ -1,11 +1,14 @@
-"""Exact polynomial arithmetic: one integer coefficient kernel, with
-rationals only at the edges.
+"""Exact polynomial arithmetic: one dense ring kernel, run on integer
+coefficients everywhere but at the edges.
 
-UniPoly (dense, ascending coefficients) and BiPoly (a polynomial in y
-over UniPoly coefficients in x) are immutable containers over
-`fractions.Fraction` for results, rational x0 and isolating intervals.
-Everything heavier runs on plain int coefficient lists (ascending,
-trimmed, [] for zero): ring operations (_zadd, _zsub, _zmul), primitive
+The dense kernel (_zadd, _zsub, _zmul, _int_trim, _int_derivative,
+_horner) works on ascending coefficient sequences over any ring, given
+the ring's zero where it creates entries.  UniPoly (dense, ascending
+coefficients) runs it on `fractions.Fraction` tuples and BiPoly (a
+polynomial in y over UniPoly coefficients in x) on UniPoly tuples; both
+are immutable containers for results, rational x0 and isolating
+intervals.  Everything heavier runs on plain int coefficient lists
+(ascending, trimmed, [] for zero): the same ring operations, primitive
 pseudo-remainder gcds with content removal, and exact division.
 
 Divisibility over Q is decided by exact division in Z[y]: when the
@@ -60,12 +63,6 @@ class SymmetryError(ValueError):
         )
 
 
-def _trim(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
 class UniPoly:
     """Dense univariate polynomial over Fraction, trimmed canonical form.
 
@@ -77,7 +74,7 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        self.coeffs: tuple[Fraction, ...] = _trim([Fraction(c) for c in coeffs])
+        self.coeffs: tuple[Fraction, ...] = tuple(_int_trim([Fraction(c) for c in coeffs]))
 
     @classmethod
     def _raw(cls, coeffs: tuple[Fraction, ...]) -> "UniPoly":
@@ -121,13 +118,7 @@ class UniPoly:
         other = _as_unipoly(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly._raw(_trim(out))
+        return UniPoly._raw(tuple(_zadd(self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
@@ -135,7 +126,7 @@ class UniPoly:
         other = _as_unipoly(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return UniPoly._raw(tuple(_zsub(self.coeffs, other.coeffs, _ZERO)))
 
     def __rsub__(self, other: Scalar) -> "UniPoly":
         return (-self) + other
@@ -150,15 +141,7 @@ class UniPoly:
             return UniPoly._raw(tuple(c * other for c in self.coeffs))
         if not isinstance(other, UniPoly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return UniPoly.zero()
-        out = [_ZERO] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return UniPoly._raw(_trim(out))
+        return UniPoly._raw(tuple(_zmul(self.coeffs, other.coeffs, _ZERO)))
 
     __rmul__ = __mul__
 
@@ -192,20 +175,14 @@ class UniPoly:
                 quot[i - db] = q
                 for j, cb in enumerate(other.coeffs):
                     rem[i - db + j] -= q * cb
-        return UniPoly._raw(_trim(quot)), UniPoly._raw(_trim(rem))
+        return UniPoly._raw(tuple(_int_trim(quot))), UniPoly._raw(tuple(_int_trim(rem)))
 
     def __call__(self, v: Scalar) -> Fraction:
         """Exact evaluation by Horner's rule."""
-        v = Fraction(v)
-        acc = _ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc
+        return _horner(self.coeffs, Fraction(v), _ZERO)
 
     def derivative(self) -> "UniPoly":
-        return UniPoly._raw(
-            _trim([i * c for i, c in enumerate(self.coeffs)][1:])
-        )
+        return UniPoly._raw(tuple(_int_derivative(self.coeffs)))
 
     def monic(self) -> "UniPoly":
         if self.is_zero():
@@ -241,7 +218,13 @@ def _as_unipoly(v: "UniPoly | Scalar") -> "UniPoly":
 
 
 # ---------------------------------------------------------------------------
-# The integer coefficient kernel.
+# The dense ring kernel and the integer coefficient kernel.
+#
+# _zadd, _zsub, _zmul, _int_trim, _int_derivative and _horner need only
+# +, -, * and truthiness of the coefficients: they serve int lists here,
+# Fraction tuples in UniPoly and UniPoly tuples in BiPoly.  _zsub and
+# _zmul take the ring's zero (default int 0) for the entries they create,
+# so no int 0 lands in a UniPoly or a BiPoly.
 #
 # Word products, gcds, squarefree parts, divisibility checks and Sturm
 # chains run over plain int lists (ascending, trimmed): primitive
@@ -252,7 +235,7 @@ def _as_unipoly(v: "UniPoly | Scalar") -> "UniPoly":
 # ---------------------------------------------------------------------------
 
 
-def _zadd(a: list[int], b: list[int]) -> list[int]:
+def _zadd(a: Sequence, b: Sequence) -> list:
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
@@ -261,8 +244,8 @@ def _zadd(a: list[int], b: list[int]) -> list[int]:
     return _int_trim(out)
 
 
-def _zsub(a: list[int], b: list[int]) -> list[int]:
-    out = list(a) + [0] * (len(b) - len(a))
+def _zsub(a: Sequence, b: Sequence, zero=0) -> list:
+    out = list(a) + [zero] * (len(b) - len(a))
     for i, c in enumerate(b):
         out[i] -= c
     return _int_trim(out)
@@ -279,10 +262,10 @@ def _zmul_two_minus_y(a: list[int]) -> list[int]:
     return out
 
 
-def _zmul(a: list[int], b: list[int]) -> list[int]:
+def _zmul(a: Sequence, b: Sequence, zero=0) -> list:
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
+    out = [zero] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
@@ -319,14 +302,10 @@ def _int_exact_div(a: Sequence[int], d: Sequence[int]) -> list[int] | None:
     return quot
 
 
-def _int_coeffs(p: UniPoly) -> list[int]:
-    """Integer coefficient list of p scaled by the lcm of denominators."""
-    if p.is_zero():
-        return []
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return [int(c * den) for c in p.coeffs]
+def _int_coeffs(values: Sequence[Fraction]) -> list[int]:
+    """The values scaled by the lcm of their denominators, as ints."""
+    den = math.lcm(*(c.denominator for c in values))
+    return [int(c * den) for c in values]
 
 
 def _int_content(coeffs: Sequence[int]) -> int:
@@ -346,10 +325,17 @@ def _int_primitive(coeffs: list[int]) -> list[int]:
     return list(coeffs)
 
 
-def _int_trim(coeffs: list[int]) -> list[int]:
-    while coeffs and coeffs[-1] == 0:
+def _int_trim(coeffs: list) -> list:
+    while coeffs and not coeffs[-1]:
         coeffs.pop()
     return coeffs
+
+
+def _horner(coeffs: Sequence, v, acc):
+    """sum coeffs[i] * v**i by Horner's rule, starting from the zero acc."""
+    for c in reversed(coeffs):
+        acc = acc * v + c
+    return acc
 
 
 def _int_prem_pos(a: list[int], b: list[int]) -> list[int]:
@@ -386,7 +372,7 @@ def _int_gcd(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
-def _int_derivative(a: Sequence[int]) -> list[int]:
+def _int_derivative(a: Sequence) -> list:
     return _int_trim([i * c for i, c in enumerate(a)][1:])
 
 
@@ -401,17 +387,24 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
         return b.monic()
     if b.is_zero():
         return a.monic()
-    g = _int_gcd(_int_coeffs(a), _int_coeffs(b))
+    g = _int_gcd(_int_coeffs(a.coeffs), _int_coeffs(b.coeffs))
     return UniPoly(g).monic()
 
 
-def _int_squarefree_part(f: list[int]) -> list[int]:
-    """f / gcd(f, f') for a non-constant integer list f, up to sign and
-    content: exact division by the primitive gcd."""
-    q = _int_exact_div(f, _int_gcd(f, _int_derivative(f)))
+def _int_squarefree(f: list[int], g: list[int]) -> list[int]:
+    """Squarefree part f / g of an integer coefficient list f, given the
+    primitive g = +-gcd(f, f'); the result keeps the sign of f."""
+    if g[-1] < 0:
+        g = [-c for c in g]
+    q = _int_exact_div(f, g)
     if q is None:
         raise ArithmeticError("gcd(f, f') does not divide f")
     return q
+
+
+def _int_squarefree_part(f: list[int]) -> list[int]:
+    """f / gcd(f, f') for a non-constant integer list f, up to content."""
+    return _int_squarefree(f, _int_gcd(f, _int_derivative(f)))
 
 
 def squarefree_part(a: UniPoly) -> UniPoly:
@@ -421,7 +414,7 @@ def squarefree_part(a: UniPoly) -> UniPoly:
         raise ValueError("squarefree part of the zero polynomial is undefined")
     if a.degree == 0:
         return UniPoly.const(1)
-    return UniPoly(_int_squarefree_part(_int_coeffs(a))).monic()
+    return UniPoly(_int_squarefree_part(_int_coeffs(a.coeffs))).monic()
 
 
 class BiPoly:
@@ -436,9 +429,7 @@ class BiPoly:
 
     def __init__(self, coeffs: Iterable[UniPoly | Scalar] = ()):
         lst = [c if isinstance(c, UniPoly) else UniPoly.const(c) for c in coeffs]
-        while lst and lst[-1].is_zero():
-            lst.pop()
-        self.coeffs: tuple[UniPoly, ...] = tuple(lst)
+        self.coeffs: tuple[UniPoly, ...] = tuple(_int_trim(lst))
 
     @classmethod
     def _raw(cls, coeffs: tuple[UniPoly, ...]) -> "BiPoly":
@@ -462,10 +453,6 @@ class BiPoly:
     @classmethod
     def y(cls) -> "BiPoly":
         return cls._raw((UniPoly.zero(), UniPoly.const(1)))
-
-    @classmethod
-    def x(cls) -> "BiPoly":
-        return cls._raw((UniPoly.gen(),))
 
     @property
     def y_degree(self) -> int:
@@ -491,13 +478,7 @@ class BiPoly:
         other = _as_bipoly(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return BiPoly(out)
+        return BiPoly._raw(tuple(_zadd(self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
@@ -505,7 +486,7 @@ class BiPoly:
         other = _as_bipoly(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return BiPoly._raw(tuple(_zsub(self.coeffs, other.coeffs, UniPoly.zero())))
 
     def __rsub__(self, other: "UniPoly | Scalar") -> "BiPoly":
         return (-self) + other
@@ -523,29 +504,9 @@ class BiPoly:
             return BiPoly._raw(tuple(c * other for c in self.coeffs))
         if not isinstance(other, BiPoly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return BiPoly.zero()
-        out: list[UniPoly] = [UniPoly.zero()] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if not ca.is_zero():
-                for j, cb in enumerate(b):
-                    out[i + j] = out[i + j] + ca * cb
-        return BiPoly(out)
+        return BiPoly._raw(tuple(_zmul(self.coeffs, other.coeffs, UniPoly.zero())))
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "BiPoly":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = BiPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def eval_x(self, x0: Scalar) -> UniPoly:
         """Substitute x := x0 in every coefficient, leaving a UniPoly in y."""
@@ -554,10 +515,7 @@ class BiPoly:
 
     def subs_y(self, g: UniPoly) -> UniPoly:
         """Substitute y := g(x), collapsing to a UniPoly in x (Horner)."""
-        acc = UniPoly.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * g + c
-        return acc
+        return _horner(self.coeffs, g, UniPoly.zero())
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction, UniPoly)):
@@ -604,10 +562,7 @@ def _as_bipoly(v: "BiPoly | UniPoly | Scalar") -> "BiPoly":
 
 def compose(outer: UniPoly, inner: BiPoly) -> BiPoly:
     """Exact polynomial composition outer(inner) by Horner's rule."""
-    acc = BiPoly.zero()
-    for c in reversed(outer.coeffs):
-        acc = acc * inner + c
-    return acc
+    return _horner(outer.coeffs, inner, BiPoly.zero())
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,9 @@ from .exact import (
     UniPoly,
     _int_coeffs,
     _int_derivative,
-    _int_exact_div,
     _int_prem_pos,
     _int_primitive,
+    _int_squarefree,
 )
 
 DEFAULT_ISOLATION_WIDTH = Fraction(1, 64)
@@ -60,26 +60,17 @@ class RootCount:
     intervals: tuple[tuple[Fraction, Fraction], ...] | None = None
 
 
-def _int_squarefree(f: list[int], g: list[int]) -> list[int]:
-    """Squarefree part f / g of a primitive integer coefficient list f,
-    given g = +-gcd(f, f'); the result keeps the sign of f."""
-    if g[-1] < 0:
-        g = [-c for c in g]
-    q = _int_exact_div(f, g)
-    if q is None:
-        raise ArithmeticError("gcd(f, f') does not divide f")
-    return q
-
-
 def _int_sturm(f: list[int]) -> list[list[int]]:
     """Sturm sequence of a primitive integer coefficient list f, every
-    element primitive; its last element is +-gcd(f, f')."""
+    element primitive; its last element is +-gcd(f, f').  Degrees fall
+    strictly along the sequence, so it ends within len(f) remainders."""
     chain = [f, _int_primitive(_int_derivative(f))]
-    while True:
+    for _ in range(len(f)):
         rem = _int_prem_pos(chain[-2], chain[-1])
         if not rem:
             return chain
         chain.append([-c for c in _int_primitive(rem)])
+    raise ArithmeticError("Sturm sequence did not end: remainder degrees did not fall")
 
 
 def _sign(v: int) -> int:
@@ -117,7 +108,7 @@ class _IntChain:
             raise ValueError("Sturm chain of the zero polynomial is undefined")
         if f.degree < 1:
             raise ValueError("Sturm chain of a constant polynomial is undefined")
-        f_int = _int_primitive(_int_coeffs(f))
+        f_int = _int_primitive(_int_coeffs(f.coeffs))
         chain = _int_sturm(f_int)
         if len(chain[-1]) > 1:
             chain = _int_sturm(_int_squarefree(f_int, chain[-1]))

@@ -50,7 +50,6 @@ the leading y-coefficient positive at x = 2.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,6 +59,7 @@ from .exact import (
     BiPoly,
     Laurent,
     UniPoly,
+    _int_coeffs,
     _int_exact_div,
     _int_primitive,
     _int_squarefree_part,
@@ -92,18 +92,29 @@ class RileyValidationError(RuntimeError):
     for some word; the computed candidate must not be used."""
 
 
-# Each letter maps a row (W_i1, W_i2) of the matrix to the same row of
-# W * rho(letter); the same column operation acts on both rows.
-_COLUMN_OPS = {
-    ("a", 1): lambda u, v: (_laurent_shift(u, 1), _laurent_add(u, _laurent_shift(v, -1))),
-    ("a", -1): lambda u, v: (_laurent_shift(u, -1), _laurent_sub(_laurent_shift(v, 1), u)),
-    ("b", 1): lambda u, v: (
-        _laurent_add(_laurent_shift(u, 1), _laurent_mul_two_minus_y(v)), _laurent_shift(v, -1)
-    ),
-    ("b", -1): lambda u, v: (
-        _laurent_sub(_laurent_shift(u, -1), _laurent_mul_two_minus_y(v)), _laurent_shift(v, 1)
-    ),
-}
+def _column_ops(shift, add, sub, mul_two_minus_y) -> dict:
+    """The four column operations over one entry ring, where shift(f, k)
+    is s^k f.  Each letter maps a row (W_i1, W_i2) of the matrix to the
+    same row of W * rho(letter); the same operation acts on both rows."""
+    return {
+        ("a", 1): lambda u, v: (shift(u, 1), add(u, shift(v, -1))),
+        ("a", -1): lambda u, v: (shift(u, -1), sub(shift(v, 1), u)),
+        ("b", 1): lambda u, v: (add(shift(u, 1), mul_two_minus_y(v)), shift(v, -1)),
+        ("b", -1): lambda u, v: (sub(shift(u, -1), mul_two_minus_y(v)), shift(v, 1)),
+    }
+
+
+_COLUMN_OPS = _column_ops(_laurent_shift, _laurent_add, _laurent_sub, _laurent_mul_two_minus_y)
+
+
+def _word_product(w: SchubertWord, ops: dict, one, zero) -> tuple:
+    """Entries (W11, W12, W21, W22) of the product of generator images
+    over the word, one column operation from ops per letter."""
+    row1, row2 = (one, zero), (zero, one)
+    for letter in w.letters:
+        op = ops[letter]
+        row1, row2 = op(*row1), op(*row2)
+    return (*row1, *row2)
 
 
 def word_matrix(w: SchubertWord) -> tuple[Laurent, Laurent, Laurent, Laurent]:
@@ -115,12 +126,7 @@ def word_matrix(w: SchubertWord) -> tuple[Laurent, Laurent, Laurent, Laurent]:
     long ones, by exact integer evaluation at s in {1, 2, -3/2}, where
     with all entries scaled by (ab)^K at s = a/b it must be (ab)^(2K).
     """
-    row1: tuple[Laurent, Laurent] = ({0: [1]}, {})
-    row2: tuple[Laurent, Laurent] = ({}, {0: [1]})
-    for letter in w.letters:
-        op = _COLUMN_OPS[letter]
-        row1, row2 = op(*row1), op(*row2)
-    w11, w12, w21, w22 = entries = (*row1, *row2)
+    w11, w12, w21, w22 = entries = _word_product(w, _COLUMN_OPS, {0: [1]}, {})
     if len(w) <= 24:
         if _laurent_sub(_laurent_mul(w11, w22), _laurent_mul(w12, w21)) != {0: [1]}:
             raise RileyValidationError(f"word matrix determinant differs from 1 for word {w.compact()}")
@@ -149,15 +155,9 @@ def normalize_bipoly(phi: BiPoly) -> BiPoly:
     leading y-coefficient is positive at x = 2."""
     if phi.is_zero():
         raise ValueError("cannot normalize the zero polynomial")
-    den = 1
-    for c in phi.coeffs:
-        for v in c.coeffs:
-            den = den * v.denominator // math.gcd(den, v.denominator)
-    num = 0
-    for c in phi.coeffs:
-        for v in c.coeffs:
-            num = math.gcd(num, int(v * den))
-    phi = phi * Fraction(den, num)
+    ints = iter(_int_primitive(_int_coeffs([v for c in phi.coeffs for v in c.coeffs])))
+    # the same integers, regrouped by y-degree
+    phi = BiPoly([UniPoly([next(ints) for _ in c.coeffs]) for c in phi.coeffs])
     lead = phi.leading_y(Fraction(2))
     if lead == 0:
         raise ValueError("leading y-coefficient vanishes at x = 2; sign normalization undefined")
@@ -170,13 +170,7 @@ def normalize_parabolic(phi: UniPoly) -> UniPoly:
     """Univariate analogue: integer coefficients, content 1, leading > 0."""
     if phi.is_zero():
         raise ValueError("cannot normalize the zero polynomial")
-    den = 1
-    for v in phi.coeffs:
-        den = den * v.denominator // math.gcd(den, v.denominator)
-    num = 0
-    for v in phi.coeffs:
-        num = math.gcd(num, int(v * den))
-    phi = phi * Fraction(den, num)
+    phi = UniPoly(_int_primitive(_int_coeffs(phi.coeffs)))
     return -phi if phi.leading < 0 else phi
 
 
@@ -271,35 +265,14 @@ def riley_general(k: KnotId) -> RileyPoly:
 
 
 # ---------------------------------------------------------------------------
-# Parabolic fast path: the same column operations at s = 1, where every
-# s-shift disappears and each entry is a single list in Z[y].  This is
-# what the large conjecture scans use.
+# Parabolic fast path: the general route's word product with the same
+# column-operation table built at s = 1, where every s-shift is the
+# identity and each entry is a single list in Z[y], so each letter costs
+# O(degree) integer operations.  This is what the large conjecture scans
+# use.
 # ---------------------------------------------------------------------------
 
-
-def _parabolic_word_product(word: SchubertWord) -> tuple[list[int], list[int], list[int], list[int]]:
-    """Product of the generator images at s = 1 over Z[y] coefficient lists.
-
-    Every letter acts by a column operation, so each step costs O(degree)
-    integer operations.
-    """
-    w11, w12, w21, w22 = [1], [], [], [1]
-    for gen, exp in word.letters:
-        if gen == "a":
-            if exp == 1:
-                w12 = _zadd(w12, w11)
-                w22 = _zadd(w22, w21)
-            else:
-                w12 = _zsub(w12, w11)
-                w22 = _zsub(w22, w21)
-        else:
-            if exp == 1:
-                w11 = _zadd(w11, _zmul_two_minus_y(w12))
-                w21 = _zadd(w21, _zmul_two_minus_y(w22))
-            else:
-                w11 = _zsub(w11, _zmul_two_minus_y(w12))
-                w21 = _zsub(w21, _zmul_two_minus_y(w22))
-    return w11, w12, w21, w22
+_PARABOLIC_COLUMN_OPS = _column_ops(lambda f, k: f, _zadd, _zsub, _zmul_two_minus_y)
 
 
 def riley_parabolic(k: KnotId) -> UniPoly:
@@ -313,7 +286,7 @@ def riley_parabolic(k: KnotId) -> UniPoly:
     w11, plus the exact determinant identity.
     """
     word = schubert_word(k)
-    w11, w12, w21, w22 = _parabolic_word_product(word)
+    w11, w12, w21, w22 = _word_product(word, _PARABOLIC_COLUMN_OPS, [1], [])
     if _zsub(_zmul(w11, w22), _zmul(w12, w21)) != [1]:
         raise RileyValidationError(f"parabolic word matrix for {k} has determinant != 1")
     if not w11:

@@ -79,14 +79,14 @@ def even_cf(k: KnotId) -> EvenCF:
     Each step takes the nearest even integer 2b to the current value
     (never a tie: a tie would force a common factor) and recurses on the
     reciprocal of the remainder; the remainder strictly shrinks, so the
-    expansion terminates.  The result is round-trip checked against
-    p/q* and must have even length for a knot.
+    expansion ends within p steps.  The result is round-trip checked
+    against p/q* and must have even length for a knot.
     """
     p, q = k.p, k.q
     q_star = q if q % 2 == 0 else p - q
     entries: list[int] = []
     num, den = p, q_star
-    while True:
+    for _ in range(p):
         if den < 0:
             num, den = -num, -den
         # nearest integer to num/(2*den); exact half-values cannot occur
@@ -97,6 +97,8 @@ def even_cf(k: KnotId) -> EvenCF:
         if rem == 0:
             break
         num, den = den, rem
+    else:
+        raise SignatureError(f"even continued fraction of {p}/{q_star} did not end within {p} steps")
     cf = EvenCF(tuple(entries))
     if cf.value() != Fraction(p, q_star):
         raise SignatureError(f"even continued fraction of {p}/{q_star} failed its round-trip check")

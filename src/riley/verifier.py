@@ -39,7 +39,7 @@ from .rileypoly import (
     riley_parabolic,
 )
 from .signature import signature_two_bridge
-from .twobridge import FAMILIES, DoubleTwist, KnotId, family_to_pq
+from .twobridge import DoubleTwist, KnotId, family_to_pq
 
 
 class CrossValidationError(RuntimeError):

@@ -9,6 +9,7 @@ from riley.exact import (
     SymmetryError,
     UniPoly,
     _int_exact_div,
+    _int_gcd,
     _laurent_add,
     _laurent_eval,
     _laurent_mul,
@@ -56,6 +57,52 @@ def test_ring_axioms_randomized():
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert a * b == b * a
+
+
+def _assert_coefficient_types(p):
+    """UniPoly coefficients are Fractions; BiPoly coefficients are UniPolys
+    whose coefficients are Fractions."""
+    if isinstance(p, BiPoly):
+        assert all(type(c) is UniPoly for c in p.coeffs), p
+        for c in p.coeffs:
+            _assert_coefficient_types(c)
+    else:
+        assert all(type(c) is Fraction for c in p.coeffs), p
+
+
+def test_kernel_results_keep_coefficient_types():
+    # products with gaps leave entries of the kernel's zero untouched, and
+    # subtracting a longer polynomial pads with it: that zero must be the
+    # ring's own, never an int
+    gap = UniPoly([1, 0, 0, 0, 0, 1])  # y^5 + 1
+    longer = UniPoly([0, 0, 0, 0, 2])
+    x = UniPoly.gen()
+    bigap = BiPoly([x, 0, 0, 1])  # zero middle y-coefficients
+    unis = [
+        gap * (Y + 1),
+        (Y + 1) * gap,
+        gap * gap,
+        Y - longer,
+        1 - longer,
+        gap + longer,
+        gap.derivative(),
+        gap**3,
+        bigap.subs_y(Y + 1),
+    ]
+    bis = [
+        bigap * BiPoly([1, x]),
+        BiPoly([1, x]) * bigap,
+        bigap * bigap,
+        BiPoly([1]) - bigap,
+        bigap - BiPoly([x] * 6),
+        bigap + BiPoly([x, x]),
+        compose(gap, bigap),
+    ]
+    for p in unis + bis:
+        _assert_coefficient_types(p)
+    assert gap * (Y + 1) == UniPoly([1, 1, 0, 0, 0, 1, 1])
+    assert bigap * BiPoly([1, x]) == BiPoly([x, x * x, 0, 1, x])
+    assert type(gap(Fraction(1, 2))) is Fraction
 
 
 def test_divrem_exact_factor():
@@ -306,6 +353,28 @@ def test_int_kernel_properties_hypothesis():
 
     ring_laws()
     exact_division()
+
+
+def test_int_gcd_properties_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def trimmed(min_size, max_size):
+        lists = st.lists(st.integers(min_value=-40, max_value=40), min_size=min_size, max_size=max_size)
+        return lists.map(lambda c: _zadd(c, [])).filter(lambda c: len(c) >= min_size)
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(trimmed(1, 5), trimmed(1, 5), trimmed(2, 4))
+    def gcd_of_multiples(a, b, g):
+        ag, bg = _zmul(a, g), _zmul(b, g)
+        d = _int_gcd(ag, bg)
+        assert math.gcd(*d) == 1
+        assert _int_exact_div(ag, d) is not None
+        assert _int_exact_div(bg, d) is not None
+        content = math.gcd(*g)
+        assert _int_exact_div(d, [c // content for c in g]) is not None
+
+    gcd_of_multiples()
 
 
 def test_rational_formatting():

@@ -120,6 +120,14 @@ def test_chain_contract_raises_when_squarefree_part_is_wrong(monkeypatch):
         count_real_roots(REPEATED)
 
 
+def test_sturm_sequence_is_bounded(monkeypatch):
+    # a remainder that never shrinks in degree must end in an error, not
+    # in a loop without end
+    monkeypatch.setattr(riley.realroots, "_int_prem_pos", lambda a, b: list(b))
+    with pytest.raises(ArithmeticError, match="did not end"):
+        count_real_roots(CUBIC)
+
+
 def test_count_matches_sympy_with_repeated_factors():
     sympy = pytest.importorskip("sympy")
     y = sympy.Symbol("y")
@@ -134,6 +142,31 @@ def test_count_matches_sympy_with_repeated_factors():
             continue
         ref = sympy.Poly([int(c) for c in reversed(f.coeffs)], y).count_roots()
         assert count_real_roots(f).total_real == ref, f
+
+
+def test_count_matches_sympy_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    sympy = pytest.importorskip("sympy")
+    y = sympy.Symbol("y")
+
+    coeff = st.integers(min_value=-9, max_value=9)
+    lead = coeff.filter(bool)
+    factor = st.one_of(
+        st.tuples(coeff, lead), st.tuples(coeff, coeff, lead)
+    ).map(UniPoly)  # linear and quadratic integer factors
+    factors = st.lists(st.tuples(factor, st.integers(min_value=1, max_value=3)), min_size=1, max_size=4)
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(factors)
+    def agrees(fs):
+        f = UniPoly.const(1)
+        for g, mult in fs:
+            f = f * g**mult
+        ref = sympy.Poly([int(c) for c in reversed(f.coeffs)], y).count_roots()
+        assert count_real_roots(f).total_real == ref
+
+    agrees()
 
 
 def test_isolate_linear():

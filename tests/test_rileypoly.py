@@ -17,6 +17,8 @@ from riley.exact import (
     _laurent_mul_two_minus_y,
     _laurent_shift,
     _laurent_sub,
+    _zadd,
+    _zmul_two_minus_y,
 )
 from riley.realroots import count_real_roots
 from riley.rileypoly import (
@@ -188,6 +190,16 @@ def test_mutated_column_operation_is_caught(monkeypatch):
     for k in (KnotId(5, 2), KnotId(7, 3), KnotId(61, 17)):
         with pytest.raises(RileyValidationError):
             riley_general(k)
+
+
+def test_mutated_parabolic_column_operation_is_caught(monkeypatch):
+    # the same mutation in the s = 1 table: b^-1 flipped is b there, still
+    # unimodular, so the divisibility check must catch it
+    flipped = lambda u, v: (_zadd(u, _zmul_two_minus_y(v)), v)  # noqa: E731
+    monkeypatch.setitem(rileypoly._PARABOLIC_COLUMN_OPS, ("b", -1), flipped)
+    for k in (KnotId(5, 2), KnotId(7, 3), KnotId(61, 17)):
+        with pytest.raises(RileyValidationError, match="not divisible"):
+            riley_parabolic(k)
 
 
 def test_divisibility_checks_catch_a_wrong_defect(monkeypatch):
