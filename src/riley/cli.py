@@ -12,7 +12,7 @@ Subcommands (see README for examples):
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage error,
 3 internal validation error (a computed object failed its own
-consistency contract).
+consistency contract, or a scan's worker process died).
 
 Rationals on the command line are "a/b" or integer literals.  Plain text
 goes to stdout; reports go to files via --out.
@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from concurrent.futures import BrokenExecutor
 from fractions import Fraction
 
 from .exact import BiPoly, UniPoly
@@ -62,7 +63,7 @@ EXIT_INTERNAL = 3
 
 
 # ---------------------------------------------------------------------------
-# Polynomial rendering and parsing.
+# Polynomial rendering.
 # ---------------------------------------------------------------------------
 
 
@@ -70,117 +71,48 @@ def _coeff_str(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
-def format_unipoly(p: UniPoly, var: str = "y") -> str:
-    """Plain-text polynomial, descending powers: "y^2 - 3*y + 3"."""
-    if p.is_zero():
-        return "0"
-    pieces: list[str] = []
+def _monomials(p: UniPoly, var: str, ypart: str = "") -> list[tuple[bool, str]]:
+    """(positive, body) for each nonzero term of p * ypart, descending
+    powers of var: "3*x^2*y", with a bare power when the magnitude is 1."""
+    terms: list[tuple[bool, str]] = []
     for k in range(p.degree, -1, -1):
         c = p.coeff(k)
         if c == 0:
             continue
+        vpart = "" if k == 0 else (var if k == 1 else f"{var}^{k}")
+        powers = [part for part in (vpart, ypart) if part]
         mag = abs(c)
-        if k == 0:
-            body = _coeff_str(mag)
-        else:
-            vpart = var if k == 1 else f"{var}^{k}"
-            body = vpart if mag == 1 else f"{_coeff_str(mag)}*{vpart}"
-        if not pieces:
-            pieces.append(body if c > 0 else f"-{body}")
-        else:
-            pieces.append(f"{'+' if c > 0 else '-'} {body}")
-    return " ".join(pieces)
+        factors = powers if mag == 1 and powers else [_coeff_str(mag), *powers]
+        terms.append((c > 0, "*".join(factors)))
+    return terms
 
 
-def parse_unipoly(text: str, var: str = "y") -> UniPoly:
-    """Parse the format produced by format_unipoly back into a UniPoly."""
-    s = text.replace(" ", "")
-    if not s:
-        raise ValueError("empty polynomial text")
-    if s == "0":
-        return UniPoly.zero()
-    if s[0] not in "+-":
-        s = "+" + s
-    coeffs: dict[int, Fraction] = {}
-    i = 0
-    while i < len(s):
-        sign = -1 if s[i] == "-" else 1
-        if s[i] in "+-":
-            i += 1
-        j = i
-        while j < len(s) and s[j] not in "+-":
-            j += 1
-        term = s[i:j]
-        i = j
-        if not term:
-            raise ValueError(f"dangling sign in polynomial text {text!r}")
-        coeff_part, _, var_part = term.partition(var)
-        coeff_part = coeff_part.rstrip("*")
-        if coeff_part:
-            try:
-                c = Fraction(coeff_part)
-            except ValueError as exc:
-                raise ValueError(f"bad coefficient {coeff_part!r} in {text!r}") from exc
-        else:
-            c = Fraction(1)
-        if var in term:
-            if var_part.startswith("^"):
-                k = int(var_part[1:])
-            elif var_part == "":
-                k = 1
-            else:
-                raise ValueError(f"bad term {term!r} in {text!r}")
-        else:
-            if var_part:
-                raise ValueError(f"bad term {term!r} in {text!r}")
-            k = 0
-        coeffs[k] = coeffs.get(k, Fraction(0)) + sign * c
-    out = [Fraction(0)] * (max(coeffs) + 1)
-    for k, c in coeffs.items():
-        out[k] = c
-    return UniPoly(out)
+def _join_terms(terms: list[tuple[bool, str]]) -> str:
+    """Signed terms as "-a + b - c"; "0" when there are none."""
+    if not terms:
+        return "0"
+    text = " ".join(f"{'+' if positive else '-'} {body}" for positive, body in terms)
+    return text[2:] if terms[0][0] else f"-{text[2:]}"
+
+
+def format_unipoly(p: UniPoly, var: str = "y") -> str:
+    """Plain-text polynomial, descending powers: "y^2 - 3*y + 3"."""
+    return _join_terms(_monomials(p, var))
 
 
 def format_bipoly(p: BiPoly) -> str:
     """Plain text, descending y-powers; non-constant x-coefficients are
     parenthesized, e.g. "y^2 + (-x^2 + 1)*y + x^2 - 1"."""
-    if p.is_zero():
-        return "0"
-    pieces: list[str] = []
-
-    def push(sign_positive: bool, body: str) -> None:
-        if not pieces:
-            pieces.append(body if sign_positive else f"-{body}")
-        else:
-            pieces.append(f"{'+' if sign_positive else '-'} {body}")
-
+    terms: list[tuple[bool, str]] = []
     for j in range(p.y_degree, -1, -1):
         c = p.y_coeff(j)
-        if c.is_zero():
-            continue
         ypart = "" if j == 0 else ("y" if j == 1 else f"y^{j}")
-        if c.degree <= 0:
-            v = c.coeff(0)
-            mag = abs(v)
-            if j == 0:
-                push(v > 0, _coeff_str(mag))
-            else:
-                push(v > 0, ypart if mag == 1 else f"{_coeff_str(mag)}*{ypart}")
-        elif j == 0:
-            # inline the x-polynomial tail term by term
-            for k in range(c.degree, -1, -1):
-                v = c.coeff(k)
-                if v == 0:
-                    continue
-                mag = abs(v)
-                xpart = "x" if k == 1 else (f"x^{k}" if k else "")
-                if k == 0:
-                    push(v > 0, _coeff_str(mag))
-                else:
-                    push(v > 0, xpart if mag == 1 else f"{_coeff_str(mag)}*{xpart}")
+        if c.degree <= 0 or j == 0:
+            # a constant coefficient, or the x-polynomial tail inlined
+            terms += _monomials(c, "x", ypart)
         else:
-            push(True, f"({format_unipoly(c, 'x')})*{ypart}")
-    return " ".join(pieces)
+            terms.append((True, f"({format_unipoly(c, 'x')})*{ypart}"))
+    return _join_terms(terms)
 
 
 def format_epsilons(eps: tuple[int, ...]) -> str:
@@ -455,6 +387,9 @@ def main(argv: list[str] | None = None) -> int:
     except CrossValidationError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
+    except BrokenExecutor as exc:
+        print(f"worker process failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 Rational = Fraction
 Scalar = Union[int, Fraction]
@@ -458,10 +458,6 @@ class BiPoly:
     def y_degree(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def x_degree(self) -> int:
-        return max((c.degree for c in self.coeffs), default=-1)
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -540,14 +536,6 @@ class BiPoly:
             "y_degree": self.y_degree,
             "coeffs": [[format_rational(c) for c in p.coeffs] for p in self.coeffs],
         }
-
-    @classmethod
-    def from_json_dict(cls, d: Mapping) -> "BiPoly":
-        coeffs = [UniPoly([Fraction(s) for s in row]) for row in d["coeffs"]]
-        p = cls(coeffs)
-        if p.y_degree != d["y_degree"]:
-            raise ValueError("y_degree field does not match coefficient list")
-        return p
 
 
 def _as_bipoly(v: "BiPoly | UniPoly | Scalar") -> "BiPoly":

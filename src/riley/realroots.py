@@ -185,13 +185,25 @@ def cauchy_bound(f: UniPoly) -> Fraction:
     return 1 + max(abs(c) / lead for c in f.coeffs[:-1])
 
 
+def _halvings_below_separation(f: list[int], radius: Fraction) -> int:
+    """Halvings that bring radius below the distance between any two roots
+    of the squarefree integer polynomial f of degree d: by Mahler's bound
+    that distance exceeds d^(-(d+2)/2) ||f||_2^(1-d) > 2^-b, and radius < 2^a."""
+    d = len(f) - 1
+    norm2_bits = sum(c * c for c in f).bit_length()  # ||f||_2^2 < 2^norm2_bits
+    b = (d.bit_length() * (d + 2) + (d - 1) * norm2_bits + 1) // 2
+    a = max(0, radius.numerator.bit_length() - radius.denominator.bit_length() + 1)
+    return a + b
+
+
 def isolate_roots(f: UniPoly, max_width: Fraction = DEFAULT_ISOLATION_WIDTH) -> RootCount:
     """Disjoint rational isolating intervals via Sturm-guided bisection.
 
     Starts from the Cauchy bound and bisects until each interval holds
     exactly one root of the squarefree part and is no wider than
     max_width.  Midpoints that land exactly on a root are enclosed by a
-    shrinking symmetric interval instead of nudged ad hoc.
+    symmetric interval, halved at most until it is narrower than Mahler's
+    root-separation bound; past that the contract raises ArithmeticError.
     """
     chain = _IntChain(f)
     total = chain.count_all()
@@ -202,7 +214,7 @@ def isolate_roots(f: UniPoly, max_width: Fraction = DEFAULT_ISOLATION_WIDTH) -> 
 
     def enclose_root_at(mid: Fraction, radius: Fraction) -> tuple[Fraction, Fraction]:
         w = radius
-        while True:
+        for _ in range(_halvings_below_separation(chain.chain[0], radius) + 1):
             lo, hi = mid - w, mid + w
             if (
                 chain.sign_at(lo) != 0
@@ -211,6 +223,9 @@ def isolate_roots(f: UniPoly, max_width: Fraction = DEFAULT_ISOLATION_WIDTH) -> 
             ):
                 return lo, hi
             w /= 2
+        raise ArithmeticError(
+            f"no isolating interval around the root {mid} within the root separation bound"
+        )
 
     def split(lo: Fraction, hi: Fraction, cnt: int) -> None:
         if cnt == 0:

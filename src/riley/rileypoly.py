@@ -54,7 +54,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chebyshev import cheb_poly
+from .chebyshev import cheb_pair, cheb_poly
 from .exact import (
     BiPoly,
     Laurent,
@@ -75,7 +75,7 @@ from .exact import (
     _zmul_two_minus_y,
     _zsub,
     asymmetry_exponent,
-    compose,
+    compose,  # noqa: F401  (bound here for perfbench/traced.py)
     squarefree_part,  # noqa: F401  (bound here for perfbench/traced.py)
     symmetrize_to_xy,
 )
@@ -316,11 +316,6 @@ class ClosedFormParams:
     family: DoubleTwist
 
 
-def _y_poly(p: UniPoly) -> BiPoly:
-    """Embed a polynomial in y as a BiPoly with constant x-coefficients."""
-    return BiPoly([UniPoly.const(c) for c in p.coeffs])
-
-
 _Y_MINUS_2 = BiPoly([-2, 1])
 # y + 2 - x^2
 _Y_PLUS_2_MINUS_X2 = BiPoly([UniPoly([2, 0, -1]), UniPoly.const(1)])
@@ -339,9 +334,10 @@ def closed_form_params(d: DoubleTwist) -> ClosedFormParams:
     """
     m = d.m
     u = _Y_PLUS_2_MINUS_X2
-    s_m = _y_poly(cheb_poly(m))
-    s_m1 = _y_poly(cheb_poly(m - 1))
-    s_m2 = _y_poly(cheb_poly(m - 2))
+    # S_k(y) as BiPolys whose x-coefficients are constants
+    s_m = BiPoly(cheb_poly(m).coeffs)
+    s_m1 = BiPoly(cheb_poly(m - 1).coeffs)
+    s_m2 = BiPoly(cheb_poly(m - 2).coeffs)
     if d.family in ("EE", "EN"):
         t = 2 + _Y_MINUS_2 * u * s_m1 * s_m1
         if d.family == "EE":
@@ -360,11 +356,11 @@ def closed_form_params(d: DoubleTwist) -> ClosedFormParams:
 def riley_closed_form(d: DoubleTwist) -> RileyPoly:
     """Closed-form Riley polynomial S_n(t) - mu * S_{n-1}(t), normalized.
 
-    t and mu are built once and composed with the explicit Chebyshev
-    polynomials; no matrix product is involved, keeping this route
-    independent of the general one.
+    t and mu are built once, and one pass of the Chebyshev recurrence at
+    t gives S_{n-1}(t) and S_n(t) together; no matrix product is
+    involved, keeping this route independent of the general one.
     """
     params = closed_form_params(d)
-    n = d.n
-    phi = compose(cheb_poly(n), params.t) - params.mu * compose(cheb_poly(n - 1), params.t)
+    s_prev, s_n = cheb_pair(d.n, params.t)
+    phi = s_n - params.mu * s_prev
     return RileyPoly(normalize_bipoly(phi), "closed_form")

@@ -26,7 +26,6 @@ import time
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from multiprocessing import Pool
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
@@ -168,15 +167,20 @@ def _scan_worker(pq: tuple[int, int]):
 def scan_conjecture(p_max: int, jobs: int = 1) -> ScanResult:
     """Run check_conjecture over the whole scan set up to p_max.
 
-    Work items are independent and fan out over `jobs` processes; output
-    order is canonical (sorted by p, then q) regardless of scheduling.
+    Work items are independent and fan out over `jobs` processes; results
+    keep enumerate_knots' canonical order (sorted by p, then q) regardless
+    of scheduling.  A worker process that dies raises BrokenExecutor.
     """
     if p_max < 3:
         raise ValueError(f"p_max must be >= 3, got {p_max}")
     pairs = [(k.p, k.q) for k in enumerate_knots(p_max)]
     if jobs > 1 and len(pairs) > 1:
-        with Pool(processes=jobs) as pool:
-            outcomes = pool.map(_scan_worker, pairs, chunksize=max(1, len(pairs) // (jobs * 8)))
+        # imported here so that serial runs do not load the pool machinery
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            chunksize = max(1, len(pairs) // (jobs * 8))
+            outcomes = list(pool.map(_scan_worker, pairs, chunksize=chunksize))
     else:
         outcomes = [_scan_worker(pq) for pq in pairs]
     records: list[ConjectureRecord] = []
@@ -186,8 +190,6 @@ def scan_conjecture(p_max: int, jobs: int = 1) -> ScanResult:
             records.append(payload)
         else:
             failures.append(payload)
-    records.sort(key=lambda r: (r.knot.p, r.knot.q))
-    failures.sort(key=lambda f: f[0])
     return ScanResult(records=records, failures=failures)
 
 

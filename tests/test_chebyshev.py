@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from riley.chebyshev import cheb_diff, cheb_eval, cheb_poly, trace_poly
-from riley.exact import UniPoly
+from riley.chebyshev import cheb_diff, cheb_eval, cheb_pair, cheb_poly, trace_poly
+from riley.exact import BiPoly, UniPoly
 
 Z = UniPoly.gen()
 
@@ -43,6 +43,18 @@ def test_eval_matches_poly():
         z = Fraction(rng.randint(-30, 30), rng.randint(1, 10))
         assert cheb_eval(k, z) == cheb_poly(k)(z)
     assert cheb_eval(2, 3) == 8
+
+
+def test_cheb_pair_matches_poly():
+    rng = random.Random(5)
+    for k in range(0, 16):
+        z = Fraction(rng.randint(-30, 30), rng.randint(1, 10))
+        assert cheb_pair(k, z) == (cheb_poly(k - 1)(z), cheb_poly(k)(z))
+        # at the generator the pair is the expanded polynomials themselves
+        assert cheb_pair(k, Z) == (cheb_poly(k - 1), cheb_poly(k))
+        g = UniPoly([Fraction(1, 3), -2, 1])
+        at_g = lambda j: BiPoly(cheb_poly(j).coeffs).subs_y(g)
+        assert cheb_pair(k, g) == (at_g(k - 1), at_g(k))
 
 
 def test_pell_identity_exact():

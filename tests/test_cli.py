@@ -1,6 +1,11 @@
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +15,6 @@ from riley.cli import (
     format_epsilons,
     format_unipoly,
     main,
-    parse_unipoly,
 )
 from riley.exact import BiPoly, UniPoly
 from riley.twobridge import epsilon_sequence
@@ -30,18 +34,9 @@ def test_format_unipoly():
     assert format_unipoly(UniPoly([0, Fraction(1, 2)])) == "1/2*y"
 
 
-def test_parse_unipoly_examples():
-    assert parse_unipoly("y - 3") == UniPoly([-3, 1])
-    assert parse_unipoly("y^2 - 3*y + 3") == UniPoly([3, -3, 1])
-    assert parse_unipoly("-y^3 + 3/2") == UniPoly([Fraction(3, 2), 0, 0, -1])
-    assert parse_unipoly("0") == UniPoly.zero()
-    with pytest.raises(ValueError):
-        parse_unipoly("y + + 3")
-    with pytest.raises(ValueError):
-        parse_unipoly("2z + 1")
-
-
 def test_unipoly_text_roundtrip_random():
+    sympy = pytest.importorskip("sympy")
+    y = sympy.Symbol("y")
     rng = random.Random(101)
     for _ in range(100):
         coeffs = [
@@ -49,7 +44,9 @@ def test_unipoly_text_roundtrip_random():
             for _ in range(rng.randint(1, 8))
         ]
         p = UniPoly(coeffs)
-        assert parse_unipoly(format_unipoly(p)) == p
+        parsed = sympy.Poly(sympy.sympify(format_unipoly(p).replace("^", "**")), y)
+        back = [Fraction(int(c.p), int(c.q)) for c in reversed(parsed.all_coeffs())]
+        assert UniPoly(back) == p
 
 
 def test_format_bipoly():
@@ -58,6 +55,11 @@ def test_format_bipoly():
     fig8 = BiPoly([UniPoly([-1, 0, 1]), UniPoly([1, 0, -1]), UniPoly.const(1)])
     assert format_bipoly(fig8) == "y^2 + (-x^2 + 1)*y + x^2 - 1"
     assert format_bipoly(BiPoly.zero()) == "0"
+    # constant coefficients of magnitude other than 1 at y^j
+    assert format_bipoly(BiPoly([5, 0, -3, Fraction(1, 2)])) == "1/2*y^3 - 3*y^2 + 5"
+    # a rational x-tail, inlined term by term
+    tail = BiPoly([UniPoly([Fraction(3, 4), -1, Fraction(-1, 2)]), 0, UniPoly([0, 2])])
+    assert format_bipoly(tail) == "(2*x)*y^2 - 1/2*x^2 - x + 3/4"
 
 
 def test_format_epsilons():
@@ -128,6 +130,40 @@ def test_roots_contract_failure_exits_internal(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "roots", "7", "3")
     assert code == 3
     assert err.startswith("internal validation error: ")
+
+
+def test_scan_with_dying_worker_exits_internal():
+    # A worker process that dies must break the scan with exit 3; run in a
+    # subprocess with a timeout so that a hang fails here instead of
+    # stalling the suite.
+    import riley
+
+    script = textwrap.dedent(
+        """
+        import os, sys
+        import riley.verifier as verifier
+        from riley.cli import main
+        from riley.twobridge import KnotId
+
+        real = verifier.check_conjecture
+
+        def dying(k):
+            if k == KnotId(13, 5):
+                os._exit(1)
+            return real(k)
+
+        verifier.check_conjecture = dying
+        sys.exit(main(["verify", "conjecture", "--pmax", "21", "--jobs", "2"]))
+        """
+    )
+    src = str(Path(riley.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("worker process failed: ")
 
 
 def test_signature_command(capsys):

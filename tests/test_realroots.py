@@ -203,6 +203,28 @@ def test_isolate_root_at_bisection_midpoint():
     for (lo, hi), root in zip(rc.intervals, (-3, 0, 3)):
         assert lo < root < hi
         assert hi - lo <= Fraction(1, 64)
+    # a second root 10^-6 from the midpoint root needs 13 halvings of the
+    # enclosure, well inside the separation bound
+    rc = isolate_roots(Y * (Y * 10**6 - 1))
+    assert rc.total_real == 2
+    (lo0, hi0), (lo1, hi1) = rc.intervals
+    assert lo0 < 0 < hi0 <= lo1 < Fraction(1, 10**6) < hi1
+
+
+def test_isolate_root_at_midpoint_is_bounded(monkeypatch):
+    # The first midpoint of f = y is its root; with count_open never
+    # returning 1, the enclosure must give up at the root separation bound.
+    calls = []
+
+    def never_one(self, lo, hi):
+        calls.append((lo, hi))
+        if len(calls) > 1000:
+            raise RuntimeError("enclosure kept halving past any separation bound")
+        return 0
+
+    monkeypatch.setattr(riley.realroots._IntChain, "count_open", never_one)
+    with pytest.raises(ArithmeticError, match="root separation"):
+        isolate_roots(Y)
 
 
 def test_isolate_interval_counts_sum():

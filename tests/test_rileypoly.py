@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from riley import rileypoly
-from riley.chebyshev import cheb_poly
+from riley.chebyshev import cheb_pair, cheb_poly
 from riley.exact import (
     BiPoly,
     UniPoly,
@@ -360,6 +360,18 @@ def test_proof_identity_odd_two_minus_t():
         diff = cheb_poly(m) - cheb_poly(m - 1)
         d = BiPoly([UniPoly.const(c) for c in diff.coeffs])
         assert 2 - t == u * d * d, m
+
+
+def test_cheb_pair_at_t_matches_composition():
+    # one pass of the recurrence at t equals composing the expanded S_k with t
+    from riley.exact import compose
+
+    for family in ("EE", "EN", "OE", "ON"):
+        for m in range(1, 5):
+            for n in range(1, 5):
+                t = closed_form_params(DoubleTwist(family, m, n)).t
+                expected = (compose(cheb_poly(n - 1), t), compose(cheb_poly(n), t))
+                assert cheb_pair(n, t) == expected, (family, m, n)
 
 
 def _raw_closed_form(d: DoubleTwist) -> BiPoly:
