@@ -7,26 +7,9 @@ sign counts of even continued fraction entries, and cross-checks the
 double twist closed forms against the general matrix construction.
 """
 
-from .chebyshev import cheb_diff, cheb_eval, cheb_poly, trace_poly
-from .exact import (
-    BiPoly,
-    Rational,
-    SymmetryError,
-    UniPoly,
-    compose,
-    parse_rational,
-    poly_gcd,
-    squarefree_part,
-    symmetrize_to_xy,
-)
-from .realroots import (
-    RootCount,
-    SturmChain,
-    count_in_interval,
-    count_real_roots,
-    isolate_roots,
-    sturm_chain,
-)
+from .chebyshev import cheb_poly, trace_poly
+from .exact import BiPoly, SymmetryError, UniPoly, compose, symmetrize_to_xy
+from .realroots import RootCount, count_real_roots, isolate_roots
 from .rileypoly import (
     ClosedFormParams,
     RileyPoly,
@@ -42,7 +25,6 @@ from .signature import (
     SignatureError,
     TwoBridgeSignature,
     even_cf,
-    signature_family,
     signature_two_bridge,
 )
 from .twobridge import (
@@ -50,11 +32,8 @@ from .twobridge import (
     KnotId,
     SchubertWord,
     epsilon,
-    epsilon_fast,
     epsilon_sequence,
     family_to_pq,
-    family_word,
-    normalize,
     odd_representative,
     schubert_word,
 )
@@ -84,51 +63,38 @@ __all__ = [
     "DoubleTwist",
     "EvenCF",
     "KnotId",
-    "Rational",
     "RileyPoly",
     "RileyValidationError",
     "RootCount",
     "ScanResult",
     "SchubertWord",
     "SignatureError",
-    "SturmChain",
     "SymmetryError",
     "TheoremRecord",
     "TwoBridgeSignature",
     "UniPoly",
-    "cheb_diff",
-    "cheb_eval",
     "cheb_poly",
     "check_conjecture",
     "check_theorem1",
     "check_theorem2",
     "closed_form_params",
     "compose",
-    "count_in_interval",
     "count_real_roots",
     "cross_validate",
     "emit_report",
     "enumerate_knots",
     "epsilon",
-    "epsilon_fast",
     "epsilon_sequence",
     "even_cf",
     "family_to_pq",
-    "family_word",
     "isolate_roots",
-    "normalize",
     "odd_representative",
-    "parse_rational",
-    "poly_gcd",
     "riley_closed_form",
     "riley_general",
     "riley_parabolic",
     "scan_conjecture",
     "schubert_word",
-    "signature_family",
     "signature_two_bridge",
-    "squarefree_part",
-    "sturm_chain",
     "sweep_theorem1",
     "sweep_theorem2",
     "symmetrize_to_xy",

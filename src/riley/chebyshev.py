@@ -3,15 +3,15 @@
 S_0(z) = 1, S_1(z) = z and S_k(z) = z*S_{k-1}(z) - S_{k-2}(z) for every
 integer k; running the recurrence backward gives S_{-1} = 0, S_{-2} = -1
 and in general S_{-k-2} = -S_k.  The expanded forms are memoized per
-process; every evaluation, at a number or at a polynomial such as the
-closed form's t, runs the recurrence itself in cheb_pair.
+process; the closed form runs the recurrence itself at its t, a
+polynomial, in cheb_pair.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import BiPoly, Scalar, UniPoly
+from .exact import BiPoly, UniPoly
 
 # The memo table grows monotonically; entries are immutable, and
 # list.append is atomic under the GIL, so concurrent readers are safe.
@@ -38,22 +38,6 @@ def cheb_pair(k: int, z: Fraction | UniPoly | BiPoly) -> tuple:
     for _ in range(k):
         prev, cur = cur, z * cur - prev
     return prev, cur
-
-
-def cheb_eval(k: int, z: Scalar) -> Fraction:
-    """S_k(z) by the linear recurrence: O(|k|) exact steps."""
-    if k == -1:
-        return Fraction(0)
-    if k < -1:
-        return -cheb_eval(-k - 2, z)
-    return Fraction(cheb_pair(k, Fraction(z))[1])
-
-
-def cheb_diff(k: int) -> UniPoly:
-    """S_k - S_{k-1} as an explicit polynomial; requires k >= 1."""
-    if k < 1:
-        raise ValueError(f"cheb_diff requires k >= 1, got {k}")
-    return cheb_poly(k) - cheb_poly(k - 1)
 
 
 def trace_poly(k: int) -> UniPoly:

@@ -132,7 +132,20 @@ def _rational(text: str) -> Fraction:
 
 
 def _rational_list(text: str) -> list[Fraction]:
-    return [_rational(part) for part in text.split(",") if part]
+    values = [_rational(part) for part in text.split(",") if part]
+    if not values:
+        raise argparse.ArgumentTypeError(f"no rationals in the list: {text!r}")
+    return values
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"not an integer >= 1: {text!r}")
+    return value
 
 
 def _default_jobs() -> int:
@@ -171,8 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("family", help="closed-form polynomial of a double twist knot")
     sp.add_argument("family", choices=FAMILIES,
                     help="EE=J(2m,2n), EN=J(2m,-2n), OE=J(2m+1,2n), ON=J(2m+1,-2n)")
-    sp.add_argument("m", type=int)
-    sp.add_argument("n", type=int)
+    sp.add_argument("m", type=_positive_int)
+    sp.add_argument("n", type=_positive_int)
     sp.add_argument("--x", type=_rational, default=None, metavar="RAT",
                     help="specialize the meridian trace (default: keep bivariate)")
 
@@ -195,24 +208,20 @@ def build_parser() -> argparse.ArgumentParser:
                       help="worker processes (default: RILEY_JOBS or cpu count)")
 
     sp_t1 = vsub.add_parser("theorem1", help="even double twist exact-count sweep")
-    sp_t1.add_argument("--mmax", type=int, default=5)
-    sp_t1.add_argument("--nmax", type=int, default=5)
+    sp_t1.add_argument("--mmax", type=_positive_int, default=5)
+    sp_t1.add_argument("--nmax", type=_positive_int, default=5)
 
     sp_t2 = vsub.add_parser("theorem2", help="odd double twist lower-bound sweep")
-    sp_t2.add_argument("--mmax", type=int, default=4)
-    sp_t2.add_argument("--nmax", type=int, default=4)
+    sp_t2.add_argument("--mmax", type=_positive_int, default=4)
+    sp_t2.add_argument("--nmax", type=_positive_int, default=4)
     sp_t2.add_argument("--x0", type=_rational_list, default=[Fraction(2), Fraction(5, 2), Fraction(3)],
                        metavar="LIST", help="comma-separated rationals (default 2,5/2,3)")
 
     sp = sub.add_parser("crosscheck", help="closed form vs. matrix product, exact")
-    sp.add_argument("--mmax", type=int, default=3)
-    sp.add_argument("--nmax", type=int, default=3)
+    sp.add_argument("--mmax", type=_positive_int, default=3)
+    sp.add_argument("--nmax", type=_positive_int, default=3)
 
     return parser
-
-
-def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
-    return build_parser().parse_args(argv)
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +370,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "poly":
             return _cmd_poly(_knot_or_usage(parser, args.p, args.q), args.x, args.bivariate)
         if args.command == "family":
-            if args.m < 1 or args.n < 1:
-                parser.error("m and n must be >= 1")
             return _cmd_family(args.family, args.m, args.n, args.x)
         if args.command == "roots":
             return _cmd_roots(_knot_or_usage(parser, args.p, args.q), args.x, args.isolate)

@@ -1,15 +1,17 @@
 """Exact polynomial arithmetic: one dense ring kernel, run on integer
 coefficients everywhere but at the edges.
 
-The dense kernel (_zadd, _zsub, _zmul, _int_trim, _int_derivative,
-_horner) works on ascending coefficient sequences over any ring, given
-the ring's zero where it creates entries.  UniPoly (dense, ascending
+The dense kernel (_zadd, _zsub, _zmul, _int_trim, _horner) works on
+ascending coefficient sequences over any ring, given the ring's zero
+where it creates entries.  UniPoly (dense, ascending
 coefficients) runs it on `fractions.Fraction` tuples and BiPoly (a
 polynomial in y over UniPoly coefficients in x) on UniPoly tuples; both
 are immutable containers for results, rational x0 and isolating
 intervals.  Everything heavier runs on plain int coefficient lists
-(ascending, trimmed, [] for zero): the same ring operations, primitive
-pseudo-remainder gcds with content removal, and exact division.
+(ascending, trimmed, [] for zero): the same ring operations, Sturm
+sequences (primitive pseudo-remainder sequences), squarefree parts and
+exact division.  A Sturm sequence of f ends in +-gcd(f, f'), so one
+remainder sequence serves both root counting and squarefree parts.
 
 Divisibility over Q is decided by exact division in Z[y]: when the
 divisor d is primitive, Gauss's lemma says d divides e in Q[y] exactly
@@ -31,16 +33,10 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-Rational = Fraction
 Scalar = Union[int, Fraction]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse "a/b" or an integer literal into an exact Fraction."""
-    return Fraction(text.strip())
 
 
 def format_rational(v: Fraction) -> str:
@@ -157,32 +153,9 @@ class UniPoly:
             n >>= 1
         return result
 
-    def __divmod__(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        """Exact division with remainder: self = q*other + r, deg r < deg other."""
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero polynomial")
-        rem = list(self.coeffs)
-        db, lb = other.degree, other.leading
-        if len(rem) - 1 < db:
-            return UniPoly.zero(), self
-        quot = [_ZERO] * (len(rem) - db)
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i]
-            if c:
-                q = c / lb
-                quot[i - db] = q
-                for j, cb in enumerate(other.coeffs):
-                    rem[i - db + j] -= q * cb
-        return UniPoly._raw(tuple(_int_trim(quot))), UniPoly._raw(tuple(_int_trim(rem)))
-
     def __call__(self, v: Scalar) -> Fraction:
         """Exact evaluation by Horner's rule."""
         return _horner(self.coeffs, Fraction(v), _ZERO)
-
-    def derivative(self) -> "UniPoly":
-        return UniPoly._raw(tuple(_int_derivative(self.coeffs)))
 
     def monic(self) -> "UniPoly":
         if self.is_zero():
@@ -220,14 +193,14 @@ def _as_unipoly(v: "UniPoly | Scalar") -> "UniPoly":
 # ---------------------------------------------------------------------------
 # The dense ring kernel and the integer coefficient kernel.
 #
-# _zadd, _zsub, _zmul, _int_trim, _int_derivative and _horner need only
-# +, -, * and truthiness of the coefficients: they serve int lists here,
-# Fraction tuples in UniPoly and UniPoly tuples in BiPoly.  _zsub and
+# _zadd, _zsub, _zmul, _int_trim and _horner need only +, -, * and
+# truthiness of the coefficients: they serve int lists here, Fraction
+# tuples in UniPoly and UniPoly tuples in BiPoly.  _zsub and
 # _zmul take the ring's zero (default int 0) for the entries they create,
 # so no int 0 lands in a UniPoly or a BiPoly.
 #
-# Word products, gcds, squarefree parts, divisibility checks and Sturm
-# chains run over plain int lists (ascending, trimmed): primitive
+# Word products, Sturm sequences, squarefree parts and divisibility
+# checks run over plain int lists (ascending, trimmed): primitive
 # pseudo-remainder sequences keep the numbers small and Python-int
 # arithmetic is much faster than Fraction.  Scaling by nonzero constants
 # is harmless everywhere these are used: it changes no zero set, and
@@ -361,34 +334,21 @@ def _int_prem_pos(a: list[int], b: list[int]) -> list[int]:
     return rem
 
 
-def _int_gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd of two integer coefficient lists (sign unspecified)."""
-    a, b = _int_trim(list(a)), _int_trim(list(b))
-    if len(a) < len(b):
-        a, b = b, a
-    a, b = _int_primitive(a), _int_primitive(b)
-    while b:
-        a, b = b, _int_primitive(_int_prem_pos(a, b))
-    return a
+def _int_sturm(f: list[int]) -> list[list[int]]:
+    """Sturm sequence of a non-constant integer coefficient list f, every
+    element after f primitive; its last element is +-gcd(f, f').  Degrees
+    fall strictly along the sequence, so it ends within len(f) remainders."""
+    chain = [f, _int_primitive(_int_derivative(f))]
+    for _ in range(len(f)):
+        rem = _int_prem_pos(chain[-2], chain[-1])
+        if not rem:
+            return chain
+        chain.append([-c for c in _int_primitive(rem)])
+    raise ArithmeticError("Sturm sequence did not end: remainder degrees did not fall")
 
 
 def _int_derivative(a: Sequence) -> list:
     return _int_trim([i * c for i, c in enumerate(a)][1:])
-
-
-def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic greatest common divisor of a and b.
-
-    Raises ValueError when both inputs are zero.
-    """
-    if a.is_zero() and b.is_zero():
-        raise ValueError("gcd of two zero polynomials is undefined")
-    if a.is_zero():
-        return b.monic()
-    if b.is_zero():
-        return a.monic()
-    g = _int_gcd(_int_coeffs(a.coeffs), _int_coeffs(b.coeffs))
-    return UniPoly(g).monic()
 
 
 def _int_squarefree(f: list[int], g: list[int]) -> list[int]:
@@ -404,7 +364,7 @@ def _int_squarefree(f: list[int], g: list[int]) -> list[int]:
 
 def _int_squarefree_part(f: list[int]) -> list[int]:
     """f / gcd(f, f') for a non-constant integer list f, up to content."""
-    return _int_squarefree(f, _int_gcd(f, _int_derivative(f)))
+    return _int_squarefree(f, _int_sturm(f)[-1])
 
 
 def squarefree_part(a: UniPoly) -> UniPoly:

@@ -13,7 +13,8 @@ up to sign, the Euclidean sequence of f and f', so it ends in
 +-gcd(f, f').  When that last element is a nonzero constant, f is
 squarefree and the sequence is already its Sturm chain.  Only otherwise
 is f divided exactly by the gcd and the chain built again on the
-squarefree part.
+squarefree part.  The sequence itself is exact._int_sturm, which also
+gives exact._int_squarefree_part its gcd.
 """
 
 from __future__ import annotations
@@ -21,31 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import (
-    Scalar,
-    UniPoly,
-    _int_coeffs,
-    _int_derivative,
-    _int_prem_pos,
-    _int_primitive,
-    _int_squarefree,
-)
+from .exact import UniPoly, _int_coeffs, _int_primitive, _int_squarefree, _int_sturm
 
 DEFAULT_ISOLATION_WIDTH = Fraction(1, 64)
-
-
-@dataclass(frozen=True, slots=True)
-class SturmChain:
-    """Sturm chain of the squarefree part of a polynomial.
-
-    polys[0] is the squarefree part, polys[1] its derivative, and each
-    later element is the negated remainder of the two before it; every
-    element is stored rescaled by a positive rational to integer,
-    content-1 form.  The last element is a nonzero constant and degrees
-    strictly decrease along the chain.
-    """
-
-    polys: tuple[UniPoly, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,19 +37,6 @@ class RootCount:
 
     total_real: int
     intervals: tuple[tuple[Fraction, Fraction], ...] | None = None
-
-
-def _int_sturm(f: list[int]) -> list[list[int]]:
-    """Sturm sequence of a primitive integer coefficient list f, every
-    element primitive; its last element is +-gcd(f, f').  Degrees fall
-    strictly along the sequence, so it ends within len(f) remainders."""
-    chain = [f, _int_primitive(_int_derivative(f))]
-    for _ in range(len(f)):
-        rem = _int_prem_pos(chain[-2], chain[-1])
-        if not rem:
-            return chain
-        chain.append([-c for c in _int_primitive(rem)])
-    raise ArithmeticError("Sturm sequence did not end: remainder degrees did not fall")
 
 
 def _sign(v: int) -> int:
@@ -142,11 +108,6 @@ class _IntChain:
         return self.variations_at(lo) - self.variations_at(hi)
 
 
-def sturm_chain(f: UniPoly) -> SturmChain:
-    """Sturm chain of squarefree_part(f); f must be nonzero, non-constant."""
-    return SturmChain(tuple(UniPoly(p) for p in _IntChain(f).chain))
-
-
 def count_real_roots(f: UniPoly) -> RootCount:
     """Number of distinct real roots of f (no intervals computed)."""
     if f.is_zero():
@@ -154,27 +115,6 @@ def count_real_roots(f: UniPoly) -> RootCount:
     if f.degree < 1:
         return RootCount(0)
     return RootCount(_IntChain(f).count_all())
-
-
-def count_in_interval(f: UniPoly, lo: Scalar, hi: Scalar) -> int:
-    """Number of distinct roots of f in the open interval (lo, hi).
-
-    Raises ValueError when an endpoint is a root: nudge the rational
-    endpoint slightly and retry.
-    """
-    lo, hi = Fraction(lo), Fraction(hi)
-    if not lo < hi:
-        raise ValueError(f"empty interval: lo={lo} must be < hi={hi}")
-    if f.is_zero():
-        raise ValueError("root count of the zero polynomial is undefined")
-    if f.degree < 1:
-        return 0
-    for v in (lo, hi):
-        if f(v) == 0:
-            raise ValueError(
-                f"endpoint {v} is a root of the polynomial; nudge the rational endpoint"
-            )
-    return _IntChain(f).count_open(lo, hi)
 
 
 def cauchy_bound(f: UniPoly) -> Fraction:

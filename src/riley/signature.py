@@ -16,8 +16,8 @@ d_1 = e_1 and d_i = e_i - 1/d_{i-1}.  Every |e_i| >= 2, so by induction
 signature is therefore sum(sign(e_i)), with no eigenvalue computation.
 
 For the four double twist families the signatures are known in closed
-form (2, 0, 2-2n, 2n); signature_family provides them for
-cross-validation against the continued-fraction computation.
+form (2, 0, 2-2n, 2n, up to sign); the tests hold this computation to
+them.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .twobridge import DoubleTwist, KnotId
+from .twobridge import KnotId
 
 
 class SignatureError(RuntimeError):
@@ -140,14 +140,3 @@ def signature_two_bridge(k: KnotId) -> TwoBridgeSignature:
     return TwoBridgeSignature(
         sigma_abs=abs(signed), sigma_signed=signed, cf=cf, determinant=det
     )
-
-
-def signature_family(d: DoubleTwist) -> int:
-    """Known signature of each double twist family."""
-    if d.family == "EE":
-        return 2
-    if d.family == "EN":
-        return 0
-    if d.family == "OE":
-        return 2 - 2 * d.n
-    return 2 * d.n

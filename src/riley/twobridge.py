@@ -13,8 +13,8 @@ the same knot).
 
 Double twist knots J(k, l) (k, l counting half twists, k*l even) form
 four families indexed by the parities and signs of (k, l); each family
-has a closed-form relator word and a known (p, q), both provided here
-and cross-checkable against the general floor-formula construction.
+has a known (p, q) (family_to_pq), whose floor-formula word is the
+family's relator word.
 """
 
 from __future__ import annotations
@@ -49,26 +49,8 @@ class KnotId:
         q_inv = pow(self.q, -1, self.p)
         return KnotId(self.p, min(self.q, q_inv))
 
-    @property
-    def is_canonical(self) -> bool:
-        return self.q <= pow(self.q, -1, self.p)
-
-    def mirror(self) -> "KnotId":
-        return KnotId(self.p, self.p - self.q)
-
     def __str__(self) -> str:
         return f"b({self.p},{self.q})"
-
-
-def normalize(p: int, q: int) -> KnotId:
-    """Canonical KnotId for (p, q): q is reduced mod p into (0, p) and
-    replaced by min(q, q^-1 mod p)."""
-    if p < 3 or p % 2 == 0:
-        raise ValueError(f"p must be an odd integer >= 3, got {p} (even p gives a link, not a knot)")
-    q %= p
-    if q == 0 or math.gcd(p, q) != 1:
-        raise ValueError(f"q must be invertible mod p, got ({p}, {q})")
-    return KnotId(p, q).canonical()
 
 
 def epsilon(p: int, q: int, j: int) -> int:
@@ -136,8 +118,8 @@ class DoubleTwist:
 def family_to_pq(d: DoubleTwist) -> KnotId:
     """The b(p, q) presentation of a double twist knot.
 
-    The returned q is the presentation the family word is built on (kept
-    un-reduced so the word comparison is letter-for-letter); call
+    The returned q is odd for every family, so schubert_word builds the
+    family's relator word on it as is; it is kept un-reduced, so call
     .canonical() when the normalized identifier is wanted.
     """
     m, n = d.m, d.n
@@ -148,38 +130,6 @@ def family_to_pq(d: DoubleTwist) -> KnotId:
     if d.family == "OE":
         return KnotId(4 * m * n + 2 * n - 1, 4 * m * n - 1)
     return KnotId(4 * m * n + 2 * n + 1, 4 * m * n + 1)
-
-
-def _word_length(d: DoubleTwist) -> int:
-    return family_to_pq(d).p - 1
-
-
-def epsilon_fast(d: DoubleTwist, j: int) -> int:
-    """Family-specific closed form for e_j, valid for 1 <= j <= p-1.
-
-    Dividing j by the twist-region period (2m, or 2m+1 for the odd
-    families) as j = period*q + r gives:
-
-      EE: (-1)^(q+r-1)
-      EN: (-1)^(q+r-1) if r >= 1, else (-1)^q
-      OE: (-1)^(r-1)
-      ON: (-1)^(r-1) if r >= 1, else +1
-
-    Agrees with epsilon() on the knot from family_to_pq (tested
-    exhaustively).
-    """
-    limit = _word_length(d)
-    if not 1 <= j <= limit:
-        raise ValueError(f"j must satisfy 1 <= j <= {limit} for {d}, got {j}")
-    if d.family in ("EE", "EN"):
-        quo, r = divmod(j, 2 * d.m)
-        if d.family == "EN" and r == 0:
-            return -1 if quo % 2 else 1
-        return -1 if (quo + r - 1) % 2 else 1
-    quo, r = divmod(j, 2 * d.m + 1)
-    if d.family == "ON" and r == 0:
-        return 1
-    return -1 if (r - 1) % 2 else 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -202,9 +152,6 @@ class SchubertWord:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def exponents(self) -> tuple[int, ...]:
-        return tuple(exp for _, exp in self.letters)
-
     def pretty(self) -> str:
         """Spaced rendering, e.g. "a b⁻¹ a⁻¹ b"."""
         return " ".join(g + ("" if e == 1 else "⁻¹") for g, e in self.letters)
@@ -214,50 +161,10 @@ class SchubertWord:
         return "".join(g if e == 1 else g.upper() for g, e in self.letters)
 
 
-def _word_from_exponents(exponents: list[int]) -> SchubertWord:
-    return SchubertWord(
-        tuple(("a" if i % 2 == 0 else "b", e) for i, e in enumerate(exponents))
-    )
-
-
 def schubert_word(k: KnotId) -> SchubertWord:
     """The relator word of b(p, q): length p-1, exponents from epsilon()
     at the odd representative of q (see odd_representative)."""
     q_odd = odd_representative(k.p, k.q)
-    return _word_from_exponents([epsilon(k.p, q_odd, j) for j in range(1, k.p)])
-
-
-def family_word(d: DoubleTwist) -> SchubertWord:
-    """The closed-form relator word of a double twist knot.
-
-    Flat expansion of the family's bracketed word; equals
-    schubert_word(family_to_pq(d)) letter for letter:
-
-      EE: a (b'a)^(m-1) [ (ba')^m (b'a)^m ]^(n-1) (ba')^(m-1) b
-      EN: [ (ab')^m (a'b)^m ]^n
-      OE: (ab')^m [ (a'b)^m a'b' (ab')^m ]^(n-1) (a'b)^m
-      ON: [ (ab')^m ab (a'b)^m ]^n
-
-    (X' denotes X^-1; blocks are sequences of exponents here since the
-    generators alternate positionally.)
-    """
-    m, n = d.m, d.n
-    exps: list[int] = []
-    if d.family == "EE":
-        exps.append(1)
-        exps += [-1, 1] * (m - 1)
-        exps += ([1, -1] * m + [-1, 1] * m) * (n - 1)
-        exps += [1, -1] * (m - 1)
-        exps.append(1)
-    elif d.family == "EN":
-        exps += ([1, -1] * m + [-1, 1] * m) * n
-    elif d.family == "OE":
-        exps += [1, -1] * m
-        exps += ([-1, 1] * m + [-1, -1] + [1, -1] * m) * (n - 1)
-        exps += [-1, 1] * m
-    else:  # ON
-        exps += ([1, -1] * m + [1, 1] + [-1, 1] * m) * n
-    word = _word_from_exponents(exps)
-    if len(word) != _word_length(d):
-        raise ValueError(f"family word of {d} has length {len(word)}, expected {_word_length(d)}")
-    return word
+    return SchubertWord(
+        tuple(("a" if j % 2 else "b", epsilon(k.p, q_odd, j)) for j in range(1, k.p))
+    )

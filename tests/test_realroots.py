@@ -3,45 +3,45 @@ from fractions import Fraction
 
 import pytest
 
+import riley.exact
 import riley.realroots
 from riley.exact import UniPoly, squarefree_part
-from riley.realroots import (
-    cauchy_bound,
-    count_in_interval,
-    count_real_roots,
-    isolate_roots,
-    sturm_chain,
-)
+from riley.realroots import _IntChain, cauchy_bound, count_real_roots, isolate_roots
 
 Y = UniPoly.gen()
 CUBIC = UniPoly([-1, 2, -3, 1])  # y^3 - 3y^2 + 2y - 1, discriminant -23
 REPEATED = (Y - 1) ** 2 * (Y + 2) ** 3 * (Y * Y - 2)  # distinct roots -2, -sqrt2, 1, sqrt2
 
 
+def _count_open(f, lo, hi):
+    """Distinct roots of f in (lo, hi); the endpoints must not be roots."""
+    assert f(lo) != 0 and f(hi) != 0
+    return _IntChain(f).count_open(Fraction(lo), Fraction(hi))
+
+
 def test_chain_linear():
-    chain = sturm_chain(Y - 3).polys
-    assert chain == (Y - 3, UniPoly.const(1))
+    assert _IntChain(Y - 3).chain == [[-3, 1], [1]]
 
 
 def test_chain_quadratic_ends_negative():
     # remainder of (y^2-3y+3, 2y-3) is the constant 3/4; negated (and
     # rescaled positively to integer form) the chain ends negative
-    chain = sturm_chain(UniPoly([3, -3, 1])).polys
+    chain = _IntChain(UniPoly([3, -3, 1])).chain
     assert len(chain) == 3
-    assert chain[-1].degree == 0
-    assert chain[-1].leading < 0
+    assert len(chain[-1]) == 1
+    assert chain[-1][0] < 0
 
 
 def test_chain_squarefree_reduction():
-    chain = sturm_chain((Y - 1) * (Y - 1)).polys
-    assert chain[0] == Y - 1
+    chain = _IntChain((Y - 1) * (Y - 1)).chain
+    assert chain[0] == [-1, 1]
 
 
 def test_chain_rejects_constant_and_zero():
     with pytest.raises(ValueError):
-        sturm_chain(UniPoly.const(3))
+        _IntChain(UniPoly.const(3))
     with pytest.raises(ValueError):
-        sturm_chain(UniPoly.zero())
+        _IntChain(UniPoly.zero())
 
 
 def test_chain_degrees_strictly_decrease():
@@ -51,7 +51,7 @@ def test_chain_degrees_strictly_decrease():
         f = UniPoly(coeffs)
         if f.degree < 1:
             continue
-        degs = [p.degree for p in sturm_chain(f).polys]
+        degs = [len(p) - 1 for p in _IntChain(f).chain]
         assert all(a > b for a, b in zip(degs, degs[1:]))
 
 
@@ -71,22 +71,17 @@ def test_count_constant_is_zero():
 
 
 def test_count_in_interval_examples():
-    assert count_in_interval(Y - 3, 2, 4) == 1
-    assert count_in_interval(UniPoly([3, -3, 1]), -10, 10) == 0
-    assert count_in_interval(CUBIC, 2, 3) == 1
+    assert _count_open(Y - 3, 2, 4) == 1
+    assert _count_open(UniPoly([3, -3, 1]), -10, 10) == 0
+    assert _count_open(CUBIC, 2, 3) == 1
 
 
 def test_count_in_interval_endpoint_root():
-    with pytest.raises(ValueError, match="nudge"):
-        count_in_interval(Y - 3, 3, 4)
-    with pytest.raises(ValueError, match="nudge"):
-        count_in_interval(Y - 3, 2, 3)
-    assert count_in_interval(Y - 3, 1, 2) == 0
-
-
-def test_count_in_interval_bad_bounds():
-    with pytest.raises(ValueError):
-        count_in_interval(Y, 2, 2)
+    # isolation tests an endpoint with sign_at before counting across it
+    chain = _IntChain(Y - 3)
+    assert chain.sign_at(Fraction(3)) == 0
+    assert chain.sign_at(Fraction(2)) == -1 and chain.sign_at(Fraction(4)) == 1
+    assert chain.count_open(Fraction(1), Fraction(2)) == 0
 
 
 def test_multiplicities_do_not_inflate_counts():
@@ -96,7 +91,7 @@ def test_multiplicities_do_not_inflate_counts():
 
 def test_repeated_factors_chain_is_squarefree_chain():
     for f in (REPEATED, (Y - 1) ** 2, Y**3 * (Y + 1) ** 2, (Y * Y + 1) ** 2 * (Y - 3)):
-        assert sturm_chain(f) == sturm_chain(squarefree_part(f))
+        assert _IntChain(f).chain == _IntChain(squarefree_part(f)).chain
 
 
 def test_repeated_factors_count_and_isolation():
@@ -109,7 +104,7 @@ def test_repeated_factors_count_and_isolation():
     assert b2 < 0 and a2 * a2 > 2 > b2 * b2
     assert a3 < 1 < b3
     assert a4 > 0 and a4 * a4 < 2 < b4 * b4
-    assert all(count_in_interval(REPEATED, lo, hi) == 1 for lo, hi in rc.intervals)
+    assert all(_count_open(REPEATED, lo, hi) == 1 for lo, hi in rc.intervals)
 
 
 def test_chain_contract_raises_when_squarefree_part_is_wrong(monkeypatch):
@@ -123,7 +118,7 @@ def test_chain_contract_raises_when_squarefree_part_is_wrong(monkeypatch):
 def test_sturm_sequence_is_bounded(monkeypatch):
     # a remainder that never shrinks in degree must end in an error, not
     # in a loop without end
-    monkeypatch.setattr(riley.realroots, "_int_prem_pos", lambda a, b: list(b))
+    monkeypatch.setattr(riley.exact, "_int_prem_pos", lambda a, b: list(b))
     with pytest.raises(ArithmeticError, match="did not end"):
         count_real_roots(CUBIC)
 
@@ -234,7 +229,7 @@ def test_isolate_interval_counts_sum():
         if f.degree < 1:
             continue
         rc = isolate_roots(f)
-        per_interval = [count_in_interval(f, lo, hi) for lo, hi in rc.intervals]
+        per_interval = [_count_open(f, lo, hi) for lo, hi in rc.intervals]
         assert all(c == 1 for c in per_interval)
         assert sum(per_interval) == rc.total_real
 
@@ -247,7 +242,7 @@ def test_count_equals_interval_count_beyond_cauchy_bound():
         if f.degree < 1:
             continue
         b = cauchy_bound(f) + 1
-        assert count_real_roots(f).total_real == count_in_interval(f, -b, b)
+        assert count_real_roots(f).total_real == _count_open(f, -b, b)
         checked += 1
     assert checked > 450
 

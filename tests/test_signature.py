@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from riley.exact import UniPoly
-from riley.realroots import cauchy_bound, count_in_interval
-from riley.signature import EvenCF, even_cf, signature_family, signature_two_bridge
+from riley.realroots import _IntChain, cauchy_bound
+from riley.signature import EvenCF, even_cf, signature_two_bridge
 from riley.twobridge import DoubleTwist, KnotId, family_to_pq
 
 
@@ -30,7 +30,8 @@ def _oracle_signature(entries):
     eigenvalues, so distinct roots are all the roots."""
     chi = _charpoly(entries)
     bound = cauchy_bound(chi) + 1
-    return len(entries) - 2 * count_in_interval(chi, -bound, 0)
+    assert chi(0) != 0
+    return len(entries) - 2 * _IntChain(chi).count_open(-bound, Fraction(0))
 
 
 def test_even_cf_hand_expansions():
@@ -118,19 +119,23 @@ def test_signature_two_bridge_examples():
 
 
 def test_signature_family_values():
-    assert signature_family(DoubleTwist("EE", 3, 4)) == 2
-    assert signature_family(DoubleTwist("EN", 2, 4)) == 0
-    assert signature_family(DoubleTwist("OE", 1, 3)) == -4
-    assert signature_family(DoubleTwist("ON", 1, 1)) == 2
+    for d, sigma_abs in (
+        (DoubleTwist("EE", 3, 4), 2),
+        (DoubleTwist("EN", 2, 4), 0),
+        (DoubleTwist("OE", 1, 3), 4),
+        (DoubleTwist("ON", 1, 1), 2),
+    ):
+        assert signature_two_bridge(family_to_pq(d)).sigma_abs == sigma_abs, d
 
 
 def test_family_signature_cross_check():
+    # the known family signatures 2, 0, 2 - 2n and 2n, up to sign
     for family in ("EE", "EN", "OE", "ON"):
         for m in range(1, 7):
             for n in range(1, 7):
                 d = DoubleTwist(family, m, n)
-                got = signature_two_bridge(family_to_pq(d))
-                assert got.sigma_abs == abs(signature_family(d)), d
+                known = {"EE": 2, "EN": 0, "OE": 2 - 2 * n, "ON": 2 * n}[family]
+                assert signature_two_bridge(family_to_pq(d)).sigma_abs == abs(known), d
 
 
 def test_sigma_parity_and_bound():

@@ -8,37 +8,34 @@ from riley.twobridge import (
     KnotId,
     SchubertWord,
     epsilon,
-    epsilon_fast,
     epsilon_sequence,
     family_to_pq,
-    family_word,
-    normalize,
     odd_representative,
     schubert_word,
 )
 
 
 def test_normalize_examples():
-    assert normalize(5, 3) == KnotId(5, 2)
-    assert normalize(3, 1) == KnotId(3, 1)
-    assert normalize(7, 5) == KnotId(7, 3)
-    assert normalize(7, 12) == KnotId(7, 3)  # q reduced mod p first
+    # canonical() takes min(q, q^-1 mod p); reduce q mod p before building
+    assert KnotId(5, 3).canonical() == KnotId(5, 2)
+    assert KnotId(3, 1).canonical() == KnotId(3, 1)
+    assert KnotId(7, 5).canonical() == KnotId(7, 3)
+    assert KnotId(7, 12 % 7).canonical() == KnotId(7, 3)
 
 
 def test_normalize_rejects_links_and_non_coprime():
     with pytest.raises(ValueError, match="link"):
-        normalize(8, 3)
+        KnotId(8, 3)
     with pytest.raises(ValueError):
-        normalize(9, 3)
+        KnotId(9, 3)
     with pytest.raises(ValueError):
         KnotId(9, 6)
 
 
 def test_knotid_mirror_and_canonical():
     k = KnotId(7, 5)
-    assert not k.is_canonical
     assert k.canonical() == KnotId(7, 3)
-    assert k.mirror() == KnotId(7, 2)
+    assert KnotId(k.p, k.p - k.q).canonical() == KnotId(7, 2)  # the mirror
     assert str(k) == "b(7,5)"
 
 
@@ -122,48 +119,28 @@ def test_double_twist_str_and_twists():
 
 
 def test_family_word_small():
-    assert family_word(DoubleTwist("EE", 1, 1)).compact() == "ab"
-    assert family_word(DoubleTwist("EN", 1, 1)).compact() == "aBAb"
-    assert family_word(DoubleTwist("ON", 1, 1)).compact() == "aBabAb"
-
-
-def test_family_word_length_contract_raises(monkeypatch):
-    # a plain exception, so the check survives python -O
-    import riley.twobridge
-
-    monkeypatch.setattr(riley.twobridge, "_word_length", lambda d: 0)
-    with pytest.raises(ValueError, match="length"):
-        family_word(DoubleTwist("EE", 1, 1))
+    # a family's relator word is the floor-formula word of family_to_pq
+    assert schubert_word(family_to_pq(DoubleTwist("EE", 1, 1))).compact() == "ab"
+    assert schubert_word(family_to_pq(DoubleTwist("EN", 1, 1))).compact() == "aBAb"
+    assert schubert_word(family_to_pq(DoubleTwist("ON", 1, 1))).compact() == "aBabAb"
 
 
 def test_family_word_matches_schubert_word():
+    # every family's q is odd, so schubert_word takes its exponents from
+    # the floor formula at that very q: acceptance criterion 8 compares
+    # the family sign formulas with exactly these exponents
     for family in FAMILIES:
         for m in range(1, 9):
             for n in range(1, 9):
-                d = DoubleTwist(family, m, n)
-                assert family_word(d).letters == schubert_word(family_to_pq(d)).letters, d
+                k = family_to_pq(DoubleTwist(family, m, n))
+                assert odd_representative(k.p, k.q) == k.q, (family, m, n)
+                exps = tuple(e for _, e in schubert_word(k).letters)
+                assert exps == epsilon_sequence(k.p, k.q), (family, m, n)
 
 
 def test_epsilon_fast_examples():
-    assert epsilon_fast(DoubleTwist("EE", 1, 1), 1) == 1
-    assert epsilon_fast(DoubleTwist("EN", 1, 1), 2) == -1
-    assert epsilon_fast(DoubleTwist("ON", 1, 1), 3) == 1
-
-
-def test_epsilon_fast_matches_floor_formula():
-    for family in FAMILIES:
-        for m in range(1, 11):
-            for n in range(1, 11):
-                d = DoubleTwist(family, m, n)
-                k = family_to_pq(d)
-                for j in range(1, k.p):
-                    assert epsilon_fast(d, j) == epsilon(k.p, k.q, j), (d, j)
-
-
-def test_epsilon_fast_range_errors():
-    d = DoubleTwist("EE", 2, 2)
-    limit = family_to_pq(d).p - 1
-    with pytest.raises(ValueError):
-        epsilon_fast(d, 0)
-    with pytest.raises(ValueError):
-        epsilon_fast(d, limit + 1)
+    # family sign spot values, read from the floor formula at the family
+    # presentations
+    for family, j, sign in (("EE", 1, 1), ("EN", 2, -1), ("ON", 3, 1)):
+        k = family_to_pq(DoubleTwist(family, 1, 1))
+        assert epsilon(k.p, k.q, j) == sign, family
