@@ -16,6 +16,7 @@ from .rileypoly import (
     RileyValidationError,
     closed_form_params,
     riley_closed_form,
+    riley_closed_form_at,
     riley_general,
     riley_parabolic,
     word_matrix,
@@ -90,6 +91,7 @@ __all__ = [
     "isolate_roots",
     "odd_representative",
     "riley_closed_form",
+    "riley_closed_form_at",
     "riley_general",
     "riley_parabolic",
     "scan_conjecture",

@@ -32,6 +32,7 @@ from .rileypoly import (
     RileyValidationError,
     closed_form_params,
     riley_closed_form,
+    riley_closed_form_at,
     riley_general,
     riley_parabolic,
     normalize_parabolic,
@@ -265,17 +266,15 @@ def _cmd_poly(k: KnotId, x0: Fraction, bivariate: bool) -> int:
 
 def _cmd_family(family: str, m: int, n: int, x0: Fraction | None) -> int:
     d = DoubleTwist(family, m, n)
-    params = closed_form_params(d)
-    phi = riley_closed_form(d).phi_xy
-    print(f"{d} = {family_to_pq(d)}")
+    params = closed_form_params(d, x0)
     if x0 is None:
-        print(f"t  = {format_bipoly(params.t)}")
-        print(f"mu = {format_bipoly(params.mu)}")
-        print(f"Phi = {format_bipoly(phi)}")
+        fmt, phi = format_bipoly, riley_closed_form(d).phi_xy
     else:
-        print(f"t  = {format_unipoly(params.t.eval_x(x0))}")
-        print(f"mu = {format_unipoly(params.mu.eval_x(x0))}")
-        print(f"Phi = {format_unipoly(normalize_parabolic(phi.eval_x(x0)))}")
+        fmt, phi = format_unipoly, riley_closed_form_at(d, x0)
+    print(f"{d} = {family_to_pq(d)}")
+    print(f"t  = {fmt(params.t)}")
+    print(f"mu = {fmt(params.mu)}")
+    print(f"Phi = {fmt(phi)}")
     return EXIT_OK
 
 

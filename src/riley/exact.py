@@ -141,18 +141,6 @@ class UniPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "UniPoly":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = UniPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __call__(self, v: Scalar) -> Fraction:
         """Exact evaluation by Horner's rule."""
         return _horner(self.coeffs, Fraction(v), _ZERO)

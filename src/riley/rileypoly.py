@@ -42,6 +42,12 @@ S_n(t) - mu * S_{n-1}(t) with family-specific t and mu built from
 Chebyshev polynomials in y.  The two routes share nothing but basic
 polynomial arithmetic and the normalization step, so their exact
 agreement (see verifier.cross_validate) is a meaningful check of both.
+One set of family formulas builds t and mu either in Q[x][y] or, at a
+given x0, directly in Q[y]; the theorem sweeps and `family --x` use the
+latter.  Evaluation at x0 is a ring homomorphism Q[x][y] -> Q[y], so
+specializing before the recurrence gives the bivariate polynomial at x0
+up to a nonzero scalar, which normalization removes and on which no
+root count depends.
 
 Normalization: Riley polynomials are defined up to units, so results are
 scaled to integer coefficients with content 1 and sign chosen to make
@@ -58,6 +64,7 @@ from .chebyshev import cheb_pair, cheb_poly
 from .exact import (
     BiPoly,
     Laurent,
+    Scalar,
     UniPoly,
     _int_coeffs,
     _int_exact_div,
@@ -309,21 +316,20 @@ def riley_parabolic(k: KnotId) -> UniPoly:
 
 @dataclass(frozen=True, slots=True)
 class ClosedFormParams:
-    """The pair (t, mu) with Phi = S_n(t) - mu * S_{n-1}(t)."""
+    """The pair (t, mu) with Phi = S_n(t) - mu * S_{n-1}(t): BiPolys in
+    (x, y), or UniPolys in y when specialized at one x0."""
 
-    t: BiPoly
-    mu: BiPoly
+    t: BiPoly | UniPoly
+    mu: BiPoly | UniPoly
     family: DoubleTwist
 
 
-_Y_MINUS_2 = BiPoly([-2, 1])
-# y + 2 - x^2
-_Y_PLUS_2_MINUS_X2 = BiPoly([UniPoly([2, 0, -1]), UniPoly.const(1)])
 _X2 = BiPoly.from_x(UniPoly([0, 0, 1]))
 
 
-def closed_form_params(d: DoubleTwist) -> ClosedFormParams:
-    """Exact (t, mu) for a double twist family.
+def closed_form_params(d: DoubleTwist, x0: Scalar | None = None) -> ClosedFormParams:
+    """Exact (t, mu) for a double twist family, in Q[x][y], or in Q[y]
+    at x = x0 when x0 is given.
 
     With u = y + 2 - x^2 and S_k = S_k(y):
 
@@ -331,21 +337,28 @@ def closed_form_params(d: DoubleTwist) -> ClosedFormParams:
       EN: t as EE                          mu = 1 - u S_{m-1} (S_{m-1} - S_{m-2})
       OE: t = x^2 - y - (y-2) u S_m S_{m-1}  mu = 1 - u S_m (S_m - S_{m-1})
       ON: t as OE                          mu = 1 + u S_{m-1} (S_m - S_{m-1})
+
+    Both depend on x only through x^2, so one set of formulas serves both
+    rings; the specialized pair is the bivariate one evaluated at x0.
     """
     m = d.m
-    u = _Y_PLUS_2_MINUS_X2
-    # S_k(y) as BiPolys whose x-coefficients are constants
-    s_m = BiPoly(cheb_poly(m).coeffs)
-    s_m1 = BiPoly(cheb_poly(m - 1).coeffs)
-    s_m2 = BiPoly(cheb_poly(m - 2).coeffs)
+    if x0 is None:
+        y, x2 = BiPoly.y(), _X2
+        # S_k(y) as BiPolys whose x-coefficients are constants
+        s_m, s_m1, s_m2 = (BiPoly(cheb_poly(k).coeffs) for k in (m, m - 1, m - 2))
+    else:
+        y, x2 = UniPoly.gen(), Fraction(x0) ** 2
+        s_m, s_m1, s_m2 = cheb_poly(m), cheb_poly(m - 1), cheb_poly(m - 2)
+    u = y + 2 - x2
+    y_minus_2 = y - 2
     if d.family in ("EE", "EN"):
-        t = 2 + _Y_MINUS_2 * u * s_m1 * s_m1
+        t = 2 + y_minus_2 * u * s_m1 * s_m1
         if d.family == "EE":
             mu = 1 + u * s_m1 * (s_m - s_m1)
         else:
             mu = 1 - u * s_m1 * (s_m1 - s_m2)
     else:
-        t = _X2 - BiPoly.y() - _Y_MINUS_2 * u * s_m * s_m1
+        t = x2 - y - y_minus_2 * u * s_m * s_m1
         if d.family == "OE":
             mu = 1 - u * s_m * (s_m - s_m1)
         else:
@@ -353,14 +366,27 @@ def closed_form_params(d: DoubleTwist) -> ClosedFormParams:
     return ClosedFormParams(t=t, mu=mu, family=d)
 
 
-def riley_closed_form(d: DoubleTwist) -> RileyPoly:
-    """Closed-form Riley polynomial S_n(t) - mu * S_{n-1}(t), normalized.
+def _closed_form(params: ClosedFormParams, n: int):
+    """S_n(t) - mu * S_{n-1}(t), from one pass of the Chebyshev
+    recurrence at t; no matrix product is involved, keeping this route
+    independent of the general one."""
+    s_prev, s_n = cheb_pair(n, params.t)
+    return s_n - params.mu * s_prev
 
-    t and mu are built once, and one pass of the Chebyshev recurrence at
-    t gives S_{n-1}(t) and S_n(t) together; no matrix product is
-    involved, keeping this route independent of the general one.
+
+def riley_closed_form(d: DoubleTwist) -> RileyPoly:
+    """Closed-form Riley polynomial S_n(t) - mu * S_{n-1}(t) in (x, y),
+    normalized."""
+    return RileyPoly(normalize_bipoly(_closed_form(closed_form_params(d), d.n)), "closed_form")
+
+
+def riley_closed_form_at(d: DoubleTwist, x0: Scalar) -> UniPoly:
+    """The closed-form Riley polynomial at x = x0, normalized as a
+    polynomial in y.
+
+    Evaluation at x0 is a ring homomorphism Q[x][y] -> Q[y], so building
+    t and mu at x0 and running the recurrence there gives
+    riley_closed_form(d).phi_xy.eval_x(x0) up to a nonzero scalar, which
+    normalize_parabolic removes.
     """
-    params = closed_form_params(d)
-    s_prev, s_n = cheb_pair(d.n, params.t)
-    phi = s_n - params.mu * s_prev
-    return RileyPoly(normalize_bipoly(phi), "closed_form")
+    return normalize_parabolic(_closed_form(closed_form_params(d, x0), d.n))

@@ -8,7 +8,11 @@ Three kinds of checks run here:
   * the double twist root-count theorems: exact counts for the even
     families (exactly one real root / none, under an exact rational
     range certificate for x0) and lower bounds for the odd families
-    (at least n-1 / at least n real roots, certified for |x0| >= 2),
+    (at least n-1 / at least n real roots, certified for |x0| >= 2);
+    each count is taken on the closed form specialized at x0 before the
+    Chebyshev recurrence (riley_closed_form_at), which is exact because
+    evaluation at x0 is a ring homomorphism and root counts do not
+    depend on the nonzero scalar it may leave,
   * cross-validation: the closed-form polynomial of a double twist knot
     must equal the general matrix-product polynomial exactly after
     normalization.
@@ -34,6 +38,7 @@ from .realroots import count_real_roots
 from .rileypoly import (
     RileyValidationError,
     riley_closed_form,
+    riley_closed_form_at,
     riley_general,
     riley_parabolic,
 )
@@ -194,11 +199,9 @@ def scan_conjecture(p_max: int, jobs: int = 1) -> ScanResult:
 
 
 def _theorem_record(
-    family: str, m: int, n: int, x0: Fraction, in_range: bool | None, expected: str
+    d: DoubleTwist, x0: Fraction, in_range: bool | None, expected: str
 ) -> TheoremRecord:
-    d = DoubleTwist(family, m, n)
-    phi = riley_closed_form(d).phi_xy.eval_x(x0)
-    observed = _nonabelian_root_count(phi, d)
+    observed = _nonabelian_root_count(riley_closed_form_at(d, x0), d)
     return TheoremRecord(
         family=d,
         x0=x0,
@@ -214,13 +217,14 @@ def check_theorem1(m: int, n: int, x0: Scalar) -> tuple[TheoremRecord, TheoremRe
     and J(2m,-2n) none, whenever 4 - 1/(mn) < x0^2 <= 4.
 
     The range certificate is an exact rational inequality; both records
-    (EE then EN) are returned.
+    (EE then EN) are returned.  Raises ValueError unless m, n >= 1.
     """
+    ee, en = DoubleTwist("EE", m, n), DoubleTwist("EN", m, n)
     x0 = Fraction(x0)
     in_range = 4 - Fraction(1, m * n) < x0 * x0 <= 4
     return (
-        _theorem_record("EE", m, n, x0, in_range, "==1"),
-        _theorem_record("EN", m, n, x0, in_range, "==0"),
+        _theorem_record(ee, x0, in_range, "==1"),
+        _theorem_record(en, x0, in_range, "==0"),
     )
 
 
@@ -230,19 +234,28 @@ def check_theorem2(m: int, n: int, x0: Scalar) -> tuple[TheoremRecord, TheoremRe
 
     The hypothesis range has an irrational boundary below 2, so only
     x0^2 >= 4 is certified (always sufficient); other x0 are evaluated
-    but marked uncertified.
+    but marked uncertified.  Raises ValueError unless m, n >= 1.
     """
+    oe, on = DoubleTwist("OE", m, n), DoubleTwist("ON", m, n)
     x0 = Fraction(x0)
     in_range: bool | None = True if x0 * x0 >= 4 else None
     return (
-        _theorem_record("OE", m, n, x0, in_range, f">={n - 1}"),
-        _theorem_record("ON", m, n, x0, in_range, f">={n}"),
+        _theorem_record(oe, x0, in_range, f">={n - 1}"),
+        _theorem_record(on, x0, in_range, f">={n}"),
     )
+
+
+def _check_grid(m_max: int, n_max: int) -> None:
+    # an empty grid would be a vacuous pass
+    if m_max < 1 or n_max < 1:
+        raise ValueError(f"m_max and n_max must be >= 1, got m_max={m_max}, n_max={n_max}")
 
 
 def sweep_theorem1(m_max: int, n_max: int) -> list[TheoremRecord]:
     """Full even-family grid: m, n up to the bounds, x0 in
-    {2, 2 - 1/(16mn)} (both certified in range)."""
+    {2, 2 - 1/(16mn)} (both certified in range); raises ValueError on an
+    empty grid."""
+    _check_grid(m_max, n_max)
     records: list[TheoremRecord] = []
     for m in range(1, m_max + 1):
         for n in range(1, n_max + 1):
@@ -254,7 +267,11 @@ def sweep_theorem1(m_max: int, n_max: int) -> list[TheoremRecord]:
 def sweep_theorem2(
     m_max: int, n_max: int, x0s: Sequence[Scalar] = (2, Fraction(5, 2), 3)
 ) -> list[TheoremRecord]:
-    """Full odd-family grid over the given x0 values (default {2, 5/2, 3})."""
+    """Full odd-family grid over the given x0 values (default {2, 5/2, 3});
+    raises ValueError on an empty grid or an empty x0 list."""
+    _check_grid(m_max, n_max)
+    if not x0s:
+        raise ValueError("x0s must name at least one x0")
     records: list[TheoremRecord] = []
     for m in range(1, m_max + 1):
         for n in range(1, n_max + 1):

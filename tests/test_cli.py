@@ -129,6 +129,35 @@ def test_family_command(capsys):
     assert "Phi = y^3 - 3*y^2 + 2*y - 1" in out
 
 
+def test_family_specialized_output_pinned(capsys):
+    # family --x builds (t, mu) and Phi at x0 directly; the bytes are those
+    # of evaluating the bivariate objects at x0
+    expected = {
+        ("ON", "2", "2", "--x", "5/2"): (
+            "J(5,-4) = b(21,17)\n"
+            "t  = -y^5 + 25/4*y^4 - 15/2*y^3 - 25/4*y^2 + 15/2*y + 25/4\n"
+            "mu = y^4 - 21/4*y^3 + 13/4*y^2 + 17/4*y + 1\n"
+            "Phi = 16*y^10 - 184*y^9 + 681*y^8 - 603*y^7 - 1377*y^6 + 2136*y^5"
+            " + 1340*y^4 - 2320*y^3 - 1085*y^2 + 955*y + 509\n"
+        ),
+        ("EE", "3", "2", "--x=-3/2"): (
+            "J(6,4) = b(23,19)\n"
+            "t  = y^6 - 9/4*y^5 - 3/2*y^4 + 9/2*y^3 - 9/4*y + 5/2\n"
+            "mu = y^6 - 5/4*y^5 - 11/4*y^4 + 11/4*y^3 + 3/2*y^2 - 3/2*y + 5/4\n"
+            "Phi = 16*y^11 - 56*y^10 - 7*y^9 + 189*y^8 - 90*y^7 - 245*y^6 + 220*y^5"
+            " + 97*y^4 - 214*y^3 + 33*y^2 + 75*y - 34\n"
+        ),
+        ("OE", "1", "3", "--x", "0"): (
+            "J(3,6) = b(17,11)\n"
+            "t  = -y^3 + 3*y\n"
+            "mu = -y^3 - y^2 + 2*y + 1\n"
+            "Phi = y^8 + y^7 - 7*y^6 - 6*y^5 + 15*y^4 + 10*y^3 - 10*y^2 - 4*y + 1\n"
+        ),
+    }
+    for argv, out in expected.items():
+        assert run_cli(capsys, "family", *argv) == (0, out, ""), argv
+
+
 def test_roots_command(capsys):
     code, out, _ = run_cli(capsys, "roots", "7", "3", "--isolate")
     assert code == 0

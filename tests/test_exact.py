@@ -114,7 +114,7 @@ def test_kernel_results_keep_coefficient_types():
         Y - longer,
         1 - longer,
         gap + longer,
-        gap**3,
+        gap * gap * gap,
         bigap.subs_y(Y + 1),
     ]
     bis = [

@@ -9,8 +9,18 @@ from riley.exact import UniPoly, squarefree_part
 from riley.realroots import _IntChain, cauchy_bound, count_real_roots, isolate_roots
 
 Y = UniPoly.gen()
+
+
+def _pow(f: UniPoly, k: int) -> UniPoly:
+    """f**k for k >= 0 by repeated products."""
+    out = UniPoly.const(1)
+    for _ in range(k):
+        out = out * f
+    return out
+
+
 CUBIC = UniPoly([-1, 2, -3, 1])  # y^3 - 3y^2 + 2y - 1, discriminant -23
-REPEATED = (Y - 1) ** 2 * (Y + 2) ** 3 * (Y * Y - 2)  # distinct roots -2, -sqrt2, 1, sqrt2
+REPEATED = _pow(Y - 1, 2) * _pow(Y + 2, 3) * (Y * Y - 2)  # distinct roots -2, -sqrt2, 1, sqrt2
 
 
 def _count_open(f, lo, hi):
@@ -90,7 +100,7 @@ def test_multiplicities_do_not_inflate_counts():
 
 
 def test_repeated_factors_chain_is_squarefree_chain():
-    for f in (REPEATED, (Y - 1) ** 2, Y**3 * (Y + 1) ** 2, (Y * Y + 1) ** 2 * (Y - 3)):
+    for f in (REPEATED, _pow(Y - 1, 2), _pow(Y, 3) * _pow(Y + 1, 2), _pow(Y * Y + 1, 2) * (Y - 3)):
         assert _IntChain(f).chain == _IntChain(squarefree_part(f)).chain
 
 
@@ -132,7 +142,7 @@ def test_count_matches_sympy_with_repeated_factors():
         for _ in range(rng.randint(1, 4)):
             factor = UniPoly([rng.randint(-6, 6) for _ in range(rng.randint(2, 4))])
             if factor.degree >= 1:
-                f = f * factor ** rng.randint(1, 3)
+                f = f * _pow(factor, rng.randint(1, 3))
         if f.degree < 1:
             continue
         ref = sympy.Poly([int(c) for c in reversed(f.coeffs)], y).count_roots()
@@ -157,7 +167,7 @@ def test_count_matches_sympy_hypothesis():
     def agrees(fs):
         f = UniPoly.const(1)
         for g, mult in fs:
-            f = f * g**mult
+            f = f * _pow(g, mult)
         ref = sympy.Poly([int(c) for c in reversed(f.coeffs)], y).count_roots()
         assert count_real_roots(f).total_real == ref
 

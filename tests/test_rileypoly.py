@@ -28,6 +28,7 @@ from riley.rileypoly import (
     normalize_bipoly,
     normalize_parabolic,
     riley_closed_form,
+    riley_closed_form_at,
     riley_general,
     riley_parabolic,
     word_matrix,
@@ -321,6 +322,46 @@ def test_closed_form_params_m1():
     oe = closed_form_params(DoubleTwist("OE", 1, 2))
     assert oe.t == on.t
     assert isinstance(on, ClosedFormParams)
+
+
+_SPECIALIZATION_X0 = (2, Fraction(5, 2), 3, Fraction(7, 3), 0, Fraction(-3, 2), Fraction(1, 7))
+
+
+def test_closed_form_specialized_equals_evaluated():
+    # evaluation at x0 is a ring homomorphism: building (t, mu) at x0 and
+    # running the recurrence there agrees with evaluating the bivariate
+    # objects, exactly for (t, mu) and up to normalization for Phi
+    for family in ("EE", "EN", "OE", "ON"):
+        for m in range(1, 6):
+            for n in range(1, 5):
+                d = DoubleTwist(family, m, n)
+                bivariate = closed_form_params(d)
+                phi_xy = riley_closed_form(d).phi_xy
+                for x0 in _SPECIALIZATION_X0:
+                    at = closed_form_params(d, x0)
+                    assert at.t == bivariate.t.eval_x(x0), (d, x0)
+                    assert at.mu == bivariate.mu.eval_x(x0), (d, x0)
+                    assert at.family == d
+                    assert riley_closed_form_at(d, x0) == normalize_parabolic(
+                        phi_xy.eval_x(x0)
+                    ), (d, x0)
+
+
+def test_closed_form_specialized_equals_evaluated_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    families = [DoubleTwist(f, m, n) for f, m, n in
+                (("EE", 2, 3), ("EN", 3, 1), ("OE", 1, 4), ("ON", 3, 2))]
+    phis = {d: riley_closed_form(d).phi_xy for d in families}
+    x0s = st.fractions(min_value=-10, max_value=10, max_denominator=50)
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(st.sampled_from(families), x0s)
+    def specialization(d, x0):
+        assert riley_closed_form_at(d, x0) == normalize_parabolic(phis[d].eval_x(x0))
+
+    specialization()
 
 
 def test_closed_form_t_factorization_even_families():

@@ -138,6 +138,62 @@ def test_sweeps_hold():
     assert all(r.holds for r in recs)
 
 
+def test_check_theorem1_rejects_nonpositive_m_n():
+    # the family is built before 1/(mn), so this is the documented
+    # ValueError and not a ZeroDivisionError
+    with pytest.raises(ValueError, match="m and n must be >= 1"):
+        check_theorem1(0, 1, 2)
+    with pytest.raises(ValueError, match="m and n must be >= 1"):
+        check_theorem1(1, 0, 2)
+
+
+def test_sweep_theorem1_rejects_empty_grid():
+    with pytest.raises(ValueError, match="m_max and n_max must be >= 1"):
+        sweep_theorem1(0, 4)
+    with pytest.raises(ValueError, match="m_max and n_max must be >= 1"):
+        sweep_theorem1(4, 0)
+
+
+def test_sweep_theorem2_rejects_empty_grid():
+    with pytest.raises(ValueError, match="m_max and n_max must be >= 1"):
+        sweep_theorem2(0, 4)
+    with pytest.raises(ValueError, match="m_max and n_max must be >= 1"):
+        sweep_theorem2(3, -1, (2,))
+
+
+def test_sweep_theorem2_rejects_empty_x0_list():
+    with pytest.raises(ValueError, match="at least one x0"):
+        sweep_theorem2(2, 2, ())
+    with pytest.raises(ValueError, match="at least one x0"):
+        sweep_theorem2(2, 2, [])
+
+
+def test_theorem_report_bytes_pinned():
+    # criterion 10 on the theorem sweeps: certified, uncertified and
+    # negative x0 on both sweeps; any change to a count or to the
+    # serialization moves these digests
+    sweeps = {
+        "theorem1 5x4": sweep_theorem1(5, 4),
+        "theorem2 4x4": sweep_theorem2(4, 4),
+        "theorem2 3x3 at 1, 3/2, -7/3": sweep_theorem2(3, 3, (1, Fraction(3, 2), Fraction(-7, 3))),
+    }
+    digests = {
+        (name, fmt): hashlib.sha256(emit_report(recs, format=fmt).encode()).hexdigest()
+        for name, recs in sweeps.items()
+        for fmt in ("jsonl", "csv")
+    }
+    assert digests == {
+        ("theorem1 5x4", "jsonl"): "3fc0677bd61dba2bb8b7523964fb3fe0f09e06260bcc1af473b5b446c90c96ff",
+        ("theorem1 5x4", "csv"): "8e2a6622f88d7e43f05470976aceba13a53cc53c7682a85270b9ec31927b927f",
+        ("theorem2 4x4", "jsonl"): "2c7fd4bf97b61c0a29f58c8464dcf64a1a3c4bb541ef8332c0b31a052cdaf02e",
+        ("theorem2 4x4", "csv"): "3900221bb32de62166b3047e08dbb30bcb49ba22ecd921723e9017b47758a177",
+        ("theorem2 3x3 at 1, 3/2, -7/3", "jsonl"):
+            "eda6b844469eee3c204f6f037fe83fa402a43b5c8697fbb7e7ec3e702f960bdc",
+        ("theorem2 3x3 at 1, 3/2, -7/3", "csv"):
+            "2ad282b7d6c75646e790e11d8d7fa2dac6110bef663a5cb25ab5f8ad435abd6a",
+    }
+
+
 def test_cross_validate_examples():
     assert cross_validate(DoubleTwist("EE", 1, 1)) is True
     assert cross_validate(DoubleTwist("EN", 1, 1)) is True
