@@ -37,6 +37,16 @@ divisibility test is exact division in Z[y] by a primitive divisor,
 which by Gauss's lemma is divisibility over Q.  Any failure raises
 instead of returning a possibly-wrong polynomial.
 
+Parabolic slice (s = 1, x = 2), which the conjecture scans use: the same
+column operations with every s-shift the identity, on entries in Z[y]
+held packed as single integers f(2^B).  Evaluation at y = 2^B is a ring
+homomorphism Z[y] -> Z (Kronecker substitution), so a letter is a few
+big-integer adds and shifts.  It is injective on polynomials whose
+coefficients satisfy |c| < 2^(B-1), and B comes from a proven bound:
+the same product run over 1-norm majorants.  So the determinant identity
+is checked exactly on four integers, and only W11 and the relation
+defect are unpacked for the divisibility test.
+
 Closed-form route: for a double twist knot the Riley polynomial is
 S_n(t) - mu * S_{n-1}(t) with family-specific t and mu built from
 Chebyshev polynomials in y.  The two routes share nothing but basic
@@ -56,6 +66,7 @@ the leading y-coefficient positive at x = 2.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -70,6 +81,7 @@ from .exact import (
     _int_exact_div,
     _int_primitive,
     _int_squarefree_part,
+    _int_trim,
     _laurent_add,
     _laurent_eval,
     _laurent_mul,
@@ -77,9 +89,7 @@ from .exact import (
     _laurent_shift,
     _laurent_sub,
     _laurent_width,
-    _zadd,
     _zmul,
-    _zmul_two_minus_y,
     _zsub,
     asymmetry_exponent,
     compose,  # noqa: F401  (bound here for perfbench/traced.py)
@@ -272,36 +282,80 @@ def riley_general(k: KnotId) -> RileyPoly:
 
 
 # ---------------------------------------------------------------------------
-# Parabolic fast path: the general route's word product with the same
-# column-operation table built at s = 1, where every s-shift is the
-# identity and each entry is a single list in Z[y], so each letter costs
-# O(degree) integer operations.  This is what the large conjecture scans
-# use.
+# Parabolic fast path, on packed integers (see the module docstring).
+# Majorants: |u +- v|_1 <= |u|_1 + |v|_1 and |(2-y) v|_1 <= 3 |v|_1;
+# packed, (2-y) v is 2v - (v << B).
 # ---------------------------------------------------------------------------
 
-_PARABOLIC_COLUMN_OPS = _column_ops(lambda f, k: f, _zadd, _zsub, _zmul_two_minus_y)
+
+def _no_shift(f, k: int):
+    return f
+
+
+_MAJORANT_COLUMN_OPS = _column_ops(_no_shift, operator.add, operator.add, lambda v: 3 * v)
+
+
+def _packed_column_ops(bits: int) -> dict:
+    """The s = 1 table on entries packed at y = 2^bits."""
+    return _column_ops(_no_shift, operator.add, operator.sub, lambda v: (v << 1) - (v << bits))
+
+
+def _parabolic_product(word: SchubertWord) -> tuple[int, tuple[int, int, int, int]]:
+    """Slot width B and the entries (W11, W12, W21, W22) of the s = 1
+    word product, each packed as W_ij(2^B).
+
+    B is one bit wider than the largest 1-norm majorant of W11, of the
+    determinant W11 W22 - W12 W21 and of the defect W21 - (2-y) W12, so
+    every coefficient that is compared or unpacked has |c| < 2^(B-1).
+    """
+    m11, m12, m21, m22 = _word_product(word, _MAJORANT_COLUMN_OPS, 1, 0)
+    bits = max(m11 * m22 + m12 * m21, m21 + 3 * m12, m11).bit_length() + 1
+    return bits, _word_product(word, _packed_column_ops(bits), 1, 0)
+
+
+def _unpack(n: int, bits: int) -> list[int]:
+    """The trimmed coefficient list of f with f(2^bits) = n, given that
+    every coefficient of f satisfies |c| < 2^(bits-1).
+
+    Each slot is read as a signed digit: a residue of 2^(bits-1) or more
+    is negative and borrows 1 from the next slot.  A polynomial with s
+    slots has |f(2^bits)| >= 2^(bits*(s-1)-1), so bit_length // bits + 1
+    passes read every slot.
+    """
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    coeffs = []
+    for _ in range(abs(n).bit_length() // bits + 1):
+        c = n & mask
+        if c >= half:
+            c -= mask + 1
+        coeffs.append(c)
+        n = (n - c) >> bits
+    return _int_trim(coeffs)
 
 
 def riley_parabolic(k: KnotId) -> UniPoly:
     """Riley polynomial of the parabolic slice x = 2, normalized.
 
     Equals riley_general(k).phi_xy evaluated at x = 2, up to the sign and
-    content normalization, but is computed directly over Z[y].  The same
-    validation idea as the general route runs here (cheaply): at s = 1
-    the relation defect reduces to the single divisibility
+    content normalization, but is computed directly over Z[y], on entries
+    packed at y = 2^B (see _parabolic_product).  The same validation idea
+    as the general route runs here (cheaply): the exact determinant
+    identity, checked on the four packed integers, and at s = 1 the
+    relation defect reduces to the single divisibility
     w11 | w21 - (2-y)*w12, an exact division by the primitive part of
-    w11, plus the exact determinant identity.
+    w11.  The determinant of the polynomial entries has coefficients
+    below 2^(B-1) in absolute value, so its packed value is 1 exactly
+    when it is the polynomial 1: the packed check is the polynomial one.
     """
-    word = schubert_word(k)
-    w11, w12, w21, w22 = _word_product(word, _PARABOLIC_COLUMN_OPS, [1], [])
-    if _zsub(_zmul(w11, w22), _zmul(w12, w21)) != [1]:
+    bits, (w11, w12, w21, w22) = _parabolic_product(schubert_word(k))
+    if w11 * w22 - w12 * w21 != 1:
         raise RileyValidationError(f"parabolic word matrix for {k} has determinant != 1")
     if not w11:
         raise RileyValidationError(f"parabolic reduction candidate for {k} vanishes")
-    phi = _int_primitive(w11)
+    phi = _int_primitive(_unpack(w11, bits))
     if phi[-1] < 0:
         phi = [-c for c in phi]
-    defect = _zsub(w21, _zmul_two_minus_y(w12))
+    defect = _unpack(w21 - (w12 << 1) + (w12 << bits), bits)
     if defect and _int_exact_div(defect, phi) is None:
         raise RileyValidationError(
             f"parabolic relation defect for {k} is not divisible by the candidate"

@@ -31,7 +31,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable
 
 from .exact import Scalar, UniPoly, format_rational
 from .realroots import count_real_roots
@@ -183,6 +183,9 @@ def scan_conjecture(p_max: int, jobs: int = 1) -> ScanResult:
         # imported here so that serial runs do not load the pool machinery
         from concurrent.futures import ProcessPoolExecutor
 
+        # the pool starts all its workers at the first submit, so never
+        # more than there are knots
+        jobs = min(jobs, len(pairs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunksize = max(1, len(pairs) // (jobs * 8))
             outcomes = list(pool.map(_scan_worker, pairs, chunksize=chunksize))
@@ -265,11 +268,13 @@ def sweep_theorem1(m_max: int, n_max: int) -> list[TheoremRecord]:
 
 
 def sweep_theorem2(
-    m_max: int, n_max: int, x0s: Sequence[Scalar] = (2, Fraction(5, 2), 3)
+    m_max: int, n_max: int, x0s: Iterable[Scalar] = (2, Fraction(5, 2), 3)
 ) -> list[TheoremRecord]:
     """Full odd-family grid over the given x0 values (default {2, 5/2, 3});
     raises ValueError on an empty grid or an empty x0 list."""
     _check_grid(m_max, n_max)
+    # read once: an iterator would be used up by the first grid point
+    x0s = tuple(x0s)
     if not x0s:
         raise ValueError("x0s must name at least one x0")
     records: list[TheoremRecord] = []

@@ -3,6 +3,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,6 +20,7 @@ from riley.exact import (
     _laurent_sub,
     _zadd,
     _zmul_two_minus_y,
+    _zsub,
 )
 from riley.realroots import count_real_roots
 from riley.rileypoly import (
@@ -193,14 +195,91 @@ def test_mutated_column_operation_is_caught(monkeypatch):
             riley_general(k)
 
 
+def _mutate_packed_table(monkeypatch, letter, mutation):
+    """Patch the per-knot packed table so that letter runs
+    mutation(true table), whatever the slot width."""
+    true_table = rileypoly._packed_column_ops
+
+    def mutated(bits):
+        table = true_table(bits)
+        return {**table, letter: mutation(table)}
+
+    monkeypatch.setattr(rileypoly, "_packed_column_ops", mutated)
+
+
 def test_mutated_parabolic_column_operation_is_caught(monkeypatch):
-    # the same mutation in the s = 1 table: b^-1 flipped is b there, still
-    # unimodular, so the divisibility check must catch it
-    flipped = lambda u, v: (_zadd(u, _zmul_two_minus_y(v)), v)  # noqa: E731
-    monkeypatch.setitem(rileypoly._PARABOLIC_COLUMN_OPS, ("b", -1), flipped)
+    # the same mutation in the packed s = 1 table: b^-1 flipped is b there,
+    # still unimodular, so the divisibility check must catch it
+    _mutate_packed_table(monkeypatch, ("b", -1), lambda table: table[("b", 1)])
     for k in (KnotId(5, 2), KnotId(7, 3), KnotId(61, 17)):
         with pytest.raises(RileyValidationError, match="not divisible"):
             riley_parabolic(k)
+
+
+def test_non_unimodular_parabolic_column_operation_is_caught(monkeypatch):
+    # a: c2 <- c1 + 2 c2 has determinant 2, so the word product's is a
+    # power of 2 and the packed determinant check must catch it
+    _mutate_packed_table(monkeypatch, ("a", 1), lambda table: lambda u, v: (u, u + 2 * v))
+    for k in (KnotId(5, 2), KnotId(7, 3), KnotId(61, 17)):
+        with pytest.raises(RileyValidationError, match="has determinant != 1"):
+            riley_parabolic(k)
+
+
+# --- packed s = 1 product against the list-based one ---
+
+_LIST_PARABOLIC_OPS = rileypoly._column_ops(lambda f, k: f, _zadd, _zsub, _zmul_two_minus_y)
+
+
+def _assert_packed_matches_lists(word):
+    """The packed entries unpack to the list-based s = 1 product, and every
+    coefficient lies within its 1-norm majorant."""
+    bits, packed = rileypoly._parabolic_product(word)
+    lists = rileypoly._word_product(word, _LIST_PARABOLIC_OPS, [1], [])
+    majorants = rileypoly._word_product(word, rileypoly._MAJORANT_COLUMN_OPS, 1, 0)
+    for n, coeffs, bound in zip(packed, lists, majorants):
+        assert rileypoly._unpack(n, bits) == coeffs
+        assert sum(map(abs, coeffs)) <= bound < 1 << (bits - 1)
+    _, w12, w21, _ = lists
+    defect = _zsub(w21, _zmul_two_minus_y(w12))
+    assert rileypoly._unpack(packed[2] - 2 * packed[1] + (packed[1] << bits), bits) == defect
+    assert sum(map(abs, defect)) <= majorants[2] + 3 * majorants[1] < 1 << (bits - 1)
+
+
+def test_packed_product_matches_list_product():
+    for k in enumerate_knots(41):
+        _assert_packed_matches_lists(schubert_word(k))
+
+
+def test_packed_product_matches_list_product_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    letters = st.tuples(st.sampled_from("ab"), st.sampled_from((1, -1)))
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.lists(letters, max_size=60))
+    def packed_matches(letters):
+        # the product reads only .letters, so any a/b word can be fed,
+        # not only the alternating relator words
+        _assert_packed_matches_lists(SimpleNamespace(letters=tuple(letters)))
+
+    packed_matches()
+
+
+def test_unpack_round_trips_extreme_coefficients_and_gaps():
+    for bits in (2, 3, 8, 61, 64, 65):
+        top = (1 << (bits - 1)) - 1
+        for coeffs in (
+            [],
+            [top],
+            [-top],
+            [0, 0, top, 0, -top],
+            [-top, 0, 0, 0, top],
+            [top, -top, top, -top],
+            [-1, 0, 0, 1],
+            [0, 0, 0, -1],
+        ):
+            n = sum(c << (bits * i) for i, c in enumerate(coeffs))
+            assert rileypoly._unpack(n, bits) == coeffs, (bits, coeffs)
 
 
 def test_divisibility_checks_catch_a_wrong_defect(monkeypatch):

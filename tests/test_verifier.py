@@ -71,6 +71,34 @@ def test_scan_parallel_matches_serial():
     assert strip(serial.records) == strip(parallel.records)
 
 
+def test_scan_pool_has_no_more_workers_than_knots(monkeypatch):
+    # a fake executor records the pool size and runs the map in process,
+    # so no worker process is started at any count
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    result = scan_conjecture(5, jobs=64)
+    assert sizes == [3]
+    assert [str(r.knot) for r in result.records] == ["b(3,1)", "b(5,1)", "b(5,2)"]
+    scan_conjecture(7, jobs=2)
+    assert sizes == [3, 2]
+
+
 def test_scan_rejects_tiny_pmax():
     with pytest.raises(ValueError):
         scan_conjecture(2)
@@ -166,6 +194,15 @@ def test_sweep_theorem2_rejects_empty_x0_list():
         sweep_theorem2(2, 2, ())
     with pytest.raises(ValueError, match="at least one x0"):
         sweep_theorem2(2, 2, [])
+
+
+def test_sweep_theorem2_reads_an_iterator_of_x0_once():
+    # a generator must give the whole grid, not just the first (m, n)
+    listed = sweep_theorem2(2, 2, [2, Fraction(5, 2)])
+    assert len(listed) == 16
+    assert sweep_theorem2(2, 2, (x for x in [2, Fraction(5, 2)])) == listed
+    with pytest.raises(ValueError, match="at least one x0"):
+        sweep_theorem2(2, 2, iter(()))
 
 
 def test_theorem_report_bytes_pinned():
@@ -268,6 +305,21 @@ def test_report_bytes_pinned_p59():
     assert digests == {
         "jsonl": "b7985d3dddff5d40084acf22c7652996da659054ac55309b6eda472f5bfb36a1",
         "csv": "75bc92f432cfaf4c3c61b09424151d519584bc128871a4a2e0019c1cc0459bc8",
+    }
+
+
+def test_report_bytes_pinned_p99():
+    # the benchmark's scan set (798 knots); its jsonl digest is the one
+    # every benchmark run gates on
+    recs = scan_conjecture(99).records
+    assert len(recs) == 798
+    digests = {
+        fmt: hashlib.sha256(emit_report(recs, format=fmt).encode()).hexdigest()
+        for fmt in ("jsonl", "csv")
+    }
+    assert digests == {
+        "jsonl": "cd67e225221674286040e93236ae9025178e614cbf370ee9f3caa9eae2174a68",
+        "csv": "401c8dde4db85c1db1fc43f5139949302f1eaa62dba1fe15fe1d3844ad284fe1",
     }
 
 
