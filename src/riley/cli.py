@@ -105,8 +105,8 @@ def format_bipoly(p: BiPoly) -> str:
     """Plain text, descending y-powers; non-constant x-coefficients are
     parenthesized, e.g. "y^2 + (-x^2 + 1)*y + x^2 - 1"."""
     terms: list[tuple[bool, str]] = []
-    for j in range(p.y_degree, -1, -1):
-        c = p.y_coeff(j)
+    for j in range(p.degree, -1, -1):
+        c = p.coeff(j)
         ypart = "" if j == 0 else ("y" if j == 1 else f"y^{j}")
         if c.degree <= 0 or j == 0:
             # a constant coefficient, or the x-polynomial tail inlined

@@ -1,17 +1,19 @@
-"""Exact polynomial arithmetic: one dense ring kernel, run on integer
-coefficients everywhere but at the edges.
+"""Exact polynomial arithmetic: one polynomial container and one dense
+ring kernel, run on integer coefficients everywhere but at the edges.
 
 The dense kernel (_zadd, _zsub, _zmul, _int_trim, _horner) works on
 ascending coefficient sequences over any ring, given the ring's zero
-where it creates entries.  UniPoly (dense, ascending
-coefficients) runs it on `fractions.Fraction` tuples and BiPoly (a
-polynomial in y over UniPoly coefficients in x) on UniPoly tuples; both
-are immutable containers for results, rational x0 and isolating
-intervals.  Everything heavier runs on plain int coefficient lists
-(ascending, trimmed, [] for zero): the same ring operations, Sturm
-sequences (primitive pseudo-remainder sequences), squarefree parts and
-exact division.  A Sturm sequence of f ends in +-gcd(f, f'), so one
-remainder sequence serves both root counting and squarefree parts.
+where it creates entries.  UniPoly (dense, ascending coefficients,
+immutable) runs it over one coefficient ring, `fractions.Fraction`;
+BiPoly, a polynomial in y over UniPoly coefficients in x, is a UniPoly
+subclass that states only that ring.  Both are containers for results,
+rational x0 and isolating intervals; calling one is Horner evaluation at
+a rational or composition with a polynomial.  Everything heavier runs on
+plain int coefficient lists (ascending, trimmed, [] for zero): the same
+ring operations, Sturm sequences (primitive pseudo-remainder
+sequences), squarefree parts and exact division.  A Sturm sequence of f
+ends in +-gcd(f, f'), so one remainder sequence serves both root
+counting and squarefree parts.
 
 Divisibility over Q is decided by exact division in Z[y]: when the
 divisor d is primitive, Gauss's lemma says d divides e in Q[y] exactly
@@ -60,21 +62,28 @@ class SymmetryError(ValueError):
 
 
 class UniPoly:
-    """Dense univariate polynomial over Fraction, trimmed canonical form.
+    """Dense polynomial in one variable over a coefficient ring, trimmed
+    canonical form; UniPoly's ring is Fraction.
 
     Coefficients are stored ascending by degree; the leading coefficient
     is nonzero unless the polynomial is zero (empty tuple).  Instances
-    are immutable and hashable; equality is coefficientwise.
+    are immutable and hashable; equality is coefficientwise.  A subclass
+    states another ring by three class attributes: _lift embeds a value
+    as a coefficient, _zero is the ring's zero, and _scalars are the
+    types that multiply coefficientwise.
     """
 
     __slots__ = ("coeffs",)
+    _lift = Fraction
+    _zero = _ZERO
+    _scalars = (int, Fraction)
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        self.coeffs: tuple[Fraction, ...] = tuple(_int_trim([Fraction(c) for c in coeffs]))
+    def __init__(self, coeffs: Iterable = ()):
+        self.coeffs: tuple = tuple(_int_trim([self._lift(c) for c in coeffs]))
 
     @classmethod
-    def _raw(cls, coeffs: tuple[Fraction, ...]) -> "UniPoly":
-        # Trusted constructor: coeffs already Fractions and trimmed.
+    def _raw(cls, coeffs: tuple) -> "UniPoly":
+        # Trusted constructor: coeffs already in the ring and trimmed.
         p = object.__new__(cls)
         p.coeffs = coeffs
         return p
@@ -84,14 +93,14 @@ class UniPoly:
         return cls._raw(())
 
     @classmethod
-    def const(cls, c: Scalar) -> "UniPoly":
-        c = Fraction(c)
-        return cls._raw(() if c == 0 else (c,))
+    def const(cls, c) -> "UniPoly":
+        c = cls._lift(c)
+        return cls._raw((c,) if c else ())
 
     @classmethod
     def gen(cls) -> "UniPoly":
         """The polynomial consisting of the variable itself."""
-        return cls._raw((_ZERO, _ONE))
+        return cls._raw((cls._zero, cls._lift(1)))
 
     @property
     def degree(self) -> int:
@@ -102,48 +111,59 @@ class UniPoly:
         return not self.coeffs
 
     @property
-    def leading(self) -> Fraction:
+    def leading(self):
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else _ZERO
+    def coeff(self, k: int):
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else self._zero
 
-    def __add__(self, other: "UniPoly | Scalar") -> "UniPoly":
-        other = _as_unipoly(other)
-        if other is NotImplemented:
+    def _coerce(self, other) -> tuple:
+        """other's coefficient tuple in this ring, or NotImplemented.  The
+        type test comes first: a subclass instance is a UniPoly too."""
+        if type(other) is type(self):
+            return other.coeffs
+        if isinstance(other, self._scalars):
+            c = self._lift(other)
+            return (c,) if c else ()
+        return NotImplemented
+
+    def __add__(self, other) -> "UniPoly":
+        b = self._coerce(other)
+        if b is NotImplemented:
             return NotImplemented
-        return UniPoly._raw(tuple(_zadd(self.coeffs, other.coeffs)))
+        return self._raw(tuple(_zadd(self.coeffs, b)))
 
     __radd__ = __add__
 
-    def __sub__(self, other: "UniPoly | Scalar") -> "UniPoly":
-        other = _as_unipoly(other)
-        if other is NotImplemented:
+    def __sub__(self, other) -> "UniPoly":
+        b = self._coerce(other)
+        if b is NotImplemented:
             return NotImplemented
-        return UniPoly._raw(tuple(_zsub(self.coeffs, other.coeffs, _ZERO)))
+        return self._raw(tuple(_zsub(self.coeffs, b, self._zero)))
 
-    def __rsub__(self, other: Scalar) -> "UniPoly":
+    def __rsub__(self, other) -> "UniPoly":
         return (-self) + other
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly._raw(tuple(-c for c in self.coeffs))
+        return self._raw(tuple(-c for c in self.coeffs))
 
-    def __mul__(self, other: "UniPoly | Scalar") -> "UniPoly":
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return UniPoly.zero()
-            return UniPoly._raw(tuple(c * other for c in self.coeffs))
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return UniPoly._raw(tuple(_zmul(self.coeffs, other.coeffs, _ZERO)))
+    def __mul__(self, other) -> "UniPoly":
+        if type(other) is type(self):
+            return self._raw(tuple(_zmul(self.coeffs, other.coeffs, self._zero)))
+        if isinstance(other, self._scalars):
+            if not other:
+                return self.zero()
+            return self._raw(tuple(c * other for c in self.coeffs))
+        return NotImplemented
 
     __rmul__ = __mul__
 
-    def __call__(self, v: Scalar) -> Fraction:
-        """Exact evaluation by Horner's rule."""
-        return _horner(self.coeffs, Fraction(v), _ZERO)
+    def __call__(self, v):
+        """Exact evaluation by Horner's rule at any ring element v (a
+        rational, or a polynomial for composition)."""
+        return _horner(self.coeffs, v, self._zero)
 
     def monic(self) -> "UniPoly":
         if self.is_zero():
@@ -151,31 +171,25 @@ class UniPoly:
         lead = self.leading
         if lead == 1:
             return self
-        return UniPoly._raw(tuple(c / lead for c in self.coeffs))
+        return self._raw(tuple(c / lead for c in self.coeffs))
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = UniPoly.const(other)
-        if not isinstance(other, UniPoly):
+        b = self._coerce(other)
+        if b is NotImplemented:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.coeffs == b
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        # degree <= 0 hashes as its constant, as equality with scalars needs
+        if len(self.coeffs) > 1:
+            return hash(self.coeffs)
+        return hash(self.coeffs[0]) if self.coeffs else 0
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
     def __repr__(self) -> str:
-        return f"UniPoly({list(self.coeffs)!r})"
-
-
-def _as_unipoly(v: "UniPoly | Scalar") -> "UniPoly":
-    if isinstance(v, UniPoly):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return UniPoly.const(v)
-    return NotImplemented
+        return f"{type(self).__name__}({list(self.coeffs)!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -365,140 +379,35 @@ def squarefree_part(a: UniPoly) -> UniPoly:
     return UniPoly(_int_squarefree_part(_int_coeffs(a.coeffs))).monic()
 
 
-class BiPoly:
+class BiPoly(UniPoly):
     """Polynomial in y whose coefficients are UniPoly values in x.
 
-    `coeffs[j]` is the x-polynomial multiplying y**j; the sequence is
-    trimmed so the top entry is nonzero unless the whole polynomial is
-    zero.  Immutable.
+    `coeffs[j]` is the x-polynomial multiplying y**j.  Scalars and
+    UniPolys lift to constants in y; a BiPoly is never a coefficient.
     """
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[UniPoly | Scalar] = ()):
-        lst = [c if isinstance(c, UniPoly) else UniPoly.const(c) for c in coeffs]
-        self.coeffs: tuple[UniPoly, ...] = tuple(_int_trim(lst))
-
-    @classmethod
-    def _raw(cls, coeffs: tuple[UniPoly, ...]) -> "BiPoly":
-        p = object.__new__(cls)
-        p.coeffs = coeffs
-        return p
-
-    @classmethod
-    def zero(cls) -> "BiPoly":
-        return cls._raw(())
-
-    @classmethod
-    def const(cls, c: Scalar) -> "BiPoly":
-        return cls.from_x(UniPoly.const(c))
-
-    @classmethod
-    def from_x(cls, p: UniPoly) -> "BiPoly":
-        """Embed an x-polynomial as a y-degree-0 BiPoly."""
-        return cls.zero() if p.is_zero() else cls._raw((p,))
-
-    @classmethod
-    def y(cls) -> "BiPoly":
-        return cls._raw((UniPoly.zero(), UniPoly.const(1)))
-
-    @property
-    def y_degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def leading_y(self) -> UniPoly:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def y_coeff(self, j: int) -> UniPoly:
-        return self.coeffs[j] if 0 <= j < len(self.coeffs) else UniPoly.zero()
-
-    def __add__(self, other: "BiPoly | UniPoly | Scalar") -> "BiPoly":
-        other = _as_bipoly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return BiPoly._raw(tuple(_zadd(self.coeffs, other.coeffs)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "BiPoly | UniPoly | Scalar") -> "BiPoly":
-        other = _as_bipoly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return BiPoly._raw(tuple(_zsub(self.coeffs, other.coeffs, UniPoly.zero())))
-
-    def __rsub__(self, other: "UniPoly | Scalar") -> "BiPoly":
-        return (-self) + other
-
-    def __neg__(self) -> "BiPoly":
-        return BiPoly._raw(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other: "BiPoly | UniPoly | Scalar") -> "BiPoly":
-        if isinstance(other, (int, Fraction, UniPoly)):
-            other = (
-                UniPoly.const(other) if isinstance(other, (int, Fraction)) else other
-            )
-            if other.is_zero():
-                return BiPoly.zero()
-            return BiPoly._raw(tuple(c * other for c in self.coeffs))
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return BiPoly._raw(tuple(_zmul(self.coeffs, other.coeffs, UniPoly.zero())))
-
-    __rmul__ = __mul__
+    __slots__ = ()
+    _lift = staticmethod(lambda c: c if type(c) is UniPoly else UniPoly.const(c))
+    _zero = UniPoly.zero()
+    _scalars = (int, Fraction, UniPoly)
 
     def eval_x(self, x0: Scalar) -> UniPoly:
         """Substitute x := x0 in every coefficient, leaving a UniPoly in y."""
         x0 = Fraction(x0)
         return UniPoly([c(x0) for c in self.coeffs])
 
-    def subs_y(self, g: UniPoly) -> UniPoly:
-        """Substitute y := g(x), collapsing to a UniPoly in x (Horner)."""
-        return _horner(self.coeffs, g, UniPoly.zero())
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction, UniPoly)):
-            other = _as_bipoly(other)
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"BiPoly({[list(c.coeffs) for c in self.coeffs]!r})"
-
     def to_json_dict(self) -> dict:
         """JSON-compatible form: y-coefficients ascending, each a list of
         exact "num/den" strings ascending by x-degree."""
         return {
-            "y_degree": self.y_degree,
+            "y_degree": self.degree,
             "coeffs": [[format_rational(c) for c in p.coeffs] for p in self.coeffs],
         }
 
 
-def _as_bipoly(v: "BiPoly | UniPoly | Scalar") -> "BiPoly":
-    if isinstance(v, BiPoly):
-        return v
-    if isinstance(v, UniPoly):
-        return BiPoly.from_x(v)
-    if isinstance(v, (int, Fraction)):
-        return BiPoly.const(v)
-    return NotImplemented
-
-
 def compose(outer: UniPoly, inner: BiPoly) -> BiPoly:
     """Exact polynomial composition outer(inner) by Horner's rule."""
-    return _horner(outer.coeffs, inner, BiPoly.zero())
+    return outer(inner)
 
 
 # ---------------------------------------------------------------------------
@@ -594,6 +503,5 @@ def symmetrize_to_xy(f: Laurent) -> BiPoly:
         # c is the y-coefficient of s^k (+ s^-k for k > 0): contributes
         # c(y) * p_k(x), except k = 0 contributes c(y) * 1 (half of p_0).
         xpart = trace_poly(k) if k > 0 else UniPoly.const(1)
-        contrib = BiPoly._raw(tuple(UniPoly.const(cy) for cy in c))
-        result = result + contrib * xpart
+        result = result + BiPoly(c) * xpart
     return result

@@ -144,7 +144,10 @@ def isolate_roots(f: UniPoly, max_width: Fraction = DEFAULT_ISOLATION_WIDTH) -> 
     max_width.  Midpoints that land exactly on a root are enclosed by a
     symmetric interval, halved at most until it is narrower than Mahler's
     root-separation bound; past that the contract raises ArithmeticError.
+    Raises ValueError unless max_width > 0.
     """
+    if max_width <= 0:
+        raise ValueError(f"max_width must be > 0, got {max_width}")
     chain = _IntChain(f)
     total = chain.count_all()
     if total == 0:

@@ -175,7 +175,7 @@ def normalize_bipoly(phi: BiPoly) -> BiPoly:
     ints = iter(_int_primitive(_int_coeffs([v for c in phi.coeffs for v in c.coeffs])))
     # the same integers, regrouped by y-degree
     phi = BiPoly([UniPoly([next(ints) for _ in c.coeffs]) for c in phi.coeffs])
-    lead = phi.leading_y(Fraction(2))
+    lead = phi.leading(Fraction(2))
     if lead == 0:
         raise ValueError("leading y-coefficient vanishes at x = 2; sign normalization undefined")
     if lead < 0:
@@ -378,7 +378,7 @@ class ClosedFormParams:
     family: DoubleTwist
 
 
-_X2 = BiPoly.from_x(UniPoly([0, 0, 1]))
+_X2 = BiPoly.const(UniPoly([0, 0, 1]))
 
 
 def closed_form_params(d: DoubleTwist, x0: Scalar | None = None) -> ClosedFormParams:
@@ -397,7 +397,7 @@ def closed_form_params(d: DoubleTwist, x0: Scalar | None = None) -> ClosedFormPa
     """
     m = d.m
     if x0 is None:
-        y, x2 = BiPoly.y(), _X2
+        y, x2 = BiPoly.gen(), _X2
         # S_k(y) as BiPolys whose x-coefficients are constants
         s_m, s_m1, s_m2 = (BiPoly(cheb_poly(k).coeffs) for k in (m, m - 1, m - 2))
     else:

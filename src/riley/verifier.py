@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 import warnings
 from dataclasses import dataclass
@@ -172,20 +173,20 @@ def _scan_worker(pq: tuple[int, int]):
 def scan_conjecture(p_max: int, jobs: int = 1) -> ScanResult:
     """Run check_conjecture over the whole scan set up to p_max.
 
-    Work items are independent and fan out over `jobs` processes; results
-    keep enumerate_knots' canonical order (sorted by p, then q) regardless
-    of scheduling.  A worker process that dies raises BrokenExecutor.
+    Work items are independent and fan out over `jobs` processes, never
+    more than there are knots or CPUs; results keep enumerate_knots'
+    canonical order (sorted by p, then q) regardless of scheduling.  A
+    worker process that dies raises BrokenExecutor.
     """
     if p_max < 3:
         raise ValueError(f"p_max must be >= 3, got {p_max}")
     pairs = [(k.p, k.q) for k in enumerate_knots(p_max)]
-    if jobs > 1 and len(pairs) > 1:
+    # the pool starts all its workers at the first submit
+    jobs = min(jobs, len(pairs), os.cpu_count() or 1)
+    if jobs > 1:
         # imported here so that serial runs do not load the pool machinery
         from concurrent.futures import ProcessPoolExecutor
 
-        # the pool starts all its workers at the first submit, so never
-        # more than there are knots
-        jobs = min(jobs, len(pairs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunksize = max(1, len(pairs) // (jobs * 8))
             outcomes = list(pool.map(_scan_worker, pairs, chunksize=chunksize))
@@ -296,9 +297,9 @@ def cross_validate(d: DoubleTwist) -> bool:
     if closed == general:
         return True
     lines = [
-        f"  y^{j}: closed={list(closed.y_coeff(j).coeffs)} general={list(general.y_coeff(j).coeffs)}"
-        for j in range(max(closed.y_degree, general.y_degree) + 1)
-        if closed.y_coeff(j) != general.y_coeff(j)
+        f"  y^{j}: closed={list(closed.coeff(j).coeffs)} general={list(general.coeff(j).coeffs)}"
+        for j in range(max(closed.degree, general.degree) + 1)
+        if closed.coeff(j) != general.coeff(j)
     ]
     raise CrossValidationError(d, "\n".join(lines))
 

@@ -147,7 +147,7 @@ def test_criterion_7_identity_suite():
             assert abs(feval(diff, 2 * math.cos((2 * j - 1) * math.pi / (2 * k + 1)))) < 1e-9
 
     u = BiPoly([UniPoly([2, 0, -1]), UniPoly.const(1)])  # y + 2 - x^2
-    two_minus_x2 = BiPoly.from_x(UniPoly([2, 0, -1]))
+    two_minus_x2 = BiPoly.const(UniPoly([2, 0, -1]))
 
     def embed(p):
         return BiPoly([UniPoly.const(c) for c in p.coeffs])
@@ -173,10 +173,10 @@ def test_criterion_7_identity_suite():
         for n in range(1, 5):
             ee = closed_form_params(DoubleTwist("EE", m, n))
             raw_ee = compose(cheb_poly(n), ee.t) - ee.mu * compose(cheb_poly(n - 1), ee.t)
-            assert raw_ee.subs_y(UniPoly.const(2)) == UniPoly([1 - 4 * m * n, 0, m * n])
+            assert raw_ee(UniPoly.const(2)) == UniPoly([1 - 4 * m * n, 0, m * n])
             on = closed_form_params(DoubleTwist("ON", m, n))
             raw_on = compose(cheb_poly(n), on.t) - on.mu * compose(cheb_poly(n - 1), on.t)
-            assert raw_on.subs_y(UniPoly([-2, 0, 1])) == UniPoly.const(1)
+            assert raw_on(UniPoly([-2, 0, 1])) == UniPoly.const(1)
     _ok(7, "Chebyshev identities, even-family factorization, odd-family identity, boundary values")
 
 

@@ -60,7 +60,7 @@ def test_cheb_pair_matches_poly():
         # at the generator the pair is the expanded polynomials themselves
         assert cheb_pair(k, Z) == (cheb_poly(k - 1), cheb_poly(k))
         g = UniPoly([Fraction(1, 3), -2, 1])
-        at_g = lambda j: BiPoly(cheb_poly(j).coeffs).subs_y(g)
+        at_g = lambda j: BiPoly(cheb_poly(j).coeffs)(g)
         assert cheb_pair(k, g) == (at_g(k - 1), at_g(k))
 
 

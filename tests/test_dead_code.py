@@ -21,7 +21,6 @@ PERFBENCH = ROOT / "perfbench"
 
 # Kept without a caller in the package, each for one reason.
 EXEMPT = {
-    "exact.BiPoly.subs_y": "acceptance criterion 7 evaluates the raw closed form at y = g(x)",
     "exact.BiPoly.to_json_dict": "README documents it as the BiPoly JSON form",
 }
 

@@ -115,7 +115,7 @@ def test_kernel_results_keep_coefficient_types():
         1 - longer,
         gap + longer,
         gap * gap * gap,
-        bigap.subs_y(Y + 1),
+        bigap(Y + 1),
     ]
     bis = [
         bigap * BiPoly([1, x]),
@@ -131,6 +131,43 @@ def test_kernel_results_keep_coefficient_types():
     assert gap * (Y + 1) == UniPoly([1, 1, 0, 0, 0, 1, 1])
     assert bigap * BiPoly([1, x]) == BiPoly([x, x * x, 0, 1, x])
     assert type(gap(Fraction(1, 2))) is Fraction
+
+
+def test_hash_agrees_with_equality_on_constants():
+    # a polynomial of degree <= 0 equals its constant, so it hashes as it
+    three, zero = UniPoly.const(3), UniPoly.zero()
+    assert three == 3 and zero == 0
+    assert len({three, 3}) == 1 and len({zero, 0}) == 1
+    assert {3: "int"}[three] == "int" and {three: "poly"}[Fraction(3)] == "poly"
+    assert 0 in {zero} and zero in {0}
+    lifted = BiPoly.const(Fraction(1, 2))
+    assert lifted == Fraction(1, 2) == UniPoly.const(Fraction(1, 2))
+    assert len({lifted, Fraction(1, 2), UniPoly.const(Fraction(1, 2))}) == 1
+    assert BiPoly.const(UniPoly.gen()) in {UniPoly.gen()}
+    assert len({Y, Y + 1, UniPoly([1, 1]), BiPoly([Y, 1]), BiPoly([Y, 1])}) == 3
+
+
+def test_mixed_ring_dispatch():
+    # a BiPoly is a UniPoly too: a UniPoly operand is a scalar to it, and
+    # every mixed result is a BiPoly
+    x = UniPoly.gen()
+    x_plus_1 = UniPoly([1, 1])
+    b = BiPoly([x, 1])  # y + x
+    results = {
+        "uni * bi": (x_plus_1 * b, BiPoly([x * x_plus_1, x_plus_1])),
+        "bi * uni": (b * x_plus_1, BiPoly([x * x_plus_1, x_plus_1])),
+        "uni + bi": (x_plus_1 + b, BiPoly([x + x_plus_1, 1])),
+        "uni - bi": (x_plus_1 - b, BiPoly([1, -1])),
+    }
+    for name, (got, want) in results.items():
+        assert type(got) is BiPoly, name
+        assert got.coeffs == want.coeffs, name
+        _assert_coefficient_types(got)
+    assert x == BiPoly.const(x) and BiPoly.const(x) == x
+    assert x_plus_1 != BiPoly.gen() and BiPoly.gen() != x_plus_1
+    with pytest.raises(TypeError):
+        BiPoly([BiPoly.gen()])
+    assert UniPoly.gen()(BiPoly.gen()) == BiPoly.gen()
 
 
 def test_divrem_exact_factor():
@@ -250,15 +287,15 @@ def test_compose_constant():
 def test_bipoly_subs_y():
     # (y^2 + x) at y := x - 1  ->  (x-1)^2 + x = x^2 - x + 1
     p = BiPoly([UniPoly.gen(), UniPoly.zero(), UniPoly.const(1)])
-    assert p.subs_y(UniPoly([-1, 1])) == UniPoly([1, -1, 1])
+    assert p(UniPoly([-1, 1])) == UniPoly([1, -1, 1])
 
 
 def test_symmetrize_examples():
     x = UniPoly.gen()
-    assert symmetrize_to_xy({1: [1], -1: [1]}) == BiPoly.from_x(x)
+    assert symmetrize_to_xy({1: [1], -1: [1]}) == BiPoly.const(x)
     c = 5
-    assert symmetrize_to_xy({2: [1], 0: [c], -2: [1]}) == BiPoly.from_x(UniPoly([c - 2, 0, 1]))
-    assert symmetrize_to_xy({0: [0, 1]}) == BiPoly.y()
+    assert symmetrize_to_xy({2: [1], 0: [c], -2: [1]}) == BiPoly.const(UniPoly([c - 2, 0, 1]))
+    assert symmetrize_to_xy({0: [0, 1]}) == BiPoly.gen()
 
 
 def test_symmetrize_asymmetric_raises_with_exponent():

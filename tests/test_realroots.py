@@ -232,6 +232,13 @@ def test_isolate_root_at_midpoint_is_bounded(monkeypatch):
         isolate_roots(Y)
 
 
+@pytest.mark.parametrize("width", [Fraction(0), Fraction(-1, 64)])
+def test_isolate_rejects_non_positive_width(width):
+    # no interval around sqrt(2) is ever that narrow; bisection must not start
+    with pytest.raises(ValueError, match="max_width"):
+        isolate_roots(Y * Y - 2, width)
+
+
 def test_isolate_interval_counts_sum():
     rng = random.Random(23)
     for _ in range(20):

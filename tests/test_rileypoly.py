@@ -397,7 +397,7 @@ def test_closed_form_params_m1():
     assert en.mu == 1 - u
 
     on = closed_form_params(DoubleTwist("ON", 1, 2))
-    assert on.t == BiPoly.from_x(x2) - BiPoly.y() - y_min_2 * u * BiPoly.y()
+    assert on.t == BiPoly.const(x2) - BiPoly.gen() - y_min_2 * u * BiPoly.gen()
     oe = closed_form_params(DoubleTwist("OE", 1, 2))
     assert oe.t == on.t
     assert isinstance(on, ClosedFormParams)
@@ -463,7 +463,7 @@ def test_riley_closed_form_values_at_two():
 def test_proof_identity_even_factorization():
     # mu^2 + 1 - mu*t = (y + 2 - x^2) * S_{m-1}(y)^2 * (t + 2 - x^2)
     u = BiPoly([UniPoly([2, 0, -1]), UniPoly.const(1)])
-    two_minus_x2 = BiPoly.from_x(UniPoly([2, 0, -1]))
+    two_minus_x2 = BiPoly.const(UniPoly([2, 0, -1]))
     for m in range(1, 5):
         for n in range(1, 5):
             params = closed_form_params(DoubleTwist("EE", m, n))
@@ -511,7 +511,7 @@ def test_boundary_value_even_family_at_y_two():
         for n in range(1, 5):
             phi = _raw_closed_form(DoubleTwist("EE", m, n))
             expected = UniPoly([1 - 4 * m * n, 0, m * n])
-            assert phi.subs_y(UniPoly.const(2)) == expected, (m, n)
+            assert phi(UniPoly.const(2)) == expected, (m, n)
 
 
 def test_anchor_value_odd_negative_family():
@@ -519,7 +519,7 @@ def test_anchor_value_odd_negative_family():
     for m in range(1, 5):
         for n in range(1, 5):
             phi = _raw_closed_form(DoubleTwist("ON", m, n))
-            assert phi.subs_y(UniPoly([-2, 0, 1])) == UniPoly.const(1), (m, n)
+            assert phi(UniPoly([-2, 0, 1])) == UniPoly.const(1), (m, n)
 
 
 def test_parabolic_never_vanishes_at_two():
@@ -533,7 +533,7 @@ def test_normalize_bipoly():
     raw = BiPoly([UniPoly([Fraction(1, 2), 0, Fraction(-1, 2)]), UniPoly.const(Fraction(-1, 2))])
     norm = normalize_bipoly(raw)
     assert norm == BiPoly([UniPoly([-1, 0, 1]), UniPoly.const(1)])
-    assert norm.leading_y(Fraction(2)) > 0
+    assert norm.leading(Fraction(2)) > 0
     with pytest.raises(ValueError):
         normalize_bipoly(BiPoly.zero())
 

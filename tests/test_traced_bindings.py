@@ -1,19 +1,36 @@
-"""The traced benchmark wraps library functions at the names their
-importers bind (perfbench/traced.py, WRAPPED).  A rename in the library
-would otherwise only show when the benchmark runs with --trace 1."""
+"""The benchmark calls library functions by the names their importers
+bind: the traced run wraps them (perfbench/traced.py, WRAPPED) and the
+untimed oracle rebuilds polynomials with them (perfbench/run.py,
+oracle_mismatches).  A rename in the library would otherwise only show
+when the benchmark runs."""
 
 import importlib.util
 import sys
 from pathlib import Path
 
-TRACED = Path(__file__).resolve().parent.parent / "perfbench" / "traced.py"
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(monkeypatch, name: str, path: Path):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the scripts prepend src/
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_wrapped_name_is_bound(monkeypatch):
-    monkeypatch.setattr(sys, "path", list(sys.path))  # traced.py prepends src/
-    spec = importlib.util.spec_from_file_location("perfbench_traced", TRACED)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = _load(monkeypatch, "perfbench_traced", PERFBENCH / "traced.py")
     assert module.WRAPPED
     for importer, attr, span in module.WRAPPED:
         assert callable(getattr(importer, attr)), (importer.__name__, attr, span)
+
+
+def test_oracle_rebuilds_knot_and_theorem_polynomials(monkeypatch):
+    pytest.importorskip("sympy")
+    module = _load(monkeypatch, "perfbench_run", PERFBENCH / "run.py")
+    counts = [(("knot", 7, 3), 1), (("theorem", "EE", 1, 1, "2"), 1)]
+    assert module.oracle_mismatches(counts, 1) == []

@@ -2,10 +2,12 @@ import hashlib
 import io
 import json
 import math
+import os
 from fractions import Fraction
 
 import pytest
 
+from riley import verifier
 from riley.realroots import count_real_roots
 from riley.rileypoly import riley_parabolic
 from riley.twobridge import DoubleTwist, KnotId
@@ -71,9 +73,9 @@ def test_scan_parallel_matches_serial():
     assert strip(serial.records) == strip(parallel.records)
 
 
-def test_scan_pool_has_no_more_workers_than_knots(monkeypatch):
-    # a fake executor records the pool size and runs the map in process,
-    # so no worker process is started at any count
+def _record_pool_sizes(monkeypatch) -> list:
+    """Replace the process pool by a fake that records its size and runs
+    the map in process, so no worker process is started at any count."""
     import concurrent.futures
 
     sizes = []
@@ -92,11 +94,34 @@ def test_scan_pool_has_no_more_workers_than_knots(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    return sizes
+
+
+def test_scan_pool_has_no_more_workers_than_knots(monkeypatch):
+    sizes = _record_pool_sizes(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     result = scan_conjecture(5, jobs=64)
     assert sizes == [3]
     assert [str(r.knot) for r in result.records] == ["b(3,1)", "b(5,1)", "b(5,2)"]
     scan_conjecture(7, jobs=2)
     assert sizes == [3, 2]
+
+
+def test_scan_pool_has_no_more_workers_than_cpus(monkeypatch):
+    sizes = _record_pool_sizes(monkeypatch)
+    # every knot passes through untouched, so the 3,154 knots cost nothing
+    monkeypatch.setattr(verifier, "_scan_worker", lambda pq: ("ok", pq))
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    result = scan_conjecture(199, jobs=5000)
+    assert sizes == [4]
+    assert len(result.records) == 3154
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    scan_conjecture(199, jobs=2)
+    assert sizes == [4, 2]
+    # an unknown CPU count runs serially, with no pool at all
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    scan_conjecture(199, jobs=5000)
+    assert sizes == [4, 2]
 
 
 def test_scan_rejects_tiny_pmax():
