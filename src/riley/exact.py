@@ -10,8 +10,8 @@ subclass that states only that ring.  Both are containers for results,
 rational x0 and isolating intervals; calling one is Horner evaluation at
 a rational or composition with a polynomial.  Everything heavier runs on
 plain int coefficient lists (ascending, trimmed, [] for zero): the same
-ring operations, Sturm sequences (primitive pseudo-remainder
-sequences), squarefree parts and exact division.  A Sturm sequence of f
+ring operations, Sturm sequences (subresultant sequences with tracked
+contents), squarefree parts and exact division.  A Sturm sequence of f
 ends in +-gcd(f, f'), so one remainder sequence serves both root
 counting and squarefree parts.
 
@@ -202,11 +202,11 @@ class UniPoly:
 # so no int 0 lands in a UniPoly or a BiPoly.
 #
 # Word products, Sturm sequences, squarefree parts and divisibility
-# checks run over plain int lists (ascending, trimmed): primitive
-# pseudo-remainder sequences keep the numbers small and Python-int
-# arithmetic is much faster than Fraction.  Scaling by nonzero constants
-# is harmless everywhere these are used: it changes no zero set, and
-# positive scaling changes no sign.
+# checks run over plain int lists (ascending, trimmed): subresultant
+# sequences keep the numbers small without a content gcd per step, and
+# Python-int arithmetic is much faster than Fraction.  Scaling by
+# nonzero constants is harmless everywhere these are used: it changes no
+# zero set, and positive scaling changes no sign.
 # ---------------------------------------------------------------------------
 
 
@@ -280,7 +280,9 @@ def _int_exact_div(a: Sequence[int], d: Sequence[int]) -> list[int] | None:
 def _int_coeffs(values: Sequence[Fraction]) -> list[int]:
     """The values scaled by the lcm of their denominators, as ints."""
     den = math.lcm(*(c.denominator for c in values))
-    return [int(c * den) for c in values]
+    if den == 1:
+        return [c.numerator for c in values]
+    return [c.numerator * (den // c.denominator) for c in values]
 
 
 def _int_content(coeffs: Sequence[int]) -> int:
@@ -336,17 +338,78 @@ def _int_prem_pos(a: list[int], b: list[int]) -> list[int]:
     return rem
 
 
+def _int_sturm_rem(a: list[int], b: list[int]) -> list[int]:
+    """-prem(a, b) scaled by |lc b|^(delta+1), delta = deg a - deg b >= 1:
+    a positive multiple of minus the remainder of a by b.  The usual
+    delta = 1 step is one pass over b, (q1*y + q0)*b - lb^2*a."""
+    if len(b) < 2:
+        return []
+    if len(a) - len(b) != 1:
+        return [-c for c in _int_prem_pos(a, b)]
+    lb = b[-1]
+    l2 = lb * lb
+    q1 = lb * a[-1]
+    q0 = lb * a[-2] - a[-1] * b[-2]
+    out = [q0 * b[0] - l2 * a[0]]
+    out += [q0 * bk + q1 * bj - l2 * ak for ak, bk, bj in zip(a[1:], b[1:-1], b)]
+    return _int_trim(out)
+
+
 def _int_sturm(f: list[int]) -> list[list[int]]:
-    """Sturm sequence of a non-constant integer coefficient list f, every
-    element after f primitive; its last element is +-gcd(f, f').  Degrees
-    fall strictly along the sequence, so it ends within len(f) remainders."""
-    chain = [f, _int_primitive(_int_derivative(f))]
+    """Sturm sequence of a non-constant integer coefficient list f, up to
+    a positive integer factor per element; its last element is the
+    primitive +-gcd(f, f').
+
+    The elements are those of Collins' subresultant sequence S of
+    (f, pp(f')), kept as T_i = S_i / kappa_i for positive integers
+    kappa_i.  A step takes P = -prem(T_(i-1), T_i) (scaled by
+    |lc T_i|^(delta+1), delta the degree drop), so S_(i+1) = P*n/d with
+    n/d = kappa_(i-1)*kappa_i^(delta+1) / (g*h^delta) in lowest terms,
+    where Collins' g and h come from |lc S_i| = kappa_i*|lc T_i|.
+    P / d is checked exact.  Only when its leading coefficient shares a
+    factor with lc f (as at a rational x0, where lc f carries a power of
+    x0's denominator) is its content c taken out, with kappa = n*c;
+    otherwise kappa = n.  Every element is a positive multiple of the
+    primitive remainder, so every sign is that of the Sturm sequence.
+    Degrees fall strictly, so it ends within len(f) remainders; a
+    remainder whose degree does not fall raises ArithmeticError."""
+    a, b = f, _int_primitive(_int_derivative(f))
+    chain = [a, b]
+    ka = kb = g = h = 1
     for _ in range(len(f)):
-        rem = _int_prem_pos(chain[-2], chain[-1])
-        if not rem:
+        p = _int_sturm_rem(a, b)
+        if not p:
+            chain[-1] = _int_primitive(b)
             return chain
-        chain.append([-c for c in _int_primitive(rem)])
+        if len(p) >= len(b):
+            break
+        delta = len(a) - len(b)
+        n, d = ka * kb ** (delta + 1), g * h**delta
+        c = math.gcd(n, d)
+        n, d = n // c, d // c
+        p = _int_div_scalar(p, d)
+        # Collins' scalars for the next step: g = |lc S_i| and
+        # h = g^delta / h^(delta-1)
+        g = kb * abs(b[-1])
+        h = g if delta == 1 else _int_div_scalar([g**delta], h ** (delta - 1))[0]
+        if math.gcd(p[-1], f[-1]) != 1:
+            c = _int_content(p)
+            p = [v // c for v in p]
+            n *= c
+        a, b, ka, kb = b, p, kb, n
+        chain.append(p)
     raise ArithmeticError("Sturm sequence did not end: remainder degrees did not fall")
+
+
+def _int_div_scalar(p: list[int], d: int) -> list[int]:
+    """p / d coefficientwise, checked exact."""
+    out = []
+    for v in p:
+        q, r = divmod(v, d)
+        if r:
+            raise ArithmeticError("Sturm sequence: a subresultant division is not exact")
+        out.append(q)
+    return out
 
 
 def _int_derivative(a: Sequence) -> list:

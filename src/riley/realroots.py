@@ -2,11 +2,16 @@
 
 Counts are always of *distinct* real roots: the chain is built from the
 squarefree part of the input, so multiplicities never inflate a count.
-Internally the chain lives on integer coefficient lists produced by
-positive rescaling (primitive pseudo-remainder sequences); a positive
-rescale preserves every sign in the sequence, hence every variation
-count, while keeping coefficients far smaller than naive rational
-remainders would.
+Internally the chain lives on integer coefficient lists, each a positive
+multiple of the Sturm remainder; a positive rescale preserves every sign
+in the sequence, hence every variation count.  The lists are the elements
+S_i of Collins' subresultant sequence, held as S_i / kappa_i with a
+tracked positive integer kappa_i, so every step is an exact division by
+a scalar that Collins' theory fixes, not a content gcd.  A content is
+taken out only when a remainder's leading coefficient shares a factor
+with that of the input (at a rational x0, where the leading coefficient
+carries a power of x0's denominator), and it goes into kappa_i.  The
+last element is made primitive, so it is the primitive +-gcd(f, f').
 
 One remainder sequence per input suffices.  The Sturm sequence of f is,
 up to sign, the Euclidean sequence of f and f', so it ends in
@@ -170,24 +175,27 @@ def isolate_roots(f: UniPoly, max_width: Fraction = DEFAULT_ISOLATION_WIDTH) -> 
             f"no isolating interval around the root {mid} within the root separation bound"
         )
 
-    def split(lo: Fraction, hi: Fraction, cnt: int) -> None:
+    # an explicit worklist, not recursion: the bisection depth grows with
+    # the bit size of the Cauchy bound, past Python's recursion limit at
+    # x0 = 10^100
+    work = [(-bound, bound, total)]
+    while work:
+        lo, hi, cnt = work.pop()
         if cnt == 0:
-            return
+            continue
         if cnt == 1 and hi - lo <= max_width:
             intervals.append((lo, hi))
-            return
+            continue
         mid = (lo + hi) / 2
         if chain.sign_at(mid) == 0:
             inner = enclose_root_at(mid, min(max_width, hi - mid) / 2)
             intervals.append(inner)
-            split(lo, inner[0], chain.count_open(lo, inner[0]))
-            split(inner[1], hi, chain.count_open(inner[1], hi))
-            return
+            work.append((lo, inner[0], chain.count_open(lo, inner[0])))
+            work.append((inner[1], hi, chain.count_open(inner[1], hi)))
+            continue
         left = chain.count_open(lo, mid)
-        split(lo, mid, left)
-        split(mid, hi, cnt - left)
-
-    split(-bound, bound, total)
+        work.append((lo, mid, left))
+        work.append((mid, hi, cnt - left))
     intervals.sort()
     if len(intervals) != total:
         raise ArithmeticError(

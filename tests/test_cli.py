@@ -166,6 +166,27 @@ def test_roots_command(capsys):
     assert len(interval_lines) == 1
 
 
+def test_roots_isolate_at_huge_x(capsys):
+    # the Cauchy bound at x = 10^100 needs hundreds of bisection levels,
+    # more than a recursive bisection could nest
+    from riley.cli import _specialized_poly
+    from riley.realroots import _IntChain
+    from riley.twobridge import KnotId
+
+    x0 = 10**100
+    code, out, err = run_cli(capsys, "roots", "7", "3", "--x", str(x0), "--isolate")
+    assert (code, err) == (0, "")
+    assert "real roots: 3" in out
+    intervals = [
+        tuple(Fraction(v) for v in line.strip()[1:-1].split(", "))
+        for line in out.splitlines()
+        if line.startswith("  (")
+    ]
+    assert len(intervals) == 3
+    chain = _IntChain(_specialized_poly(KnotId(7, 3), Fraction(x0)))
+    assert all(chain.count_open(lo, hi) == 1 for lo, hi in intervals)
+
+
 def test_roots_contract_failure_exits_internal(capsys, monkeypatch):
     # a Sturm sequence missing its last element breaks the chain contract;
     # the ArithmeticError must end in exit 3, not a traceback

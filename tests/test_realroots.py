@@ -5,8 +5,18 @@ import pytest
 
 import riley.exact
 import riley.realroots
-from riley.exact import UniPoly, squarefree_part
+from riley.exact import (
+    UniPoly,
+    _int_coeffs,
+    _int_derivative,
+    _int_primitive,
+    _int_sturm,
+    squarefree_part,
+)
 from riley.realroots import _IntChain, cauchy_bound, count_real_roots, isolate_roots
+from riley.rileypoly import riley_closed_form_at, riley_parabolic
+from riley.twobridge import FAMILIES, DoubleTwist
+from riley.verifier import enumerate_knots
 
 Y = UniPoly.gen()
 
@@ -128,9 +138,103 @@ def test_chain_contract_raises_when_squarefree_part_is_wrong(monkeypatch):
 def test_sturm_sequence_is_bounded(monkeypatch):
     # a remainder that never shrinks in degree must end in an error, not
     # in a loop without end
-    monkeypatch.setattr(riley.exact, "_int_prem_pos", lambda a, b: list(b))
+    monkeypatch.setattr(riley.exact, "_int_sturm_rem", lambda a, b: list(b))
     with pytest.raises(ArithmeticError, match="did not end"):
         count_real_roots(CUBIC)
+
+
+def test_sturm_division_is_checked_exact(monkeypatch):
+    # CUBIC is monic and f' = 3y^2 - 6y + 2, so the second remainder is
+    # divided by g*h = 9; a perturbed remainder must not pass that division
+    real_rem = riley.exact._int_sturm_rem
+    calls = []
+
+    def perturbed(a, b):
+        p = real_rem(a, b)
+        calls.append(p)
+        return [p[0] + 1] + p[1:] if len(calls) == 2 else p
+
+    monkeypatch.setattr(riley.exact, "_int_sturm_rem", perturbed)
+    with pytest.raises(ArithmeticError, match="not exact"):
+        count_real_roots(CUBIC)
+
+
+def _primitive_sturm(f: list[int]) -> list[list[int]]:
+    """Oracle: the Sturm sequence as a primitive pseudo-remainder sequence,
+    each remainder taken with positive scalings, made primitive and negated."""
+    chain = [f, _int_primitive(_int_derivative(f))]
+    for _ in range(len(f)):
+        a, b = chain[-2], chain[-1]
+        lb, sb = abs(b[-1]), (1 if b[-1] > 0 else -1)
+        rem = list(a)
+        for i in range(len(a) - 1, len(b) - 2, -1):
+            top = rem[i] * sb
+            rem = [lb * c for c in rem]
+            for j, c in enumerate(b):
+                rem[i - len(b) + 1 + j] -= top * c
+        rem = rem[: len(b) - 1]
+        while rem and not rem[-1]:
+            rem.pop()
+        if not rem:
+            return chain
+        chain.append([-c for c in _int_primitive(rem)])
+    raise AssertionError("oracle sequence did not end")
+
+
+def _assert_positive_multiples(f: list[int]) -> int:
+    """_int_sturm(f) against the oracle: same degrees, every element a
+    positive integer multiple of the oracle's, the same last element.
+    Returns the number of defective steps (degree drop >= 2)."""
+    chain, oracle = _int_sturm(f), _primitive_sturm(f)
+    assert [len(p) for p in chain] == [len(p) for p in oracle], f
+    for t, o in zip(chain, oracle):
+        k, r = divmod(t[-1], o[-1])
+        assert r == 0 and k > 0 and t == [k * c for c in o], f
+    assert chain[-1] == oracle[-1], f
+    return sum(len(a) - len(b) > 1 for a, b in zip(chain[1:], chain[2:]))
+
+
+def _int_input(phi: UniPoly) -> list[int]:
+    return _int_primitive(_int_coeffs(phi.coeffs))
+
+
+def test_sturm_matches_primitive_oracle_on_knots():
+    knots = enumerate_knots(61)
+    assert len(knots) > 200
+    for k in knots:
+        _assert_positive_multiples(_int_input(riley_parabolic(k)))
+
+
+def test_sturm_matches_primitive_oracle_at_rational_x0():
+    for family in FAMILIES:
+        for m in range(1, 4):
+            for n in range(1, 4):
+                d = DoubleTwist(family, m, n)
+                for x0 in (Fraction(2), Fraction(5, 2), Fraction(7, 3), 2 - Fraction(1, 16 * m * n)):
+                    _assert_positive_multiples(_int_input(riley_closed_form_at(d, x0)))
+
+
+def test_sturm_matches_primitive_oracle_on_seeded_polynomials():
+    # non-monic, sparse (defective steps) and with repeated factors
+    rng = random.Random(83)
+    defective = 0
+    for trial in range(300):
+        if trial % 3 == 0:
+            deg = rng.randint(2, 14)
+            coeffs = [rng.randint(-40, 40) if rng.random() < 0.3 else 0 for _ in range(deg)]
+            f = UniPoly(coeffs + [rng.choice([-6, -2, 1, 3, 10])])
+        elif trial % 3 == 1:
+            f = UniPoly.const(rng.choice([-5, 2, 7]))
+            for _ in range(rng.randint(1, 4)):
+                factor = UniPoly([rng.randint(-5, 5) for _ in range(rng.randint(2, 4))])
+                if factor.degree >= 1:
+                    f = f * _pow(factor, rng.randint(1, 3))
+        else:
+            f = UniPoly([rng.randint(-10**6, 10**6) for _ in range(rng.randint(2, 12))])
+        if f.degree < 1:
+            continue
+        defective += _assert_positive_multiples(_int_input(f))
+    assert defective > 20
 
 
 def test_count_matches_sympy_with_repeated_factors():
