@@ -2,16 +2,15 @@
 
 S_0(z) = 1, S_1(z) = z and S_k(z) = z*S_{k-1}(z) - S_{k-2}(z) for every
 integer k; running the recurrence backward gives S_{-1} = 0, S_{-2} = -1
-and in general S_{-k-2} = -S_k.  The expanded forms are memoized per
-process; the closed form runs the recurrence itself at its t, a
-polynomial, in cheb_pair.
+and in general S_{-k-2} = -S_k.  The expanded forms, with int
+coefficients, are memoized per process; the closed form runs the
+recurrence itself at its t, a polynomial, in cheb_pair, in homogeneous
+form at a rational x0 so that its coefficients stay integers.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .exact import BiPoly, UniPoly
+from .exact import BiPoly, Scalar, UniPoly
 
 # The memo table grows monotonically; entries are immutable, and
 # list.append is atomic under the GIL, so concurrent readers are safe.
@@ -30,13 +29,18 @@ def cheb_poly(k: int) -> UniPoly:
     return _CHEB[k]
 
 
-def cheb_pair(k: int, z: Fraction | UniPoly | BiPoly) -> tuple:
-    """(S_{k-1}(z), S_k(z)) for k >= 0 and any ring element z (Fraction,
-    UniPoly, BiPoly), by k steps of the recurrence.  For k <= 1 the
-    entries are the ints 0 or 1, not ring elements."""
-    prev, cur = 0, 1  # S_{-1}, S_0
+def cheb_pair(k: int, z: Scalar | UniPoly | BiPoly, den: int = 1) -> tuple:
+    """(H_{k-1}, H_k) with H_j = den^j * S_j(z / den), for k >= 0, any
+    ring element z (rational, UniPoly, BiPoly) and an integer den != 0,
+    by k steps of the homogeneous recurrence
+    H_{j+1} = z*H_j - den^2*H_{j-1}.  With den = 1 this is
+    (S_{k-1}(z), S_k(z)); with den > 1 a z of integer coefficients keeps
+    them integral.  For k <= 1 the entries are the ints 0 or 1, not ring
+    elements."""
+    d2 = den * den
+    prev, cur = 0, 1  # H_{-1}, H_0
     for _ in range(k):
-        prev, cur = cur, z * cur - prev
+        prev, cur = cur, z * cur - d2 * prev
     return prev, cur
 
 

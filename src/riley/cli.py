@@ -14,14 +14,16 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 usage error,
 3 internal validation error (a computed object failed its own
 consistency contract, or a scan's worker process died).
 
-Rationals on the command line are "a/b" or integer literals.  Plain text
-goes to stdout; reports go to files via --out.
+Rationals on the command line are "a/b" or integer literals; a negative
+one may follow its option as "--x -3/2" or "--x=-3/2".  Plain text goes
+to stdout; reports go to files via --out.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from concurrent.futures import BrokenExecutor
 from fractions import Fraction
@@ -137,6 +139,21 @@ def _rational_list(text: str) -> list[Fraction]:
     if not values:
         raise argparse.ArgumentTypeError(f"no rationals in the list: {text!r}")
     return values
+
+
+_NEGATIVE_VALUE = re.compile(r"-\d")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """argparse reads a value such as -3/2 (or -5/2,3) as an option
+    string, so rewrite "--x -3/2" as "--x=-3/2", and likewise for --x0."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--x", "--x0") and _NEGATIVE_VALUE.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _positive_int(text: str) -> int:
@@ -267,13 +284,15 @@ def _cmd_poly(k: KnotId, x0: Fraction, bivariate: bool) -> int:
 def _cmd_family(family: str, m: int, n: int, x0: Fraction | None) -> int:
     d = DoubleTwist(family, m, n)
     params = closed_form_params(d, x0)
+    # the params hold D*t and D*mu; print t and mu themselves
+    scale = Fraction(1, params.denominator)
     if x0 is None:
         fmt, phi = format_bipoly, riley_closed_form(d).phi_xy
     else:
         fmt, phi = format_unipoly, riley_closed_form_at(d, x0)
     print(f"{d} = {family_to_pq(d)}")
-    print(f"t  = {fmt(params.t)}")
-    print(f"mu = {fmt(params.mu)}")
+    print(f"t  = {fmt(params.t * scale)}")
+    print(f"mu = {fmt(params.mu * scale)}")
     print(f"Phi = {fmt(phi)}")
     return EXIT_OK
 
@@ -362,7 +381,7 @@ def _cmd_crosscheck(mmax: int, nmax: int) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "knot":
             return _cmd_knot(_knot_or_usage(parser, args.p, args.q))

@@ -4,16 +4,19 @@ ring kernel, run on integer coefficients everywhere but at the edges.
 The dense kernel (_zadd, _zsub, _zmul, _int_trim, _horner) works on
 ascending coefficient sequences over any ring, given the ring's zero
 where it creates entries.  UniPoly (dense, ascending coefficients,
-immutable) runs it over one coefficient ring, `fractions.Fraction`;
-BiPoly, a polynomial in y over UniPoly coefficients in x, is a UniPoly
-subclass that states only that ring.  Both are containers for results,
-rational x0 and isolating intervals; calling one is Horner evaluation at
-a rational or composition with a polynomial.  Everything heavier runs on
-plain int coefficient lists (ascending, trimmed, [] for zero): the same
-ring operations, Sturm sequences (subresultant sequences with tracked
-contents), squarefree parts and exact division.  A Sturm sequence of f
-ends in +-gcd(f, f'), so one remainder sequence serves both root
-counting and squarefree parts.
+immutable) runs it over the rationals, stored canonically: a coefficient
+that is an integer is a Python int, and only one that is not is a
+`fractions.Fraction` (_rational; a float is refused).  Int-by-int ring
+operations stay ints, so a polynomial with integer coefficients is
+computed on Python ints throughout; a Fraction result that happens to be
+integral compares and hashes equal to its int.  BiPoly, a polynomial in
+y over UniPoly coefficients in x, is a UniPoly subclass that states only
+that ring.  Calling either is Horner evaluation at a rational or
+composition with a polynomial.  Sturm sequences (subresultant sequences
+with tracked contents), squarefree parts and exact division run on plain
+int coefficient lists (ascending, trimmed, [] for zero).  A Sturm
+sequence of f ends in +-gcd(f, f'), so one remainder sequence serves
+both root counting and squarefree parts.
 
 Divisibility over Q is decided by exact division in Z[y]: when the
 divisor d is primitive, Gauss's lemma says d divides e in Q[y] exactly
@@ -37,12 +40,21 @@ from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+def _rational(c) -> Scalar:
+    """c as an exact rational in canonical form: an int when it is an
+    integer, else a Fraction.  Raises TypeError on a float, which is a
+    binary approximation with no place in exact arithmetic."""
+    if type(c) is int:
+        return c
+    if isinstance(c, float):
+        raise TypeError(f"float coefficient {c!r}; pass an int or a Fraction")
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
-def format_rational(v: Fraction) -> str:
-    """Render a Fraction as "num/den" (always with a denominator)."""
+def format_rational(v: Scalar) -> str:
+    """Render a rational as "num/den" (always with a denominator)."""
     return f"{v.numerator}/{v.denominator}"
 
 
@@ -63,7 +75,7 @@ class SymmetryError(ValueError):
 
 class UniPoly:
     """Dense polynomial in one variable over a coefficient ring, trimmed
-    canonical form; UniPoly's ring is Fraction.
+    canonical form; UniPoly's ring is Q, held as int or Fraction values.
 
     Coefficients are stored ascending by degree; the leading coefficient
     is nonzero unless the polynomial is zero (empty tuple).  Instances
@@ -74,8 +86,8 @@ class UniPoly:
     """
 
     __slots__ = ("coeffs",)
-    _lift = Fraction
-    _zero = _ZERO
+    _lift = staticmethod(_rational)
+    _zero = 0
     _scalars = (int, Fraction)
 
     def __init__(self, coeffs: Iterable = ()):
@@ -171,7 +183,7 @@ class UniPoly:
         lead = self.leading
         if lead == 1:
             return self
-        return self._raw(tuple(c / lead for c in self.coeffs))
+        return type(self)([Fraction(c) / lead for c in self.coeffs])
 
     def __eq__(self, other: object) -> bool:
         b = self._coerce(other)
@@ -196,10 +208,10 @@ class UniPoly:
 # The dense ring kernel and the integer coefficient kernel.
 #
 # _zadd, _zsub, _zmul, _int_trim and _horner need only +, -, * and
-# truthiness of the coefficients: they serve int lists here, Fraction
-# tuples in UniPoly and UniPoly tuples in BiPoly.  _zsub and
-# _zmul take the ring's zero (default int 0) for the entries they create,
-# so no int 0 lands in a UniPoly or a BiPoly.
+# truthiness of the coefficients: they serve int lists here, rational
+# tuples in UniPoly and UniPoly tuples in BiPoly.  _zsub and _zmul take
+# the ring's zero (default int 0) for the entries they create, so no int
+# 0 lands in a BiPoly.
 #
 # Word products, Sturm sequences, squarefree parts and divisibility
 # checks run over plain int lists (ascending, trimmed): subresultant
@@ -277,7 +289,7 @@ def _int_exact_div(a: Sequence[int], d: Sequence[int]) -> list[int] | None:
     return quot
 
 
-def _int_coeffs(values: Sequence[Fraction]) -> list[int]:
+def _int_coeffs(values: Sequence[Scalar]) -> list[int]:
     """The values scaled by the lcm of their denominators, as ints."""
     den = math.lcm(*(c.denominator for c in values))
     if den == 1:

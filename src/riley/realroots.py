@@ -126,8 +126,7 @@ def cauchy_bound(f: UniPoly) -> Fraction:
     """1 + max |a_i / a_d|: every real root lies strictly inside (-B, B)."""
     if f.is_zero() or f.degree < 1:
         raise ValueError("Cauchy bound requires a non-constant polynomial")
-    lead = abs(f.leading)
-    return 1 + max(abs(c) / lead for c in f.coeffs[:-1])
+    return 1 + Fraction(max(abs(c) for c in f.coeffs[:-1])) / abs(f.leading)
 
 
 def _halvings_below_separation(f: list[int], radius: Fraction) -> int:
@@ -153,6 +152,7 @@ def isolate_roots(f: UniPoly, max_width: Fraction = DEFAULT_ISOLATION_WIDTH) -> 
     """
     if max_width <= 0:
         raise ValueError(f"max_width must be > 0, got {max_width}")
+    max_width = Fraction(max_width)
     chain = _IntChain(f)
     total = chain.count_all()
     if total == 0:

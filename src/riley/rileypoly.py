@@ -52,11 +52,14 @@ S_n(t) - mu * S_{n-1}(t) with family-specific t and mu built from
 Chebyshev polynomials in y.  The two routes share nothing but basic
 polynomial arithmetic and the normalization step, so their exact
 agreement (see verifier.cross_validate) is a meaningful check of both.
-One set of family formulas builds t and mu either in Q[x][y] or, at a
-given x0, directly in Q[y]; the theorem sweeps and `family --x` use the
-latter.  Evaluation at x0 is a ring homomorphism Q[x][y] -> Q[y], so
+One set of family formulas builds t and mu either in Z[x][y] or, at a
+given x0 = a/b, directly in Z[y] as T = D*t and M = D*mu with D = b^2;
+the theorem sweeps and `family --x` use the latter.  The homogeneous
+recurrence H_{k+1} = T*H_k - D^2*H_{k-1} gives H_k = D^k S_k(t), so
+H_n - M*H_{n-1} = D^n Phi(x0, y) and every step runs on Python ints.
+Evaluation at x0 is a ring homomorphism Q[x][y] -> Q[y], so
 specializing before the recurrence gives the bivariate polynomial at x0
-up to a nonzero scalar, which normalization removes and on which no
+up to a positive scalar, which normalization removes and on which no
 root count depends.
 
 Normalization: Riley polynomials are defined up to units, so results are
@@ -175,7 +178,7 @@ def normalize_bipoly(phi: BiPoly) -> BiPoly:
     ints = iter(_int_primitive(_int_coeffs([v for c in phi.coeffs for v in c.coeffs])))
     # the same integers, regrouped by y-degree
     phi = BiPoly([UniPoly([next(ints) for _ in c.coeffs]) for c in phi.coeffs])
-    lead = phi.leading(Fraction(2))
+    lead = phi.leading(2)
     if lead == 0:
         raise ValueError("leading y-coefficient vanishes at x = 2; sign normalization undefined")
     if lead < 0:
@@ -370,20 +373,24 @@ def riley_parabolic(k: KnotId) -> UniPoly:
 
 @dataclass(frozen=True, slots=True)
 class ClosedFormParams:
-    """The pair (t, mu) with Phi = S_n(t) - mu * S_{n-1}(t): BiPolys in
-    (x, y), or UniPolys in y when specialized at one x0."""
+    """The pair (t, mu) with Phi = S_n(t) - mu * S_{n-1}(t), scaled to
+    integer coefficients: the fields hold T = D*t and M = D*mu for the
+    positive integer D = denominator.  BiPolys in (x, y) with D = 1, or
+    UniPolys in y when specialized at one x0 = a/b, with D = b^2."""
 
     t: BiPoly | UniPoly
     mu: BiPoly | UniPoly
     family: DoubleTwist
+    denominator: int
 
 
 _X2 = BiPoly.const(UniPoly([0, 0, 1]))
 
 
 def closed_form_params(d: DoubleTwist, x0: Scalar | None = None) -> ClosedFormParams:
-    """Exact (t, mu) for a double twist family, in Q[x][y], or in Q[y]
-    at x = x0 when x0 is given.
+    """Exact (T, M) = D*(t, mu) for a double twist family, in Z[x][y]
+    with D = 1, or in Z[y] at x = x0 = a/b when x0 is given, with
+    D = b^2.
 
     With u = y + 2 - x^2 and S_k = S_k(y):
 
@@ -392,40 +399,45 @@ def closed_form_params(d: DoubleTwist, x0: Scalar | None = None) -> ClosedFormPa
       OE: t = x^2 - y - (y-2) u S_m S_{m-1}  mu = 1 - u S_m (S_m - S_{m-1})
       ON: t as OE                          mu = 1 + u S_{m-1} (S_m - S_{m-1})
 
-    Both depend on x only through x^2, so one set of formulas serves both
-    rings; the specialized pair is the bivariate one evaluated at x0.
+    Both depend on x only through x^2 and are linear in u, so one set of
+    formulas serves both rings: D*t and D*mu take U = D*u =
+    one*(y+2) - x2 for u and scale every other term by one = D, where
+    x2 = D*x^2 is X^2, or a^2 at x0 = a/b.  The specialized pair is the
+    bivariate one evaluated at x0, times D.
     """
     m = d.m
     if x0 is None:
-        y, x2 = BiPoly.gen(), _X2
+        y, x2, one = BiPoly.gen(), _X2, 1
         # S_k(y) as BiPolys whose x-coefficients are constants
         s_m, s_m1, s_m2 = (BiPoly(cheb_poly(k).coeffs) for k in (m, m - 1, m - 2))
     else:
-        y, x2 = UniPoly.gen(), Fraction(x0) ** 2
+        x0 = Fraction(x0)
+        y, x2, one = UniPoly.gen(), x0.numerator**2, x0.denominator**2
         s_m, s_m1, s_m2 = cheb_poly(m), cheb_poly(m - 1), cheb_poly(m - 2)
-    u = y + 2 - x2
+    u = one * (y + 2) - x2
     y_minus_2 = y - 2
     if d.family in ("EE", "EN"):
-        t = 2 + y_minus_2 * u * s_m1 * s_m1
+        t = 2 * one + y_minus_2 * u * s_m1 * s_m1
         if d.family == "EE":
-            mu = 1 + u * s_m1 * (s_m - s_m1)
+            mu = one + u * s_m1 * (s_m - s_m1)
         else:
-            mu = 1 - u * s_m1 * (s_m1 - s_m2)
+            mu = one - u * s_m1 * (s_m1 - s_m2)
     else:
-        t = x2 - y - y_minus_2 * u * s_m * s_m1
+        t = x2 - one * y - y_minus_2 * u * s_m * s_m1
         if d.family == "OE":
-            mu = 1 - u * s_m * (s_m - s_m1)
+            mu = one - u * s_m * (s_m - s_m1)
         else:
-            mu = 1 + u * s_m1 * (s_m - s_m1)
-    return ClosedFormParams(t=t, mu=mu, family=d)
+            mu = one + u * s_m1 * (s_m - s_m1)
+    return ClosedFormParams(t=t, mu=mu, family=d, denominator=one)
 
 
 def _closed_form(params: ClosedFormParams, n: int):
-    """S_n(t) - mu * S_{n-1}(t), from one pass of the Chebyshev
-    recurrence at t; no matrix product is involved, keeping this route
-    independent of the general one."""
-    s_prev, s_n = cheb_pair(n, params.t)
-    return s_n - params.mu * s_prev
+    """H_n - M * H_{n-1} = D^n * (S_n(t) - mu * S_{n-1}(t)), from one
+    pass of the homogeneous Chebyshev recurrence at T = D*t (cheb_pair);
+    no matrix product is involved, keeping this route independent of the
+    general one."""
+    h_prev, h_n = cheb_pair(n, params.t, params.denominator)
+    return h_n - params.mu * h_prev
 
 
 def riley_closed_form(d: DoubleTwist) -> RileyPoly:
@@ -439,8 +451,8 @@ def riley_closed_form_at(d: DoubleTwist, x0: Scalar) -> UniPoly:
     polynomial in y.
 
     Evaluation at x0 is a ring homomorphism Q[x][y] -> Q[y], so building
-    t and mu at x0 and running the recurrence there gives
-    riley_closed_form(d).phi_xy.eval_x(x0) up to a nonzero scalar, which
-    normalize_parabolic removes.
+    T and M at x0 and running the recurrence there gives
+    riley_closed_form(d).phi_xy.eval_x(x0) up to a positive scalar, which
+    normalize_parabolic removes.  Every step runs on integers.
     """
     return normalize_parabolic(_closed_form(closed_form_params(d, x0), d.n))

@@ -158,6 +158,34 @@ def test_family_specialized_output_pinned(capsys):
         assert run_cli(capsys, "family", *argv) == (0, out, ""), argv
 
 
+def _run_or_exit(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "head, option, value",
+    [
+        (["roots", "61", "23"], "--x", "-3/2"),
+        (["roots", "13", "5", "--isolate"], "--x", "-7"),
+        (["poly", "9", "2"], "--x", "-1/3"),
+        (["family", "EN", "2", "3"], "--x", "-5/2"),
+        (["verify", "theorem2", "--mmax", "2", "--nmax", "2"], "--x0", "-5/2,3"),
+    ],
+    ids=["roots", "roots-isolate", "poly", "family", "theorem2"],
+)
+def test_negative_rational_option_value(capsys, head, option, value):
+    # argparse reads "-3/2" as an option string; "--x -3/2" must behave
+    # exactly like "--x=-3/2"
+    joined = _run_or_exit(capsys, [*head, f"{option}={value}"])
+    separate = _run_or_exit(capsys, [*head, option, value])
+    assert joined[0] == 0
+    assert separate == joined
+
+
 def test_roots_command(capsys):
     code, out, _ = run_cli(capsys, "roots", "7", "3", "--isolate")
     assert code == 0

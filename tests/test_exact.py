@@ -43,7 +43,7 @@ def _divmod(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
     for i in range(len(rem) - 1, db - 1, -1):
         c = rem[i]
         if c:
-            q = c / lb
+            q = Fraction(c) / lb
             quot[i - db] = q
             for j, cb in enumerate(b.coeffs):
                 rem[i - db + j] -= q * cb
@@ -88,21 +88,21 @@ def test_ring_axioms_randomized():
         assert a * b == b * a
 
 
-def _assert_coefficient_types(p):
-    """UniPoly coefficients are Fractions; BiPoly coefficients are UniPolys
-    whose coefficients are Fractions."""
+def _assert_coefficient_types(p, exact=(int, Fraction)):
+    """UniPoly coefficients are exact rationals (int or Fraction, never a
+    float); BiPoly coefficients are UniPolys whose coefficients are."""
     if isinstance(p, BiPoly):
         assert all(type(c) is UniPoly for c in p.coeffs), p
         for c in p.coeffs:
-            _assert_coefficient_types(c)
+            _assert_coefficient_types(c, exact)
     else:
-        assert all(type(c) is Fraction for c in p.coeffs), p
+        assert all(type(c) in exact for c in p.coeffs), p
 
 
 def test_kernel_results_keep_coefficient_types():
     # products with gaps leave entries of the kernel's zero untouched, and
     # subtracting a longer polynomial pads with it: that zero must be the
-    # ring's own, never an int
+    # ring's own, an int in a UniPoly and a UniPoly in a BiPoly
     gap = UniPoly([1, 0, 0, 0, 0, 1])  # y^5 + 1
     longer = UniPoly([0, 0, 0, 0, 2])
     x = UniPoly.gen()
@@ -131,6 +131,49 @@ def test_kernel_results_keep_coefficient_types():
     assert gap * (Y + 1) == UniPoly([1, 1, 0, 0, 0, 1, 1])
     assert bigap * BiPoly([1, x]) == BiPoly([x, x * x, 0, 1, x])
     assert type(gap(Fraction(1, 2))) is Fraction
+
+
+def test_integer_coefficients_are_ints():
+    # everything the closed form and the parabolic route build has integer
+    # coefficients, and they are held as Python ints, never as Fractions
+    from riley.chebyshev import cheb_poly
+    from riley.rileypoly import closed_form_params, riley_closed_form, riley_parabolic
+    from riley.twobridge import DoubleTwist, KnotId
+
+    ints = (int,)
+    for k in range(-4, 9):
+        _assert_coefficient_types(cheb_poly(k), ints)
+    for family in ("EE", "EN", "OE", "ON"):
+        d = DoubleTwist(family, 3, 2)
+        for x0 in (None, 2, Fraction(5, 2), Fraction(-7, 3)):
+            params = closed_form_params(d, x0)
+            _assert_coefficient_types(params.t, ints)
+            _assert_coefficient_types(params.mu, ints)
+            assert type(params.denominator) is int
+        _assert_coefficient_types(riley_closed_form(d).phi_xy, ints)
+    for p, q in ((3, 1), (7, 3), (21, 8), (61, 23)):
+        _assert_coefficient_types(riley_parabolic(KnotId(p, q)), ints)
+
+
+def test_coefficients_are_stored_canonically():
+    # an integral value is stored as an int, a non-integral one as a
+    # Fraction, and a float is refused rather than converted
+    p = UniPoly([Fraction(4, 2), Fraction(1, 3), 0, True])
+    assert [type(c) for c in p.coeffs] == [int, Fraction, int, int]
+    assert repr(UniPoly([Fraction(1), 2])) == "UniPoly([1, 2])"
+    assert UniPoly([Fraction(2), 1]).monic() == UniPoly([2, 1])
+    assert UniPoly([1, 2]).monic().coeffs == (Fraction(1, 2), 1)
+    for bad in ([0.5, 1], [1, 2.0]):
+        with pytest.raises(TypeError, match="float"):
+            UniPoly(bad)
+    with pytest.raises(TypeError):
+        UniPoly.const(0.5)
+    with pytest.raises(TypeError):
+        BiPoly([0.5])
+    with pytest.raises(TypeError):
+        Y + 0.5
+    with pytest.raises(TypeError):
+        Y * 0.5
 
 
 def test_hash_agrees_with_equality_on_constants():

@@ -336,6 +336,16 @@ def test_isolate_root_at_midpoint_is_bounded(monkeypatch):
         isolate_roots(Y)
 
 
+def test_isolate_accepts_an_int_width():
+    # the first midpoint of f = y is its root, so the enclosure starts from
+    # max_width / 2, which must stay exact for an int max_width
+    rc = isolate_roots(UniPoly([0, 1]), 1)
+    assert rc.total_real == 1
+    (lo, hi), = rc.intervals
+    assert type(lo) is Fraction and type(hi) is Fraction
+    assert lo < 0 < hi and hi - lo <= 1
+
+
 @pytest.mark.parametrize("width", [Fraction(0), Fraction(-1, 64)])
 def test_isolate_rejects_non_positive_width(width):
     # no interval around sqrt(2) is ever that narrow; bisection must not start

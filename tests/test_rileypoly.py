@@ -418,12 +418,38 @@ def test_closed_form_specialized_equals_evaluated():
                 phi_xy = riley_closed_form(d).phi_xy
                 for x0 in _SPECIALIZATION_X0:
                     at = closed_form_params(d, x0)
-                    assert at.t == bivariate.t.eval_x(x0), (d, x0)
-                    assert at.mu == bivariate.mu.eval_x(x0), (d, x0)
+                    # the specialized pair is scaled by D = den(x0)^2
+                    assert at.denominator == Fraction(x0).denominator ** 2, (d, x0)
+                    assert at.t == bivariate.t.eval_x(x0) * at.denominator, (d, x0)
+                    assert at.mu == bivariate.mu.eval_x(x0) * at.denominator, (d, x0)
                     assert at.family == d
                     assert riley_closed_form_at(d, x0) == normalize_parabolic(
                         phi_xy.eval_x(x0)
                     ), (d, x0)
+
+
+def test_closed_form_at_pinned():
+    # sha256 over the coefficient lists of riley_closed_form_at on the
+    # theorem1 5x4 grid at its two x0 and the theorem2 4x4 grid at seven
+    # x0, taken with the Fraction closed form the integer one replaced
+    grid = []
+    for m in range(1, 6):
+        for n in range(1, 5):
+            for x0 in (Fraction(2), 2 - Fraction(1, 16 * m * n)):
+                grid += [(DoubleTwist(f, m, n), x0) for f in ("EE", "EN")]
+    theorem2_x0 = (2, Fraction(5, 2), Fraction(10, 3), 1, Fraction(3, 2), Fraction(-7, 3), 0)
+    for m in range(1, 5):
+        for n in range(1, 5):
+            for x0 in theorem2_x0:
+                grid += [(DoubleTwist(f, m, n), Fraction(x0)) for f in ("OE", "ON")]
+    text = "".join(
+        json.dumps([str(d), str(x0), [str(c) for c in riley_closed_form_at(d, x0).coeffs]]) + "\n"
+        for d, x0 in grid
+    )
+    assert len(grid) == 304
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "30226cc352a1af6ef616357462c599e339f409fd6cd0dad0d7d4d9bf258900b8"
+    )
 
 
 def test_closed_form_specialized_equals_evaluated_hypothesis():
