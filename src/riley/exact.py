@@ -6,17 +6,16 @@ ascending coefficient sequences over any ring, given the ring's zero
 where it creates entries.  UniPoly (dense, ascending coefficients,
 immutable) runs it over the rationals, stored canonically: a coefficient
 that is an integer is a Python int, and only one that is not is a
-`fractions.Fraction` (_rational; a float is refused).  Int-by-int ring
-operations stay ints, so a polynomial with integer coefficients is
-computed on Python ints throughout; a Fraction result that happens to be
-integral compares and hashes equal to its int.  BiPoly, a polynomial in
-y over UniPoly coefficients in x, is a UniPoly subclass that states only
-that ring.  Calling either is Horner evaluation at a rational or
-composition with a polynomial.  Sturm sequences (subresultant sequences
-with tracked contents), squarefree parts and exact division run on plain
-int coefficient lists (ascending, trimmed, [] for zero).  A Sturm
-sequence of f ends in +-gcd(f, f'), so one remainder sequence serves
-both root counting and squarefree parts.
+`fractions.Fraction` (_rational; a float is refused).  Results are
+stored so too (_canonical): only one that holds a Fraction is converted,
+so integer polynomials run on Python ints throughout.  BiPoly, a
+polynomial in y over UniPoly coefficients in x, is a UniPoly subclass
+that states only that ring.  Calling either is Horner evaluation at a
+rational or composition with a polynomial.  Sturm sequences
+(subresultant sequences with tracked contents), squarefree parts and
+exact division run on plain int coefficient lists (ascending, trimmed,
+[] for zero).  A Sturm sequence of f ends in +-gcd(f, f'), so one
+remainder sequence serves both root counting and squarefree parts.
 
 Divisibility over Q is decided by exact division in Z[y]: when the
 divisor d is primitive, Gauss's lemma says d divides e in Q[y] exactly
@@ -24,12 +23,13 @@ when it does in Z[y], i.e. when integer long division leaves no
 remainder (_int_exact_div).
 
 Laurent polynomials in s over Z[y] (the entries of the Riley word
-matrix) are maps from s-exponent to such a list; multiplying by a power
-of s only moves exponents.  At a rational s0 = a/b a Laurent polynomial
-f with exponents in [-K, K] is evaluated over the integers as
-sum c_k a^(k+K) b^(K-k) = f(s0) (ab)^K, a nonzero multiple of f(s0)
-with the same zero set.  One invariant under s -> 1/s rewrites exactly
-into a BiPoly via x = s + 1/s (see symmetrize_to_xy).
+matrix) map s-exponents to coefficients in Z[y], packed as ints c(2^B)
+for the ring operations (see rileypoly) and as int lists otherwise.  At
+a rational s0 = a/b a Laurent polynomial f with exponents in [-K, K] is
+evaluated over the integers as sum c_k a^(k+K) b^(K-k) = f(s0) (ab)^K,
+a nonzero multiple of f(s0) with the same zero set.  One invariant under
+s -> 1/s rewrites exactly into a BiPoly via x = s + 1/s
+(symmetrize_to_xy).
 """
 
 from __future__ import annotations
@@ -44,13 +44,21 @@ Scalar = Union[int, Fraction]
 def _rational(c) -> Scalar:
     """c as an exact rational in canonical form: an int when it is an
     integer, else a Fraction.  Raises TypeError on a float, which is a
-    binary approximation with no place in exact arithmetic."""
+    binary approximation with no place in exact arithmetic; every
+    coefficient and every point x0 enters through here."""
     if type(c) is int:
         return c
     if isinstance(c, float):
-        raise TypeError(f"float coefficient {c!r}; pass an int or a Fraction")
+        raise TypeError(f"float {c!r} in exact arithmetic; pass an int or a Fraction")
     c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
+
+
+def _canonical(coeffs: list) -> tuple:
+    """The result coeffs as a canonical tuple, converted only if it holds a Fraction."""
+    if Fraction in map(type, coeffs):
+        return tuple(map(_rational, coeffs))
+    return tuple(coeffs)
 
 
 def format_rational(v: Scalar) -> str:
@@ -80,13 +88,15 @@ class UniPoly:
     Coefficients are stored ascending by degree; the leading coefficient
     is nonzero unless the polynomial is zero (empty tuple).  Instances
     are immutable and hashable; equality is coefficientwise.  A subclass
-    states another ring by three class attributes: _lift embeds a value
-    as a coefficient, _zero is the ring's zero, and _scalars are the
+    states another ring by four class attributes: _lift embeds a value
+    as a coefficient, _canon puts a result's coefficient list in
+    canonical form, _zero is the ring's zero, and _scalars are the
     types that multiply coefficientwise.
     """
 
     __slots__ = ("coeffs",)
     _lift = staticmethod(_rational)
+    _canon = staticmethod(_canonical)
     _zero = 0
     _scalars = (int, Fraction)
 
@@ -145,7 +155,7 @@ class UniPoly:
         b = self._coerce(other)
         if b is NotImplemented:
             return NotImplemented
-        return self._raw(tuple(_zadd(self.coeffs, b)))
+        return self._raw(self._canon(_zadd(self.coeffs, b)))
 
     __radd__ = __add__
 
@@ -153,7 +163,7 @@ class UniPoly:
         b = self._coerce(other)
         if b is NotImplemented:
             return NotImplemented
-        return self._raw(tuple(_zsub(self.coeffs, b, self._zero)))
+        return self._raw(self._canon(_zsub(self.coeffs, b, self._zero)))
 
     def __rsub__(self, other) -> "UniPoly":
         return (-self) + other
@@ -163,11 +173,11 @@ class UniPoly:
 
     def __mul__(self, other) -> "UniPoly":
         if type(other) is type(self):
-            return self._raw(tuple(_zmul(self.coeffs, other.coeffs, self._zero)))
+            return self._raw(self._canon(_zmul(self.coeffs, other.coeffs, self._zero)))
         if isinstance(other, self._scalars):
             if not other:
                 return self.zero()
-            return self._raw(tuple(c * other for c in self.coeffs))
+            return self._raw(self._canon([c * other for c in self.coeffs]))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -236,17 +246,6 @@ def _zsub(a: Sequence, b: Sequence, zero=0) -> list:
     for i, c in enumerate(b):
         out[i] -= c
     return _int_trim(out)
-
-
-def _zmul_two_minus_y(a: list[int]) -> list[int]:
-    """Multiply by (2 - y)."""
-    if not a:
-        return []
-    out = [0] * (len(a) + 1)
-    for i, c in enumerate(a):
-        out[i] += 2 * c
-        out[i + 1] -= c
-    return out
 
 
 def _zmul(a: Sequence, b: Sequence, zero=0) -> list:
@@ -463,12 +462,14 @@ class BiPoly(UniPoly):
 
     __slots__ = ()
     _lift = staticmethod(lambda c: c if type(c) is UniPoly else UniPoly.const(c))
+    # UniPoly results are canonical already
+    _canon = staticmethod(tuple)
     _zero = UniPoly.zero()
     _scalars = (int, Fraction, UniPoly)
 
     def eval_x(self, x0: Scalar) -> UniPoly:
         """Substitute x := x0 in every coefficient, leaving a UniPoly in y."""
-        x0 = Fraction(x0)
+        x0 = _rational(x0)
         return UniPoly([c(x0) for c in self.coeffs])
 
     def to_json_dict(self) -> dict:
@@ -486,60 +487,47 @@ def compose(outer: UniPoly, inner: BiPoly) -> BiPoly:
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials in s over Z[y]: {s-exponent: int list in y}, with no
-# empty lists.  Lists may be shared between maps and are never mutated.
+# Laurent polynomials in s over Z[y], with no zero values: packed,
+# {s-exponent: c(2^B)} for the ring operations, or {s-exponent: int list
+# in y} for evaluation and the rewrite to (x, y).
 # ---------------------------------------------------------------------------
 
 Laurent = dict[int, list[int]]
+PackedLaurent = dict[int, int]
 
 
-def _laurent_shift(f: Laurent, k: int) -> Laurent:
+def _laurent_shift(f: dict, k: int) -> dict:
     """s^k * f."""
     return {e + k: c for e, c in f.items()}
 
 
-def _laurent_add(f: Laurent, g: Laurent) -> Laurent:
+def _laurent_add(f: PackedLaurent, g: PackedLaurent) -> PackedLaurent:
     out = dict(f)
     for e, c in g.items():
-        old = out.get(e)
-        if old is None:
+        c += out.get(e, 0)
+        if c:
             out[e] = c
         else:
-            c = _zadd(old, c)
-            if c:
-                out[e] = c
-            else:
-                del out[e]
+            del out[e]
     return out
 
 
-def _laurent_sub(f: Laurent, g: Laurent) -> Laurent:
-    return _laurent_add(f, {e: [-v for v in c] for e, c in g.items()})
+def _laurent_sub(f: PackedLaurent, g: PackedLaurent) -> PackedLaurent:
+    return _laurent_add(f, {e: -c for e, c in g.items()})
 
 
-def _laurent_mul_two_minus_y(f: Laurent) -> Laurent:
-    """(2 - y) * f."""
-    return {e: _zmul_two_minus_y(c) for e, c in f.items()}
-
-
-def _laurent_mul(f: Laurent, g: Laurent) -> Laurent:
-    out: Laurent = {}
+def _laurent_mul(f: PackedLaurent, g: PackedLaurent) -> PackedLaurent:
+    out: PackedLaurent = {}
     for ef, cf in f.items():
         for eg, cg in g.items():
-            out[ef + eg] = _zadd(out.get(ef + eg, []), _zmul(cf, cg))
+            out[ef + eg] = out.get(ef + eg, 0) + cf * cg
     return {e: c for e, c in out.items() if c}
 
 
-def _laurent_width(f: Laurent) -> int:
-    """Largest |exponent| of f (0 for f = 0)."""
-    return max((abs(e) for e in f), default=0)
-
-
-def _laurent_eval(f: Laurent, num: int, den: int, width: int | None = None) -> list[int]:
-    """f(num/den) * (num*den)^K over the integers, K = width (default
-    _laurent_width(f)): sum c_k num^(k+K) den^(K-k).  num, den nonzero."""
-    if width is None:
-        width = _laurent_width(f)
+def _laurent_eval(f: Laurent, num: int, den: int) -> list[int]:
+    """f(num/den) * (num*den)^K over the integers, K the largest |exponent|
+    of f: sum c_k num^(k+K) den^(K-k).  num, den nonzero."""
+    width = max((abs(e) for e in f), default=0)
     out: list[int] = []
     for e, c in f.items():
         w = num ** (width + e) * den ** (width - e)

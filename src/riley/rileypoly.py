@@ -7,10 +7,9 @@ b(p, q) sends the meridians to
 
 (s != 0, y != 2), and the defining relation rho(w a) = rho(b w) reduces
 to one polynomial condition.  Every entry of W = rho(w) lies in
-Z[s^±1, y] and is kept as a map from s-exponent to an int coefficient
-list in y (the Laurent kernel in exact.py).  Multiplying W on the right
-by a generator image is one column operation on its columns c1, c2; the
-s-shifts only move exponents:
+Z[s^±1, y].  Multiplying W on the right by a generator image is one
+column operation on its columns c1, c2; the s-shifts only move
+exponents:
 
     a:     c1 <- s c1                  c2 <- c1 + s^-1 c2
     a^-1:  c1 <- s^-1 c1               c2 <- -c1 + s c2
@@ -37,15 +36,15 @@ divisibility test is exact division in Z[y] by a primitive divisor,
 which by Gauss's lemma is divisibility over Q.  Any failure raises
 instead of returning a possibly-wrong polynomial.
 
-Parabolic slice (s = 1, x = 2), which the conjecture scans use: the same
-column operations with every s-shift the identity, on entries in Z[y]
-held packed as single integers f(2^B).  Evaluation at y = 2^B is a ring
-homomorphism Z[y] -> Z (Kronecker substitution), so a letter is a few
-big-integer adds and shifts.  It is injective on polynomials whose
-coefficients satisfy |c| < 2^(B-1), and B comes from a proven bound:
-the same product run over 1-norm majorants.  So the determinant identity
-is checked exactly on four integers, and only W11 and the relation
-defect are unpacked for the divisibility test.
+Packed entries: both word products hold each coefficient f in Z[y] as
+the integer f(2^B), a ring homomorphism Z[y] -> Z (Kronecker
+substitution), so a letter is a few big-integer adds and shifts.  It is
+injective where |c| < 2^(B-1) for every coefficient, and B comes from
+the same product run over 1-norm majorants (_slot_bits).  A general
+entry maps s-exponents to such integers; in the parabolic slice (s = 1,
+x = 2) of the conjecture scans an entry is one integer.  Either way the
+determinant is checked exactly on packed values, and only the candidate
+and the relation defect are unpacked.
 
 Closed-form route: for a double twist knot the Riley polynomial is
 S_n(t) - mu * S_{n-1}(t) with family-specific t and mu built from
@@ -78,6 +77,7 @@ from .chebyshev import cheb_pair, cheb_poly
 from .exact import (
     BiPoly,
     Laurent,
+    PackedLaurent,
     Scalar,
     UniPoly,
     _int_coeffs,
@@ -88,12 +88,9 @@ from .exact import (
     _laurent_add,
     _laurent_eval,
     _laurent_mul,
-    _laurent_mul_two_minus_y,
     _laurent_shift,
     _laurent_sub,
-    _laurent_width,
-    _zmul,
-    _zsub,
+    _rational,
     asymmetry_exponent,
     compose,  # noqa: F401  (bound here for perfbench/traced.py)
     squarefree_part,  # noqa: F401  (bound here for perfbench/traced.py)
@@ -124,9 +121,6 @@ def _column_ops(shift, add, sub, mul_two_minus_y) -> dict:
     }
 
 
-_COLUMN_OPS = _column_ops(_laurent_shift, _laurent_add, _laurent_sub, _laurent_mul_two_minus_y)
-
-
 def _word_product(w: SchubertWord, ops: dict, one, zero) -> tuple:
     """Entries (W11, W12, W21, W22) of the product of generator images
     over the word, one column operation from ops per letter."""
@@ -137,29 +131,75 @@ def _word_product(w: SchubertWord, ops: dict, one, zero) -> tuple:
     return (*row1, *row2)
 
 
-def word_matrix(w: SchubertWord) -> tuple[Laurent, Laurent, Laurent, Laurent]:
-    """Entries (W11, W12, W21, W22) of the product of generator images
-    over the word, one column operation per letter.
+# ---------------------------------------------------------------------------
+# Packing (see the module docstring).  Majorants: |u +- v|_1 <= |u|_1 +
+# |v|_1, |(2-y) v|_1 <= 3 |v|_1, and an s-shift keeps the 1-norm; packed,
+# (2-y) v is 2v - (v << B).
+# ---------------------------------------------------------------------------
 
-    The determinant must be exactly 1 (every generator image is
-    unimodular); this is checked symbolically for short words and, for
-    long ones, by exact integer evaluation at s in {1, 2, -3/2}, where
-    with all entries scaled by (ab)^K at s = a/b it must be (ab)^(2K).
+
+def _no_shift(f, k: int):
+    return f
+
+
+_MAJORANT_COLUMN_OPS = _column_ops(_no_shift, operator.add, operator.add, lambda v: 3 * v)
+
+
+def _slot_bits(word: SchubertWord) -> int:
+    """Slot width B for both routes: one bit more than the largest 1-norm
+    majorant of the determinant W11 W22 - W12 W21, the candidate
+    W11 + (1/s - s) W12 and the defects (s - 1/s) W21 - (2-y) W11 and
+    W21 - (2-y) W12, so every coefficient compared or unpacked has
+    |c| < 2^(B-1)."""
+    m11, m12, m21, m22 = _word_product(word, _MAJORANT_COLUMN_OPS, 1, 0)
+    bound = max(m11 * m22 + m12 * m21, m11 + 2 * m12, 3 * m11 + 2 * m21, m21 + 3 * m12)
+    return bound.bit_length() + 1
+
+
+def _unpack(n: int, bits: int) -> list[int]:
+    """The trimmed coefficient list of f with f(2^bits) = n, given that
+    every coefficient of f satisfies |c| < 2^(bits-1).
+
+    Each slot is read as a signed digit: a residue of 2^(bits-1) or more
+    is negative and borrows 1 from the next slot.  A polynomial with s
+    slots has |f(2^bits)| >= 2^(bits*(s-1)-1), so bit_length // bits + 1
+    passes read every slot.
     """
-    w11, w12, w21, w22 = entries = _word_product(w, _COLUMN_OPS, {0: [1]}, {})
-    if len(w) <= 24:
-        if _laurent_sub(_laurent_mul(w11, w22), _laurent_mul(w12, w21)) != {0: [1]}:
-            raise RileyValidationError(f"word matrix determinant differs from 1 for word {w.compact()}")
-    else:
-        width = max(_laurent_width(e) for e in entries)
-        for num, den in ((1, 1), (2, 1), (-3, 2)):
-            e11, e12, e21, e22 = (_laurent_eval(e, num, den, width) for e in entries)
-            if _zsub(_zmul(e11, e22), _zmul(e12, e21)) != [(num * den) ** (2 * width)]:
-                raise RileyValidationError(
-                    f"word matrix determinant differs from 1 at s={Fraction(num, den)} "
-                    f"for word {w.compact()}"
-                )
-    return entries
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    coeffs = []
+    for _ in range(abs(n).bit_length() // bits + 1):
+        c = n & mask
+        if c >= half:
+            c -= mask + 1
+        coeffs.append(c)
+        n = (n - c) >> bits
+    return _int_trim(coeffs)
+
+
+def _unpack_laurent(f: PackedLaurent, bits: int) -> Laurent:
+    return {e: _unpack(c, bits) for e, c in f.items()}
+
+
+def _two_minus_y(f: PackedLaurent, bits: int) -> PackedLaurent:
+    return {e: (c << 1) - (c << bits) for e, c in f.items()}
+
+
+def _packed_laurent_ops(bits: int) -> dict:
+    """The general table on s-coefficients packed at y = 2^bits."""
+    return _column_ops(_laurent_shift, _laurent_add, _laurent_sub, lambda f: _two_minus_y(f, bits))
+
+
+def word_matrix(w: SchubertWord) -> tuple[int, tuple[PackedLaurent, ...]]:
+    """Slot width B (_slot_bits) and the entries (W11, W12, W21, W22) of
+    the product of generator images over the word, one column operation
+    per letter, each a map from s-exponent to a coefficient packed at
+    y = 2^B.  The determinant must be exactly 1; packing is injective on
+    it, so the check on packed values is the polynomial identity."""
+    bits = _slot_bits(w)
+    w11, w12, w21, w22 = entries = _word_product(w, _packed_laurent_ops(bits), {0: 1}, {})
+    if _laurent_sub(_laurent_mul(w11, w22), _laurent_mul(w12, w21)) != {0: 1}:
+        raise RileyValidationError(f"word matrix determinant differs from 1 for word {w.compact()}")
+    return bits, entries
 
 
 @dataclass(frozen=True, slots=True)
@@ -194,20 +234,22 @@ def normalize_parabolic(phi: UniPoly) -> UniPoly:
     return -phi if phi.leading < 0 else phi
 
 
-def _reduction_candidate(w11: Laurent, w12: Laurent) -> Laurent:
+def _reduction_candidate(w11: PackedLaurent, w12: PackedLaurent) -> PackedLaurent:
     """W11 + (1/s - s) W12."""
     return _laurent_sub(_laurent_add(w11, _laurent_shift(w12, -1)), _laurent_shift(w12, 1))
 
 
-def _relation_defect(w11: Laurent, w12: Laurent, w21: Laurent) -> tuple[Laurent, Laurent]:
+def _relation_defect(
+    w11: PackedLaurent, w12: PackedLaurent, w21: PackedLaurent, bits: int
+) -> tuple[PackedLaurent, PackedLaurent]:
     """Entries (2,1) and (2,2) of rho(w a) - rho(b w); its (1,1) entry is
     0 and its (1,2) entry is the reduction candidate itself, so these two
     must vanish exactly on the zero set of the candidate."""
     d21 = _laurent_sub(
         _laurent_sub(_laurent_shift(w21, 1), _laurent_shift(w21, -1)),
-        _laurent_mul_two_minus_y(w11),
+        _two_minus_y(w11, bits),
     )
-    d22 = _laurent_sub(w21, _laurent_mul_two_minus_y(w12))
+    d22 = _laurent_sub(w21, _two_minus_y(w12, bits))
     return d21, d22
 
 
@@ -224,8 +266,8 @@ def _check_divides(divisor: list[int], entries: list[list[int]], where: str) -> 
 def _riley_from_word(word: SchubertWord, label: object, seed: int) -> RileyPoly:
     """Shared general-route pipeline: product, reduction, validation,
     rewrite to (x, y), normalization."""
-    w11, w12, w21, _ = word_matrix(word)
-    phi_tilde = _reduction_candidate(w11, w12)
+    bits, (w11, w12, w21, _) = word_matrix(word)
+    phi_tilde = _unpack_laurent(_reduction_candidate(w11, w12), bits)
 
     bad = asymmetry_exponent(phi_tilde)
     if bad is not None:
@@ -234,7 +276,7 @@ def _riley_from_word(word: SchubertWord, label: object, seed: int) -> RileyPoly:
             f"(first offending s-exponent: {bad}); refusing to guess a unit multiple"
         )
 
-    defect = _relation_defect(w11, w12, w21)
+    defect = [_unpack_laurent(d, bits) for d in _relation_defect(w11, w12, w21, bits)]
     # (i) exact divisibility at s = 1 (the parabolic slice).
     phi_1 = _laurent_eval(phi_tilde, 1, 1)
     if not phi_1:
@@ -277,7 +319,8 @@ def riley_general(k: KnotId) -> RileyPoly:
     Always-on validation: (i) at s = 1 the candidate must divide all
     entries of rho(w a) - rho(b w); (ii) the same divisibility (of
     squarefree parts, i.e. zero-set containment) must hold at 20 random
-    rational s; (iii) the candidate must be symmetric under s -> 1/s.
+    rational s; (iii) the candidate must be symmetric under s -> 1/s;
+    and first, in word_matrix, the determinant must be exactly 1.
     Any failure raises RileyValidationError: a silently wrong polynomial
     is never returned.
     """
@@ -285,17 +328,8 @@ def riley_general(k: KnotId) -> RileyPoly:
 
 
 # ---------------------------------------------------------------------------
-# Parabolic fast path, on packed integers (see the module docstring).
-# Majorants: |u +- v|_1 <= |u|_1 + |v|_1 and |(2-y) v|_1 <= 3 |v|_1;
-# packed, (2-y) v is 2v - (v << B).
+# Parabolic fast path: the s = 1 product, each entry one packed integer.
 # ---------------------------------------------------------------------------
-
-
-def _no_shift(f, k: int):
-    return f
-
-
-_MAJORANT_COLUMN_OPS = _column_ops(_no_shift, operator.add, operator.add, lambda v: 3 * v)
 
 
 def _packed_column_ops(bits: int) -> dict:
@@ -304,36 +338,10 @@ def _packed_column_ops(bits: int) -> dict:
 
 
 def _parabolic_product(word: SchubertWord) -> tuple[int, tuple[int, int, int, int]]:
-    """Slot width B and the entries (W11, W12, W21, W22) of the s = 1
-    word product, each packed as W_ij(2^B).
-
-    B is one bit wider than the largest 1-norm majorant of W11, of the
-    determinant W11 W22 - W12 W21 and of the defect W21 - (2-y) W12, so
-    every coefficient that is compared or unpacked has |c| < 2^(B-1).
-    """
-    m11, m12, m21, m22 = _word_product(word, _MAJORANT_COLUMN_OPS, 1, 0)
-    bits = max(m11 * m22 + m12 * m21, m21 + 3 * m12, m11).bit_length() + 1
+    """Slot width B (_slot_bits) and the entries (W11, W12, W21, W22) of
+    the s = 1 word product, each packed as W_ij(2^B)."""
+    bits = _slot_bits(word)
     return bits, _word_product(word, _packed_column_ops(bits), 1, 0)
-
-
-def _unpack(n: int, bits: int) -> list[int]:
-    """The trimmed coefficient list of f with f(2^bits) = n, given that
-    every coefficient of f satisfies |c| < 2^(bits-1).
-
-    Each slot is read as a signed digit: a residue of 2^(bits-1) or more
-    is negative and borrows 1 from the next slot.  A polynomial with s
-    slots has |f(2^bits)| >= 2^(bits*(s-1)-1), so bit_length // bits + 1
-    passes read every slot.
-    """
-    half, mask = 1 << (bits - 1), (1 << bits) - 1
-    coeffs = []
-    for _ in range(abs(n).bit_length() // bits + 1):
-        c = n & mask
-        if c >= half:
-            c -= mask + 1
-        coeffs.append(c)
-        n = (n - c) >> bits
-    return _int_trim(coeffs)
 
 
 def riley_parabolic(k: KnotId) -> UniPoly:
@@ -346,9 +354,7 @@ def riley_parabolic(k: KnotId) -> UniPoly:
     identity, checked on the four packed integers, and at s = 1 the
     relation defect reduces to the single divisibility
     w11 | w21 - (2-y)*w12, an exact division by the primitive part of
-    w11.  The determinant of the polynomial entries has coefficients
-    below 2^(B-1) in absolute value, so its packed value is 1 exactly
-    when it is the polynomial 1: the packed check is the polynomial one.
+    w11.
     """
     bits, (w11, w12, w21, w22) = _parabolic_product(schubert_word(k))
     if w11 * w22 - w12 * w21 != 1:
@@ -403,7 +409,8 @@ def closed_form_params(d: DoubleTwist, x0: Scalar | None = None) -> ClosedFormPa
     formulas serves both rings: D*t and D*mu take U = D*u =
     one*(y+2) - x2 for u and scale every other term by one = D, where
     x2 = D*x^2 is X^2, or a^2 at x0 = a/b.  The specialized pair is the
-    bivariate one evaluated at x0, times D.
+    bivariate one evaluated at x0, times D.  Raises TypeError on a
+    float x0.
     """
     m = d.m
     if x0 is None:
@@ -411,7 +418,7 @@ def closed_form_params(d: DoubleTwist, x0: Scalar | None = None) -> ClosedFormPa
         # S_k(y) as BiPolys whose x-coefficients are constants
         s_m, s_m1, s_m2 = (BiPoly(cheb_poly(k).coeffs) for k in (m, m - 1, m - 2))
     else:
-        x0 = Fraction(x0)
+        x0 = _rational(x0)
         y, x2, one = UniPoly.gen(), x0.numerator**2, x0.denominator**2
         s_m, s_m1, s_m2 = cheb_poly(m), cheb_poly(m - 1), cheb_poly(m - 2)
     u = one * (y + 2) - x2

@@ -37,8 +37,8 @@ class EvenCF:
     """Even continued fraction expansion: all entries even and nonzero.
 
     Evaluating entries (e_1, ..., e_k) as e_1 - 1/(e_2 - 1/(...)) must
-    reproduce p/q* exactly; for knot inputs k is even (asserted where
-    the expansion is produced).  The entries are the diagonal of the
+    reproduce p/q* exactly; for knot inputs k is even (even_cf raises
+    SignatureError otherwise).  The entries are the diagonal of the
     symmetric tridiagonal form with off-diagonal 1.
     """
 

@@ -34,7 +34,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import IO, Iterable
 
-from .exact import Scalar, UniPoly, format_rational
+from .exact import Scalar, UniPoly, _rational, format_rational
 from .realroots import count_real_roots
 from .rileypoly import (
     RileyValidationError,
@@ -80,7 +80,7 @@ class TheoremRecord:
     """
 
     family: DoubleTwist
-    x0: Fraction
+    x0: Scalar
     in_range: bool | None
     expected: str  # "==1", "==0" or ">=k"
     observed_roots: int
@@ -203,7 +203,7 @@ def scan_conjecture(p_max: int, jobs: int = 1) -> ScanResult:
 
 
 def _theorem_record(
-    d: DoubleTwist, x0: Fraction, in_range: bool | None, expected: str
+    d: DoubleTwist, x0: Scalar, in_range: bool | None, expected: str
 ) -> TheoremRecord:
     observed = _nonabelian_root_count(riley_closed_form_at(d, x0), d)
     return TheoremRecord(
@@ -221,10 +221,11 @@ def check_theorem1(m: int, n: int, x0: Scalar) -> tuple[TheoremRecord, TheoremRe
     and J(2m,-2n) none, whenever 4 - 1/(mn) < x0^2 <= 4.
 
     The range certificate is an exact rational inequality; both records
-    (EE then EN) are returned.  Raises ValueError unless m, n >= 1.
+    (EE then EN) are returned.  Raises ValueError unless m, n >= 1, and
+    TypeError on a float x0.
     """
     ee, en = DoubleTwist("EE", m, n), DoubleTwist("EN", m, n)
-    x0 = Fraction(x0)
+    x0 = _rational(x0)
     in_range = 4 - Fraction(1, m * n) < x0 * x0 <= 4
     return (
         _theorem_record(ee, x0, in_range, "==1"),
@@ -238,10 +239,11 @@ def check_theorem2(m: int, n: int, x0: Scalar) -> tuple[TheoremRecord, TheoremRe
 
     The hypothesis range has an irrational boundary below 2, so only
     x0^2 >= 4 is certified (always sufficient); other x0 are evaluated
-    but marked uncertified.  Raises ValueError unless m, n >= 1.
+    but marked uncertified.  Raises ValueError unless m, n >= 1, and
+    TypeError on a float x0.
     """
     oe, on = DoubleTwist("OE", m, n), DoubleTwist("ON", m, n)
-    x0 = Fraction(x0)
+    x0 = _rational(x0)
     in_range: bool | None = True if x0 * x0 >= 4 else None
     return (
         _theorem_record(oe, x0, in_range, f">={n - 1}"),

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from riley import exact
 from riley.exact import (
     BiPoly,
     SymmetryError,
@@ -26,6 +27,7 @@ from riley.exact import (
     squarefree_part,
     symmetrize_to_xy,
 )
+from riley.rileypoly import _unpack
 
 Y = UniPoly.gen()
 
@@ -174,6 +176,38 @@ def test_coefficients_are_stored_canonically():
         Y + 0.5
     with pytest.raises(TypeError):
         Y * 0.5
+
+
+def test_results_are_stored_canonically(monkeypatch):
+    # a ring operation whose result is integral holds an int, never
+    # Fraction(n, 1); a non-integral result keeps its Fraction
+    half = Fraction(1, 2)
+    results = {
+        "scalar mul": (UniPoly([half, 3]) * 2, (1, 6)),
+        "add": (UniPoly([half]) + UniPoly([half]), (1,)),
+        "sub": (UniPoly([Fraction(3, 2), 1]) - UniPoly([half]), (1, 1)),
+        "mul": (UniPoly([0, half]) * UniPoly([2, Fraction(2, 3)]), (0, 1, Fraction(1, 3))),
+        "rmul": (Fraction(2, 3) * UniPoly([Fraction(3, 2), 3]), (1, 2)),
+    }
+    for name, (got, want) in results.items():
+        assert got.coeffs == want, name
+        assert [type(c) for c in got.coeffs] == [type(c) for c in want], name
+    assert repr(UniPoly([half, 3]) * 2) == "UniPoly([1, 6])"
+    lifted = BiPoly([UniPoly([half])]) * 2
+    assert type(lifted.coeffs[0].coeffs[0]) is int
+    # operations on int operands convert no coefficient
+    calls = []
+
+    def counting(c):
+        calls.append(c)
+        return c
+
+    monkeypatch.setattr(exact, "_rational", counting)
+    a, b = UniPoly([1, -2, 3]), UniPoly([4, 5])
+    x = BiPoly([a, b])
+    for result in (a + b, a - b, a * b, a * 3, 3 - a, -a, x * x + x, x - a):
+        _assert_coefficient_types(result, (int,))
+    assert calls == []
 
 
 def test_hash_agrees_with_equality_on_constants():
@@ -348,6 +382,10 @@ def test_symmetrize_asymmetric_raises_with_exponent():
     assert exc.value.exponent == 2
 
 
+def _pack(coeffs: list[int], bits: int) -> int:
+    return sum(c << (bits * i) for i, c in enumerate(coeffs))
+
+
 def _rand_ylist(rng) -> list[int]:
     coeffs = [rng.randint(-5, 5) for _ in range(rng.randint(1, 3))]
     while coeffs and coeffs[-1] == 0:
@@ -365,11 +403,17 @@ def _rand_symmetric(rng) -> dict[int, list[int]]:
 
 
 def test_symmetrize_is_ring_homomorphism():
+    # the packed Laurent product and sum, unpacked, rewrite to the
+    # product and sum of the rewrites (coefficients stay far below 2^15)
+    bits = 16
     rng = random.Random(13)
     for _ in range(20):
         f, g = _rand_symmetric(rng), _rand_symmetric(rng)
-        assert symmetrize_to_xy(_laurent_mul(f, g)) == symmetrize_to_xy(f) * symmetrize_to_xy(g)
-        assert symmetrize_to_xy(_laurent_add(f, g)) == symmetrize_to_xy(f) + symmetrize_to_xy(g)
+        pf, pg = ({e: _pack(c, bits) for e, c in h.items()} for h in (f, g))
+        product = {e: _unpack(c, bits) for e, c in _laurent_mul(pf, pg).items()}
+        total = {e: _unpack(c, bits) for e, c in _laurent_add(pf, pg).items()}
+        assert symmetrize_to_xy(product) == symmetrize_to_xy(f) * symmetrize_to_xy(g)
+        assert symmetrize_to_xy(total) == symmetrize_to_xy(f) + symmetrize_to_xy(g)
 
 
 def test_symmetrize_exactness_via_eval():
@@ -389,16 +433,19 @@ def test_laurent_eval_scaled():
     # f = y s^-2 + 3 s at s = 1/2, scaled by (1*2)^2: 4*(4y + 3/2) = 16y + 6
     f = {-2: [0, 1], 1: [3]}
     assert _laurent_eval(f, 1, 2) == [6, 16]
-    assert _laurent_eval(f, 1, 2, width=3) == [12, 32]
     assert _laurent_eval(f, 1, 1) == [3, 1]
     assert _laurent_eval({}, 2, 3) == []
 
 
 def test_laurent_shift_and_sub():
-    f = {0: [1], 1: [0, 2]}
-    assert _laurent_shift(f, -1) == {-1: [1], 0: [0, 2]}
+    # packed values: one int per s-exponent, no zero values kept
+    f = {0: 1, 1: 6}
+    assert _laurent_shift(f, -1) == {-1: 1, 0: 6}
     assert _laurent_sub(f, f) == {}
-    assert _laurent_sub({}, f) == {0: [-1], 1: [0, -2]}
+    assert _laurent_sub({}, f) == {0: -1, 1: -6}
+    assert _laurent_add(f, {1: -6, 2: 3}) == {0: 1, 2: 3}
+    # (1 + s)(1 - s) = 1 - s^2
+    assert _laurent_mul({0: 1, 1: 1}, {0: 1, 1: -1}) == {0: 1, 2: -1}
 
 
 def test_int_exact_div_examples():

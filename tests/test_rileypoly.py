@@ -14,12 +14,9 @@ from riley.exact import (
     UniPoly,
     _laurent_add,
     _laurent_eval,
-    _laurent_mul,
-    _laurent_mul_two_minus_y,
     _laurent_shift,
     _laurent_sub,
     _zadd,
-    _zmul_two_minus_y,
     _zsub,
 )
 from riley.realroots import count_real_roots
@@ -35,8 +32,15 @@ from riley.rileypoly import (
     riley_parabolic,
     word_matrix,
 )
-from riley.twobridge import DoubleTwist, KnotId, SchubertWord, schubert_word
-from riley.verifier import enumerate_knots
+from riley.twobridge import (
+    FAMILIES,
+    DoubleTwist,
+    KnotId,
+    SchubertWord,
+    family_to_pq,
+    schubert_word,
+)
+from riley.verifier import check_theorem1, check_theorem2, enumerate_knots
 
 Y = UniPoly.gen()
 
@@ -83,6 +87,23 @@ _ORACLE_GEN = {
 }
 
 
+def _e_shift(a, k):
+    """s^k a."""
+    return {(se + k, ye): c for (se, ye), c in a.items()}
+
+
+def _e_two_minus_y(a):
+    return _e_mul(a, {(0, 0): 2, (0, 1): -1})
+
+
+def _e_sub(a, b):
+    return _e_add(a, {k: -v for k, v in b.items()})
+
+
+def _e_norm(a) -> int:
+    return sum(map(abs, a.values()))
+
+
 def oracle_word_matrix(word: SchubertWord):
     m = [[{(0, 0): 1}, {}], [{}, {(0, 0): 1}]]
     for letter in word.letters:
@@ -100,16 +121,22 @@ def _word(compact: str) -> SchubertWord:
     )
 
 
-_IDENTITY_ROWS = (({0: [1]}, {}), ({}, {0: [1]}))
+def _unpacked_matrix(w):
+    """word_matrix's entries, unpacked into {s-exponent: y-list} maps."""
+    bits, entries = word_matrix(w)
+    return [rileypoly._unpack_laurent(e, bits) for e in entries]
 
 
-def _apply(letters):
-    """Rows of the product of the letters' images, by the column
+_IDENTITY_ROWS = (({0: 1}, {}), ({}, {0: 1}))
+
+
+def _apply(letters, bits=8):
+    """Rows of the product of the letters' images, by the packed column
     operations themselves (the letters need not alternate)."""
+    ops = rileypoly._packed_laurent_ops(bits)
     rows = _IDENTITY_ROWS
     for letter in letters:
-        op = rileypoly._COLUMN_OPS[letter]
-        rows = tuple(op(*row) for row in rows)
+        rows = tuple(ops[letter](*row) for row in rows)
     return rows
 
 
@@ -123,10 +150,11 @@ def test_rho_traces():
     # meridian trace is s + 1/s
     for gen in ("a", "b"):
         (w11, _), (_, w22) = _apply([(gen, 1)])
-        assert _laurent_add(w11, w22) == {1: [1], -1: [1]}
-    # trace of rho(a b^-1) is y, symbolically
-    w11, _, _, w22 = word_matrix(_word("aB"))
-    assert _laurent_add(w11, w22) == {0: [0, 1]}
+        assert _laurent_add(w11, w22) == {1: 1, -1: 1}
+    # trace of rho(a b^-1) is y, symbolically: packed, it is 2^B
+    bits, (w11, _, _, w22) = word_matrix(_word("aB"))
+    assert _laurent_add(w11, w22) == {0: 1 << bits}
+    assert rileypoly._unpack_laurent(_laurent_add(w11, w22), bits) == {0: [0, 1]}
 
 
 def test_word_matrix_against_flat_oracle():
@@ -147,70 +175,80 @@ def test_word_matrix_against_flat_oracle():
         if math.gcd(p, q) == 1
     ]
     for w in words:
-        ours = [to_flat(e) for e in word_matrix(w)]
+        ours = [to_flat(e) for e in _unpacked_matrix(w)]
         oracle = oracle_word_matrix(w)
         assert ours == [oracle[0][0], oracle[0][1], oracle[1][0], oracle[1][1]], w.compact()
 
 
 def test_word_matrix_hand_values():
     # w = ab: entry (1,1) is s^2 + 2 - y
-    w11 = word_matrix(_word("ab"))[0]
+    w11 = _unpacked_matrix(_word("ab"))[0]
     assert to_flat(w11) == {(2, 0): 1, (0, 0): 2, (0, 1): -1}
     # w = ab^-1a^-1b at s = 1, entry (1,1) is (2-y)^2 - (2-y) + 1
-    w11 = _laurent_eval(word_matrix(_word("aBAb"))[0], 1, 1)
+    w11 = _laurent_eval(_unpacked_matrix(_word("aBAb"))[0], 1, 1)
     u = UniPoly([2, -1])
     assert UniPoly(w11) == u * u - u + 1
     # empty word
-    assert word_matrix(SchubertWord(())) == ({0: [1]}, {}, {}, {0: [1]})
+    assert word_matrix(SchubertWord(()))[1] == ({0: 1}, {}, {}, {0: 1})
 
 
 def test_word_matrix_det_is_one():
+    # on the unpacked entries, by the flat oracle's arithmetic
     for compact in ("ab", "aBAb", "aBabAb", "abab"):
-        w11, w12, w21, w22 = word_matrix(_word(compact))
-        assert _laurent_sub(_laurent_mul(w11, w22), _laurent_mul(w12, w21)) == {0: [1]}
+        f11, f12, f21, f22 = (to_flat(e) for e in _unpacked_matrix(_word(compact)))
+        assert _e_sub(_e_mul(f11, f22), _e_mul(f12, f21)) == {(0, 0): 1}
 
 
-def test_word_matrix_long_word_determinant_check(monkeypatch):
-    # words longer than 24 letters are checked at s in {1, 2, -3/2};
-    # a broken column operation (det != 1) must be caught there too
+def _mutate_packed_table(monkeypatch, letter, mutation, builder="_packed_column_ops"):
+    """Patch a per-word packed table builder so that letter runs
+    mutation(true table, bits), whatever the slot width."""
+    true_table = getattr(rileypoly, builder)
+
+    def mutated(bits):
+        table = true_table(bits)
+        return {**table, letter: mutation(table, bits)}
+
+    monkeypatch.setattr(rileypoly, builder, mutated)
+
+
+def test_word_matrix_exact_determinant_catches_non_unimodular_op(monkeypatch):
+    # the determinant is checked exactly on packed values at every word
+    # length; a: c1 <- s^2 c1 has determinant s, so the check must catch
+    # it on a word of more than 24 letters too
     word = schubert_word(KnotId(61, 17))
     assert len(word) > 24
     word_matrix(word)
-    broken = lambda u, v: (_laurent_shift(u, 2), _laurent_add(u, _laurent_shift(v, -1)))  # noqa: E731
-    monkeypatch.setitem(rileypoly._COLUMN_OPS, ("a", 1), broken)
-    with pytest.raises(RileyValidationError, match="determinant differs from 1 at s="):
+    _mutate_packed_table(
+        monkeypatch,
+        ("a", 1),
+        lambda table, bits: lambda u, v: (_laurent_shift(u, 2), table[("a", 1)](u, v)[1]),
+        "_packed_laurent_ops",
+    )
+    with pytest.raises(RileyValidationError, match="determinant differs from 1 for word"):
         word_matrix(word)
 
 
 def test_mutated_column_operation_is_caught(monkeypatch):
     # b^-1 with the sign of its (2-y) term flipped is still unimodular,
     # so only the relation validation can catch it
-    flipped = lambda u, v: (  # noqa: E731
-        _laurent_add(_laurent_shift(u, -1), _laurent_mul_two_minus_y(v)),
-        _laurent_shift(v, 1),
+    _mutate_packed_table(
+        monkeypatch,
+        ("b", -1),
+        lambda table, bits: lambda u, v: (
+            _laurent_add(_laurent_shift(u, -1), rileypoly._two_minus_y(v, bits)),
+            _laurent_shift(v, 1),
+        ),
+        "_packed_laurent_ops",
     )
-    monkeypatch.setitem(rileypoly._COLUMN_OPS, ("b", -1), flipped)
     for k in (KnotId(5, 2), KnotId(7, 3), KnotId(61, 17)):
         with pytest.raises(RileyValidationError):
             riley_general(k)
 
 
-def _mutate_packed_table(monkeypatch, letter, mutation):
-    """Patch the per-knot packed table so that letter runs
-    mutation(true table), whatever the slot width."""
-    true_table = rileypoly._packed_column_ops
-
-    def mutated(bits):
-        table = true_table(bits)
-        return {**table, letter: mutation(table)}
-
-    monkeypatch.setattr(rileypoly, "_packed_column_ops", mutated)
-
-
 def test_mutated_parabolic_column_operation_is_caught(monkeypatch):
     # the same mutation in the packed s = 1 table: b^-1 flipped is b there,
     # still unimodular, so the divisibility check must catch it
-    _mutate_packed_table(monkeypatch, ("b", -1), lambda table: table[("b", 1)])
+    _mutate_packed_table(monkeypatch, ("b", -1), lambda table, bits: table[("b", 1)])
     for k in (KnotId(5, 2), KnotId(7, 3), KnotId(61, 17)):
         with pytest.raises(RileyValidationError, match="not divisible"):
             riley_parabolic(k)
@@ -219,7 +257,7 @@ def test_mutated_parabolic_column_operation_is_caught(monkeypatch):
 def test_non_unimodular_parabolic_column_operation_is_caught(monkeypatch):
     # a: c2 <- c1 + 2 c2 has determinant 2, so the word product's is a
     # power of 2 and the packed determinant check must catch it
-    _mutate_packed_table(monkeypatch, ("a", 1), lambda table: lambda u, v: (u, u + 2 * v))
+    _mutate_packed_table(monkeypatch, ("a", 1), lambda table, bits: lambda u, v: (u, u + 2 * v))
     for k in (KnotId(5, 2), KnotId(7, 3), KnotId(61, 17)):
         with pytest.raises(RileyValidationError, match="has determinant != 1"):
             riley_parabolic(k)
@@ -227,7 +265,12 @@ def test_non_unimodular_parabolic_column_operation_is_caught(monkeypatch):
 
 # --- packed s = 1 product against the list-based one ---
 
-_LIST_PARABOLIC_OPS = rileypoly._column_ops(lambda f, k: f, _zadd, _zsub, _zmul_two_minus_y)
+def _list_two_minus_y(a: list[int]) -> list[int]:
+    """(2 - y) a on a coefficient list."""
+    return _zsub([2 * c for c in a], [0, *a])
+
+
+_LIST_PARABOLIC_OPS = rileypoly._column_ops(lambda f, k: f, _zadd, _zsub, _list_two_minus_y)
 
 
 def _assert_packed_matches_lists(word):
@@ -240,7 +283,7 @@ def _assert_packed_matches_lists(word):
         assert rileypoly._unpack(n, bits) == coeffs
         assert sum(map(abs, coeffs)) <= bound < 1 << (bits - 1)
     _, w12, w21, _ = lists
-    defect = _zsub(w21, _zmul_two_minus_y(w12))
+    defect = _zsub(w21, _list_two_minus_y(w12))
     assert rileypoly._unpack(packed[2] - 2 * packed[1] + (packed[1] << bits), bits) == defect
     assert sum(map(abs, defect)) <= majorants[2] + 3 * majorants[1] < 1 << (bits - 1)
 
@@ -261,6 +304,57 @@ def test_packed_product_matches_list_product_hypothesis():
         # the product reads only .letters, so any a/b word can be fed,
         # not only the alternating relator words
         _assert_packed_matches_lists(SimpleNamespace(letters=tuple(letters)))
+
+    packed_matches()
+
+
+def _assert_general_packed_matches_oracle(word):
+    """The packed general entries unpack to the flat oracle's product, and
+    every coefficient of the entries, the determinant, the candidate and
+    both defects lies within its 1-norm majorant, below 2^(B-1)."""
+    bits, packed = word_matrix(word)
+    assert bits == rileypoly._slot_bits(word)
+    flat = [to_flat(rileypoly._unpack_laurent(e, bits)) for e in packed]
+    oracle = oracle_word_matrix(word)
+    assert flat == [oracle[0][0], oracle[0][1], oracle[1][0], oracle[1][1]]
+    f11, f12, f21, f22 = flat
+    m11, m12, m21, m22 = rileypoly._word_product(word, rileypoly._MAJORANT_COLUMN_OPS, 1, 0)
+    half = 1 << (bits - 1)
+    for f, bound in zip(flat, (m11, m12, m21, m22)):
+        assert _e_norm(f) <= bound < half
+    # |f g|_1 <= |f|_1 |g|_1 bounds every coefficient of W11 W22 - W12 W21
+    det_norm = _e_norm(f11) * _e_norm(f22) + _e_norm(f12) * _e_norm(f21)
+    assert det_norm <= m11 * m22 + m12 * m21 < half
+    w11, w12, w21, _ = packed
+    candidate = _e_sub(_e_add(f11, _e_shift(f12, -1)), _e_shift(f12, 1))
+    d21 = _e_sub(_e_sub(_e_shift(f21, 1), _e_shift(f21, -1)), _e_two_minus_y(f11))
+    d22 = _e_sub(f21, _e_two_minus_y(f12))
+    ours = [
+        rileypoly._reduction_candidate(w11, w12),
+        *rileypoly._relation_defect(w11, w12, w21, bits),
+    ]
+    for got, want, bound in zip(
+        ours, (candidate, d21, d22), (m11 + 2 * m12, 3 * m11 + 2 * m21, m21 + 3 * m12)
+    ):
+        assert to_flat(rileypoly._unpack_laurent(got, bits)) == want
+        assert _e_norm(want) <= bound < half
+
+
+def test_general_packed_product_matches_oracle():
+    for k in enumerate_knots(21):
+        _assert_general_packed_matches_oracle(schubert_word(k))
+
+
+def test_general_packed_product_matches_oracle_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    letters = st.tuples(st.sampled_from("ab"), st.sampled_from((1, -1)))
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.lists(letters, max_size=40))
+    def packed_matches(letters):
+        # any a/b word, not only the alternating relator words
+        _assert_general_packed_matches_oracle(SimpleNamespace(letters=tuple(letters)))
 
     packed_matches()
 
@@ -287,9 +381,9 @@ def test_divisibility_checks_catch_a_wrong_defect(monkeypatch):
     # non-constant candidate: caught at s = 1
     true_defect = rileypoly._relation_defect
 
-    def off_by_one(w11, w12, w21):
-        d21, d22 = true_defect(w11, w12, w21)
-        return d21, _laurent_add(d22, {0: [1]})
+    def off_by_one(*entries_and_bits):
+        d21, d22 = true_defect(*entries_and_bits)
+        return d21, _laurent_add(d22, {0: 1})
 
     monkeypatch.setattr(rileypoly, "_relation_defect", off_by_one)
     with pytest.raises(RileyValidationError, match="not divisible .* at s = 1 "):
@@ -298,7 +392,7 @@ def test_divisibility_checks_catch_a_wrong_defect(monkeypatch):
     monkeypatch.setattr(
         rileypoly,
         "_relation_defect",
-        lambda *w: tuple(_laurent_sub(_laurent_shift(d, 1), d) for d in off_by_one(*w)),
+        lambda *a: tuple(_laurent_sub(_laurent_shift(d, 1), d) for d in off_by_one(*a)),
     )
     with pytest.raises(RileyValidationError, match="not divisible") as exc:
         riley_general(KnotId(7, 3))
@@ -323,6 +417,22 @@ def test_riley_general_pinned_p31():
     )
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "59c49a0127a8c867b1bc8b237acddc7a71d543a39f9ddbb4d04dfa0c0292c5e1"
+    )
+
+
+def test_riley_general_pinned_crosscheck_families():
+    # sha256 of the general route over the 56 families the crosscheck
+    # benchmark runs (m <= 7, n <= 2, p up to 61), taken with the
+    # list-valued Laurent product the packed one replaced
+    families = [DoubleTwist(f, m, n) for f in FAMILIES for m in range(1, 8) for n in range(1, 3)]
+    text = "".join(
+        json.dumps([str(d), str(k), riley_general(k).phi_xy.to_json_dict()]) + "\n"
+        for d in families
+        for k in [family_to_pq(d)]
+    )
+    assert len(families) == 56 and max(family_to_pq(d).p for d in families) == 61
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "06bbce4266acb13608a95c4e746185baff4c02fe68e2c6acb5456c941b8d284b"
     )
 
 
@@ -426,6 +536,24 @@ def test_closed_form_specialized_equals_evaluated():
                     assert riley_closed_form_at(d, x0) == normalize_parabolic(
                         phi_xy.eval_x(x0)
                     ), (d, x0)
+
+
+def test_float_x0_is_refused():
+    # a float is a binary approximation: every x0 entry point raises
+    # instead of computing at its binary expansion
+    d = DoubleTwist("EE", 1, 1)
+    for call in (
+        lambda: riley_closed_form_at(d, 2.1),
+        lambda: closed_form_params(d, 0.5),
+        lambda: check_theorem1(1, 1, 1.9),
+        lambda: check_theorem2(1, 1, 2.5),
+        lambda: riley_closed_form(d).phi_xy.eval_x(0.1),
+    ):
+        with pytest.raises(TypeError, match="float"):
+            call()
+    # exact values still go through, ints and Fractions alike
+    assert riley_closed_form_at(d, 2) == riley_closed_form_at(d, Fraction(4, 2))
+    assert check_theorem1(1, 1, Fraction(2)) == check_theorem1(1, 1, 2)
 
 
 def test_closed_form_at_pinned():
