@@ -24,11 +24,8 @@ remainder (_int_exact_div).
 
 Laurent polynomials in s over Z[y] (the entries of the Riley word
 matrix) map s-exponents to coefficients in Z[y], packed as ints c(2^B)
-for the ring operations (see rileypoly) and as int lists otherwise.  At
-a rational s0 = a/b a Laurent polynomial f with exponents in [-K, K] is
-evaluated over the integers as sum c_k a^(k+K) b^(K-k) = f(s0) (ab)^K,
-a nonzero multiple of f(s0) with the same zero set.  One invariant under
-s -> 1/s rewrites exactly into a BiPoly via x = s + 1/s
+for the ring operations (see rileypoly) and as int lists otherwise.  One
+invariant under s -> 1/s rewrites exactly into a BiPoly via x = s + 1/s
 (symmetrize_to_xy).
 """
 
@@ -223,10 +220,10 @@ class UniPoly:
 # the ring's zero (default int 0) for the entries they create, so no int
 # 0 lands in a BiPoly.
 #
-# Word products, Sturm sequences, squarefree parts and divisibility
-# checks run over plain int lists (ascending, trimmed): subresultant
-# sequences keep the numbers small without a content gcd per step, and
-# Python-int arithmetic is much faster than Fraction.  Scaling by
+# Sturm sequences, squarefree parts and exact division run over plain
+# int lists (ascending, trimmed): subresultant sequences keep the
+# numbers small without a content gcd per step, and Python-int
+# arithmetic is much faster than Fraction.  Scaling by
 # nonzero constants is harmless everywhere these are used: it changes no
 # zero set, and positive scaling changes no sign.
 # ---------------------------------------------------------------------------
@@ -489,7 +486,7 @@ def compose(outer: UniPoly, inner: BiPoly) -> BiPoly:
 # ---------------------------------------------------------------------------
 # Laurent polynomials in s over Z[y], with no zero values: packed,
 # {s-exponent: c(2^B)} for the ring operations, or {s-exponent: int list
-# in y} for evaluation and the rewrite to (x, y).
+# in y} for the symmetry check and the rewrite to (x, y).
 # ---------------------------------------------------------------------------
 
 Laurent = dict[int, list[int]]
@@ -522,17 +519,6 @@ def _laurent_mul(f: PackedLaurent, g: PackedLaurent) -> PackedLaurent:
         for eg, cg in g.items():
             out[ef + eg] = out.get(ef + eg, 0) + cf * cg
     return {e: c for e, c in out.items() if c}
-
-
-def _laurent_eval(f: Laurent, num: int, den: int) -> list[int]:
-    """f(num/den) * (num*den)^K over the integers, K the largest |exponent|
-    of f: sum c_k num^(k+K) den^(K-k).  num, den nonzero."""
-    width = max((abs(e) for e in f), default=0)
-    out: list[int] = []
-    for e, c in f.items():
-        w = num ** (width + e) * den ** (width - e)
-        out = _zadd(out, [w * v for v in c])
-    return out
 
 
 def asymmetry_exponent(f: Laurent) -> int | None:

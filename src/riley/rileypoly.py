@@ -22,19 +22,25 @@ The candidate used here is
 
 which is symmetric under s -> 1/s and therefore rewrites exactly as a
 polynomial Phi(x, y) in x = s + 1/s and y.  Here x is the meridian
-trace and y = tr rho(a b^-1).  Because the reduction formula is not
-rederived here, every construction machine-checks it.  The relation
-defect rho(w a) - rho(b w) is, from the four entries,
+trace and y = tr rho(a b^-1).  The relation defect rho(w a) - rho(b w)
+is, from the four entries,
 
-    [[0, Phi~], [(s - 1/s) W21 - (2-y) W11, W21 - (2-y) W12]],
+    [[0, Phi~], [(s - 1/s) W21 - (2-y) W11, W21 - (2-y) W12]].
 
-and its entries must all vanish wherever Phi~ vanishes: checked by
-exact divisibility at s = 1 and by zero-set containment at 20 random
-rational s.  All of it runs over the integers: at s0 = a/b an entry is
-evaluated scaled by (ab)^K, which changes no zero set, and each
-divisibility test is exact division in Z[y] by a primitive divisor,
-which by Gauss's lemma is divisibility over Q.  Any failure raises
-instead of returning a possibly-wrong polynomial.
+A relator word is a palindrome whose mirrored letters are the other
+generator, and C rho(a)^T C^-1 = rho(b) with C = diag(1, 2-y), so
+W C = U C U^T is symmetric (U the product over the first half) and
+W21 = (2-y) W12 holds identically in Z[s^±1, y] (Riley, "Nonabelian
+representations of 2-bridge knot groups", 1984).  Then the (2,2) entry
+of the defect is 0, its (2,1) entry is -(2-y) Phi~, and
+
+    rho(w a) - rho(b w) = Phi~ * [[0, 1], [-(2-y), 0]]
+
+at every s: the relation holds exactly where Phi~ vanishes.  Because
+the reduction is not rederived here, every construction checks the
+identity exactly, after the determinant and the s -> 1/s symmetry of
+the candidate, and requires Phi~(1, y) to be non-constant in y.  Any
+failure raises instead of returning a possibly-wrong polynomial.
 
 Packed entries: both word products hold each coefficient f in Z[y] as
 the integer f(2^B), a ring homomorphism Z[y] -> Z (Kronecker
@@ -43,8 +49,8 @@ injective where |c| < 2^(B-1) for every coefficient, and B comes from
 the same product run over 1-norm majorants (_slot_bits).  A general
 entry maps s-exponents to such integers; in the parabolic slice (s = 1,
 x = 2) of the conjecture scans an entry is one integer.  Either way the
-determinant is checked exactly on packed values, and only the candidate
-and the relation defect are unpacked.
+determinant and the identity are checked exactly on packed values, and
+only the candidate is unpacked.
 
 Closed-form route: for a double twist knot the Riley polynomial is
 S_n(t) - mu * S_{n-1}(t) with family-specific t and mu built from
@@ -69,9 +75,7 @@ the leading y-coefficient positive at x = 2.
 from __future__ import annotations
 
 import operator
-import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .chebyshev import cheb_pair, cheb_poly
 from .exact import (
@@ -81,12 +85,9 @@ from .exact import (
     Scalar,
     UniPoly,
     _int_coeffs,
-    _int_exact_div,
     _int_primitive,
-    _int_squarefree_part,
     _int_trim,
     _laurent_add,
-    _laurent_eval,
     _laurent_mul,
     _laurent_shift,
     _laurent_sub,
@@ -97,12 +98,6 @@ from .exact import (
     symmetrize_to_xy,
 )
 from .twobridge import DoubleTwist, KnotId, SchubertWord, schubert_word
-
-_VALIDATION_POINTS = 20
-# Draws of s0 allowed for the validation points; a real relator word
-# skips almost none, so hitting the cap means a degenerate word.
-_MAX_VALIDATION_DRAWS = 200
-
 
 class RileyValidationError(RuntimeError):
     """The reduction to a single polynomial failed its validation contract
@@ -148,11 +143,13 @@ _MAJORANT_COLUMN_OPS = _column_ops(_no_shift, operator.add, operator.add, lambda
 def _slot_bits(word: SchubertWord) -> int:
     """Slot width B for both routes: one bit more than the largest 1-norm
     majorant of the determinant W11 W22 - W12 W21, the candidate
-    W11 + (1/s - s) W12 and the defects (s - 1/s) W21 - (2-y) W11 and
-    W21 - (2-y) W12, so every coefficient compared or unpacked has
-    |c| < 2^(B-1)."""
+    W11 + (1/s - s) W12 and the two sides W21 and (2-y) W12 of the
+    identity, so every coefficient compared or unpacked has
+    |c| < 2^(B-1).  Each side is bounded on its own: the signed-digit
+    form of an integer is unique, so two packed values are equal only
+    when the polynomials are."""
     m11, m12, m21, m22 = _word_product(word, _MAJORANT_COLUMN_OPS, 1, 0)
-    bound = max(m11 * m22 + m12 * m21, m11 + 2 * m12, 3 * m11 + 2 * m21, m21 + 3 * m12)
+    bound = max(m11 * m22 + m12 * m21, m11 + 2 * m12, m21, 3 * m12)
     return bound.bit_length() + 1
 
 
@@ -239,35 +236,12 @@ def _reduction_candidate(w11: PackedLaurent, w12: PackedLaurent) -> PackedLauren
     return _laurent_sub(_laurent_add(w11, _laurent_shift(w12, -1)), _laurent_shift(w12, 1))
 
 
-def _relation_defect(
-    w11: PackedLaurent, w12: PackedLaurent, w21: PackedLaurent, bits: int
-) -> tuple[PackedLaurent, PackedLaurent]:
-    """Entries (2,1) and (2,2) of rho(w a) - rho(b w); its (1,1) entry is
-    0 and its (1,2) entry is the reduction candidate itself, so these two
-    must vanish exactly on the zero set of the candidate."""
-    d21 = _laurent_sub(
-        _laurent_sub(_laurent_shift(w21, 1), _laurent_shift(w21, -1)),
-        _two_minus_y(w11, bits),
-    )
-    d22 = _laurent_sub(w21, _two_minus_y(w12, bits))
-    return d21, d22
-
-
-def _check_divides(divisor: list[int], entries: list[list[int]], where: str) -> None:
-    """Every nonzero entry must be an exact Z[y]-multiple of the primitive
-    divisor (equivalently, by Gauss's lemma, a Q[y]-multiple)."""
-    for e in entries:
-        if e and _int_exact_div(e, divisor) is None:
-            raise RileyValidationError(
-                f"relation defect entry is not divisible by the reduction candidate {where}"
-            )
-
-
-def _riley_from_word(word: SchubertWord, label: object, seed: int) -> RileyPoly:
-    """Shared general-route pipeline: product, reduction, validation,
-    rewrite to (x, y), normalization."""
+def _riley_from_word(word: SchubertWord, label: object) -> RileyPoly:
+    """Shared general-route pipeline: product, reduction, validation (see
+    riley_general), rewrite to (x, y), normalization."""
     bits, (w11, w12, w21, _) = word_matrix(word)
-    phi_tilde = _unpack_laurent(_reduction_candidate(w11, w12), bits)
+    candidate = _reduction_candidate(w11, w12)
+    phi_tilde = _unpack_laurent(candidate, bits)
 
     bad = asymmetry_exponent(phi_tilde)
     if bad is not None:
@@ -275,40 +249,11 @@ def _riley_from_word(word: SchubertWord, label: object, seed: int) -> RileyPoly:
             f"reduction candidate for {label} is not symmetric under s -> 1/s "
             f"(first offending s-exponent: {bad}); refusing to guess a unit multiple"
         )
-
-    defect = [_unpack_laurent(d, bits) for d in _relation_defect(w11, w12, w21, bits)]
-    # (i) exact divisibility at s = 1 (the parabolic slice).
-    phi_1 = _laurent_eval(phi_tilde, 1, 1)
-    if not phi_1:
-        raise RileyValidationError(f"reduction candidate for {label} vanishes at s = 1")
-    _check_divides(
-        _int_primitive(phi_1), [_laurent_eval(e, 1, 1) for e in defect], f"at s = 1 for {label}"
-    )
-    # (ii) zero-set containment at random rational s: the defect entries
-    # must be divisible by the squarefree part of the candidate.
-    rng = random.Random(seed)
-    done = draws = 0
-    while done < _VALIDATION_POINTS:
-        if draws == _MAX_VALIDATION_DRAWS:
-            raise RileyValidationError(
-                f"reduction candidate for {label} is constant in y at {draws - done} of "
-                f"{draws} random s; cannot validate"
-            )
-        draws += 1
-        s0 = Fraction(rng.randint(1, 12), rng.randint(1, 12))
-        if rng.random() < 0.5:
-            s0 = -s0
-        num, den = s0.numerator, s0.denominator
-        phi_s0 = _laurent_eval(phi_tilde, num, den)
-        if len(phi_s0) < 2:
-            continue
-        phi_s0 = _int_primitive(phi_s0)
-        entries = [_laurent_eval(e, num, den) for e in defect]
-        # The squarefree part divides phi_s0, so an entry that phi_s0
-        # divides passes; only the others need the squarefree part.
-        if any(e and _int_exact_div(e, phi_s0) is None for e in entries):
-            _check_divides(_int_squarefree_part(phi_s0), entries, f"at s = {s0} for {label}")
-        done += 1
+    if w21 != _two_minus_y(w12, bits):
+        raise RileyValidationError(f"relation identity W21 = (2-y) W12 fails for {label}")
+    # the packed values summed over s are Phi~(1, y), packed
+    if len(_unpack(sum(candidate.values()), bits)) < 2:
+        raise RileyValidationError(f"reduction candidate for {label} is constant in y at s = 1")
 
     return RileyPoly(normalize_bipoly(symmetrize_to_xy(phi_tilde)), "general")
 
@@ -316,15 +261,14 @@ def _riley_from_word(word: SchubertWord, label: object, seed: int) -> RileyPoly:
 def riley_general(k: KnotId) -> RileyPoly:
     """Riley polynomial from the symbolic matrix product over the relator.
 
-    Always-on validation: (i) at s = 1 the candidate must divide all
-    entries of rho(w a) - rho(b w); (ii) the same divisibility (of
-    squarefree parts, i.e. zero-set containment) must hold at 20 random
-    rational s; (iii) the candidate must be symmetric under s -> 1/s;
-    and first, in word_matrix, the determinant must be exactly 1.
-    Any failure raises RileyValidationError: a silently wrong polynomial
-    is never returned.
+    Always-on validation: in word_matrix the determinant must be exactly
+    1; then the candidate must be symmetric under s -> 1/s, the identity
+    W21 = (2-y) W12 must hold exactly, which makes the relation defect
+    Phi~ [[0, 1], [-(2-y), 0]] at every s, and Phi~(1, y) must be
+    non-constant in y.  Any failure raises RileyValidationError: a
+    silently wrong polynomial is never returned.
     """
-    return _riley_from_word(schubert_word(k), k, k.p * 2654435761 + k.q)
+    return _riley_from_word(schubert_word(k), k)
 
 
 # ---------------------------------------------------------------------------
@@ -349,26 +293,21 @@ def riley_parabolic(k: KnotId) -> UniPoly:
 
     Equals riley_general(k).phi_xy evaluated at x = 2, up to the sign and
     content normalization, but is computed directly over Z[y], on entries
-    packed at y = 2^B (see _parabolic_product).  The same validation idea
-    as the general route runs here (cheaply): the exact determinant
-    identity, checked on the four packed integers, and at s = 1 the
-    relation defect reduces to the single divisibility
-    w11 | w21 - (2-y)*w12, an exact division by the primitive part of
-    w11.
+    packed at y = 2^B (see _parabolic_product).  The general route's
+    checks run here on the four packed integers: the determinant must be
+    exactly 1 and W21 = (2-y) W12 must hold, which makes the relation
+    defect at s = 1 W11 [[0, 1], [-(2-y), 0]].
     """
     bits, (w11, w12, w21, w22) = _parabolic_product(schubert_word(k))
     if w11 * w22 - w12 * w21 != 1:
         raise RileyValidationError(f"parabolic word matrix for {k} has determinant != 1")
     if not w11:
         raise RileyValidationError(f"parabolic reduction candidate for {k} vanishes")
+    if w21 != (w12 << 1) - (w12 << bits):
+        raise RileyValidationError(f"parabolic relation identity W21 = (2-y) W12 fails for {k}")
     phi = _int_primitive(_unpack(w11, bits))
     if phi[-1] < 0:
         phi = [-c for c in phi]
-    defect = _unpack(w21 - (w12 << 1) + (w12 << bits), bits)
-    if defect and _int_exact_div(defect, phi) is None:
-        raise RileyValidationError(
-            f"parabolic relation defect for {k} is not divisible by the candidate"
-        )
     return UniPoly(phi)
 
 

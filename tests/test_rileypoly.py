@@ -13,10 +13,9 @@ from riley.exact import (
     BiPoly,
     UniPoly,
     _laurent_add,
-    _laurent_eval,
     _laurent_shift,
-    _laurent_sub,
     _zadd,
+    _zmul,
     _zsub,
 )
 from riley.realroots import count_real_roots
@@ -121,6 +120,11 @@ def _word(compact: str) -> SchubertWord:
     )
 
 
+def _at_s(f, s0):
+    """An unpacked Laurent entry {s-exponent: y-list} at s = s0, in Q[y]."""
+    return sum((UniPoly(c) * Fraction(s0) ** e for e, c in f.items()), UniPoly.zero())
+
+
 def _unpacked_matrix(w):
     """word_matrix's entries, unpacked into {s-exponent: y-list} maps."""
     bits, entries = word_matrix(w)
@@ -185,9 +189,9 @@ def test_word_matrix_hand_values():
     w11 = _unpacked_matrix(_word("ab"))[0]
     assert to_flat(w11) == {(2, 0): 1, (0, 0): 2, (0, 1): -1}
     # w = ab^-1a^-1b at s = 1, entry (1,1) is (2-y)^2 - (2-y) + 1
-    w11 = _laurent_eval(_unpacked_matrix(_word("aBAb"))[0], 1, 1)
+    w11 = _at_s(_unpacked_matrix(_word("aBAb"))[0], 1)
     u = UniPoly([2, -1])
-    assert UniPoly(w11) == u * u - u + 1
+    assert w11 == u * u - u + 1
     # empty word
     assert word_matrix(SchubertWord(()))[1] == ({0: 1}, {}, {}, {0: 1})
 
@@ -247,10 +251,10 @@ def test_mutated_column_operation_is_caught(monkeypatch):
 
 def test_mutated_parabolic_column_operation_is_caught(monkeypatch):
     # the same mutation in the packed s = 1 table: b^-1 flipped is b there,
-    # still unimodular, so the divisibility check must catch it
+    # still unimodular, so the relation identity check must catch it
     _mutate_packed_table(monkeypatch, ("b", -1), lambda table, bits: table[("b", 1)])
     for k in (KnotId(5, 2), KnotId(7, 3), KnotId(61, 17)):
-        with pytest.raises(RileyValidationError, match="not divisible"):
+        with pytest.raises(RileyValidationError, match=r"identity W21 = \(2-y\) W12 fails"):
             riley_parabolic(k)
 
 
@@ -274,23 +278,33 @@ _LIST_PARABOLIC_OPS = rileypoly._column_ops(lambda f, k: f, _zadd, _zsub, _list_
 
 
 def _assert_packed_matches_lists(word):
-    """The packed entries unpack to the list-based s = 1 product, and every
-    coefficient lies within its 1-norm majorant."""
+    """The packed entries unpack to the list-based s = 1 product, every
+    coefficient lies within its 1-norm majorant, and so do the
+    determinant and both sides of W21 = (2-y) W12, below 2^(B-1)."""
     bits, packed = rileypoly._parabolic_product(word)
     lists = rileypoly._word_product(word, _LIST_PARABOLIC_OPS, [1], [])
     majorants = rileypoly._word_product(word, rileypoly._MAJORANT_COLUMN_OPS, 1, 0)
+    half = 1 << (bits - 1)
     for n, coeffs, bound in zip(packed, lists, majorants):
         assert rileypoly._unpack(n, bits) == coeffs
-        assert sum(map(abs, coeffs)) <= bound < 1 << (bits - 1)
-    _, w12, w21, _ = lists
-    defect = _zsub(w21, _list_two_minus_y(w12))
-    assert rileypoly._unpack(packed[2] - 2 * packed[1] + (packed[1] << bits), bits) == defect
-    assert sum(map(abs, defect)) <= majorants[2] + 3 * majorants[1] < 1 << (bits - 1)
+        assert sum(map(abs, coeffs)) <= bound < half
+    w11, w12, w21, w22 = lists
+    m11, m12, m21, m22 = majorants
+    det = _zsub(_zmul(w11, w22), _zmul(w12, w21))
+    assert sum(map(abs, det)) <= m11 * m22 + m12 * m21 < half
+    assert sum(map(abs, w11)) <= m11 + 2 * m12 < half
+    assert sum(map(abs, w21)) <= m21 < half
+    right = _list_two_minus_y(w12)
+    assert rileypoly._unpack((packed[1] << 1) - (packed[1] << bits), bits) == right
+    assert sum(map(abs, right)) <= 3 * m12 < half
 
 
 def test_packed_product_matches_list_product():
     for k in enumerate_knots(41):
         _assert_packed_matches_lists(schubert_word(k))
+    # 3 m12 sets B on no relator word with p <= 199; on a^6 (m11 = 1,
+    # m12 = 6) it alone does
+    _assert_packed_matches_lists(SimpleNamespace(letters=(("a", 1),) * 6))
 
 
 def test_packed_product_matches_list_product_hypothesis():
@@ -311,7 +325,8 @@ def test_packed_product_matches_list_product_hypothesis():
 def _assert_general_packed_matches_oracle(word):
     """The packed general entries unpack to the flat oracle's product, and
     every coefficient of the entries, the determinant, the candidate and
-    both defects lies within its 1-norm majorant, below 2^(B-1)."""
+    both sides of W21 = (2-y) W12 lies within its 1-norm majorant, below
+    2^(B-1)."""
     bits, packed = word_matrix(word)
     assert bits == rileypoly._slot_bits(word)
     flat = [to_flat(rileypoly._unpack_laurent(e, bits)) for e in packed]
@@ -327,14 +342,9 @@ def _assert_general_packed_matches_oracle(word):
     assert det_norm <= m11 * m22 + m12 * m21 < half
     w11, w12, w21, _ = packed
     candidate = _e_sub(_e_add(f11, _e_shift(f12, -1)), _e_shift(f12, 1))
-    d21 = _e_sub(_e_sub(_e_shift(f21, 1), _e_shift(f21, -1)), _e_two_minus_y(f11))
-    d22 = _e_sub(f21, _e_two_minus_y(f12))
-    ours = [
-        rileypoly._reduction_candidate(w11, w12),
-        *rileypoly._relation_defect(w11, w12, w21, bits),
-    ]
+    ours = [rileypoly._reduction_candidate(w11, w12), w21, rileypoly._two_minus_y(w12, bits)]
     for got, want, bound in zip(
-        ours, (candidate, d21, d22), (m11 + 2 * m12, 3 * m11 + 2 * m21, m21 + 3 * m12)
+        ours, (candidate, f21, _e_two_minus_y(f12)), (m11 + 2 * m12, m21, 3 * m12)
     ):
         assert to_flat(rileypoly._unpack_laurent(got, bits)) == want
         assert _e_norm(want) <= bound < half
@@ -376,36 +386,49 @@ def test_unpack_round_trips_extreme_coefficients_and_gaps():
             assert rileypoly._unpack(n, bits) == coeffs, (bits, coeffs)
 
 
-def test_divisibility_checks_catch_a_wrong_defect(monkeypatch):
-    # a defect entry off by the constant 1 is not divisible by a
-    # non-constant candidate: caught at s = 1
-    true_defect = rileypoly._relation_defect
+def test_identity_check_catches_a_wrong_w21(monkeypatch):
+    # W21 off by the constant 1, or by a multiple of s - 1 (which vanishes
+    # in the parabolic slice), breaks W21 = (2-y) W12; the determinant is
+    # checked inside word_matrix, before W21 is altered, and the candidate
+    # reads only W11 and W12, so only the identity check can catch it
+    true_word_matrix = rileypoly.word_matrix
+    for offset in ({0: 1}, {1: 1, 0: -1}):
 
-    def off_by_one(*entries_and_bits):
-        d21, d22 = true_defect(*entries_and_bits)
-        return d21, _laurent_add(d22, {0: 1})
+        def wrong_w21(word, offset=offset):
+            bits, (w11, w12, w21, w22) = true_word_matrix(word)
+            return bits, (w11, w12, _laurent_add(w21, offset), w22)
 
-    monkeypatch.setattr(rileypoly, "_relation_defect", off_by_one)
-    with pytest.raises(RileyValidationError, match="not divisible .* at s = 1 "):
-        riley_general(KnotId(7, 3))
-    # the same defect times (s - 1) vanishes at s = 1: caught at a random s
-    monkeypatch.setattr(
-        rileypoly,
-        "_relation_defect",
-        lambda *a: tuple(_laurent_sub(_laurent_shift(d, 1), d) for d in off_by_one(*a)),
-    )
-    with pytest.raises(RileyValidationError, match="not divisible") as exc:
-        riley_general(KnotId(7, 3))
-    assert "at s = 1 for" not in str(exc.value)
+        monkeypatch.setattr(rileypoly, "word_matrix", wrong_w21)
+        for k in (KnotId(7, 3), KnotId(61, 17)):
+            with pytest.raises(RileyValidationError, match=r"identity W21 = \(2-y\) W12 fails"):
+                riley_general(k)
+
+
+def test_relation_defect_is_the_candidate_times_a_constant_matrix():
+    # the identity on the flat oracle, independent of packing: for a
+    # relator word W21 = (2-y) W12, so rho(w a) - rho(b w) equals
+    # Phi~ [[0, 1], [-(2-y), 0]] with Phi~ = W11 + (1/s - s) W12
+    for k in enumerate_knots(31):
+        (f11, f12), (f21, f22) = oracle_word_matrix(schubert_word(k))
+        assert f21 == _e_two_minus_y(f12), k
+        phi = _e_sub(_e_add(f11, _e_shift(f12, -1)), _e_shift(f12, 1))
+        w = [[f11, f12], [f21, f22]]
+        defect = [
+            [_e_sub(x, y) for x, y in zip(row_wa, row_bw)]
+            for row_wa, row_bw in zip(
+                _m_mul(w, _ORACLE_GEN[("a", 1)]), _m_mul(_ORACLE_GEN[("b", 1)], w)
+            )
+        ]
+        assert defect == [[{}, phi], [_e_sub({}, _e_two_minus_y(phi)), {}]], k
 
 
 def test_empty_word_validation_raises_promptly():
-    # the identity matrix gives the constant candidate 1: every random
-    # point is degenerate, so the bounded draw loop must give up
+    # the identity matrix gives the constant candidate 1, which the
+    # relation cannot pin down: refused as constant in y at s = 1
     from riley.rileypoly import _riley_from_word
 
     with pytest.raises(RileyValidationError, match="constant in y"):
-        _riley_from_word(SchubertWord(()), "empty word", 1)
+        _riley_from_word(SchubertWord(()), "empty word")
 
 
 def test_riley_general_pinned_p31():
@@ -457,8 +480,8 @@ def test_riley_general_validation_rejects_bad_word():
     # (W11 + (1/s - s) W12 = y - s^2) and must be refused
     from riley.rileypoly import _riley_from_word
 
-    with pytest.raises(RileyValidationError, match="symmetric"):
-        _riley_from_word(_word("aB"), "test word", 1)
+    with pytest.raises(RileyValidationError, match="not symmetric"):
+        _riley_from_word(_word("aB"), "test word")
 
 
 def test_riley_parabolic_examples():
