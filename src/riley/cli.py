@@ -25,7 +25,6 @@ import argparse
 import os
 import re
 import sys
-from concurrent.futures import BrokenExecutor
 from fractions import Fraction
 
 from .exact import BiPoly, UniPoly
@@ -412,11 +411,16 @@ def main(argv: list[str] | None = None) -> int:
     except CrossValidationError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except BrokenExecutor as exc:
-        print(f"worker process failed: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:
+        # imported here so that serial runs do not load the pool machinery
+        from concurrent.futures import BrokenExecutor
+
+        if not isinstance(exc, BrokenExecutor):
+            raise
+        print(f"worker process failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     raise AssertionError("unreachable")
 

@@ -28,29 +28,41 @@ is, from the four entries,
     [[0, Phi~], [(s - 1/s) W21 - (2-y) W11, W21 - (2-y) W12]].
 
 A relator word is a palindrome whose mirrored letters are the other
-generator, and C rho(a)^T C^-1 = rho(b) with C = diag(1, 2-y), so
-W C = U C U^T is symmetric (U the product over the first half) and
-W21 = (2-y) W12 holds identically in Z[s^±1, y] (Riley, "Nonabelian
-representations of 2-bridge knot groups", 1984).  Then the (2,2) entry
-of the defect is 0, its (2,1) entry is -(2-y) Phi~, and
+generator, and C rho(g^e)^T C^-1 = rho(g'^e) with C = diag(1, 2-y) for
+the two generators g, g' and e = +-1, so W = U C U^T C^-1 with U the
+product over the first half of the word (Riley, "Nonabelian
+representations of 2-bridge knot groups", 1984).  Hence W C is
+symmetric, W21 = (2-y) W12 holds identically in Z[s^±1, y], and at
+s = 1, where Phi~ = W11, Phi(2, y) = u11^2 + (2-y) u12^2.  With the
+identity the (2,2) entry of the defect is 0, its (2,1) entry is
+-(2-y) Phi~, and
 
     rho(w a) - rho(b w) = Phi~ * [[0, 1], [-(2-y), 0]]
 
 at every s: the relation holds exactly where Phi~ vanishes.  Because
-the reduction is not rederived here, every construction checks the
-identity exactly, after the determinant and the s -> 1/s symmetry of
-the candidate, and requires Phi~(1, y) to be non-constant in y.  Any
-failure raises instead of returning a possibly-wrong polynomial.
+the reduction is not rederived here, every construction checks it and
+raises instead of returning a possibly-wrong polynomial.  The general
+route checks the identity itself on the full product, after the
+determinant and the s -> 1/s symmetry of the candidate, and requires
+Phi~(1, y) to be non-constant in y.  The parabolic route multiplies
+only the first half and checks the hypotheses of W = U C U^T C^-1
+instead: the word is a palindrome with mirrored generators, the column
+table is transpose-symmetric under C, and det U = 1; together they give
+det W = 1 and W21 = (2-y) W12.  It also requires Phi(2, y) to be
+u11(2)^2 = 1 at y = 2 (rho(b) is the identity at s = 1, y = 2), so Phi
+is nonzero and already primitive.
 
 Packed entries: both word products hold each coefficient f in Z[y] as
 the integer f(2^B), a ring homomorphism Z[y] -> Z (Kronecker
 substitution), so a letter is a few big-integer adds and shifts.  It is
 injective where |c| < 2^(B-1) for every coefficient, and B comes from
-the same product run over 1-norm majorants (_slot_bits).  A general
+the same product run over 1-norm majorants, which depend only on the
+number of letters (_majorants, computed once per length).  A general
 entry maps s-exponents to such integers; in the parabolic slice (s = 1,
-x = 2) of the conjecture scans an entry is one integer.  Either way the
-determinant and the identity are checked exactly on packed values, and
-only the candidate is unpacked.
+x = 2) of the conjecture scans an entry of U is one integer, and Phi is
+u11^2 + (u12^2 << 1) - (u12^2 << B).  The general route checks its
+determinant and the identity exactly on packed values, the parabolic
+route det U and the table's symmetry; only the candidate is unpacked.
 
 Closed-form route: for a double twist knot the Riley polynomial is
 S_n(t) - mu * S_{n-1}(t) with family-specific t and mu built from
@@ -74,6 +86,7 @@ the leading y-coefficient positive at x = 2.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 
@@ -84,6 +97,7 @@ from .exact import (
     PackedLaurent,
     Scalar,
     UniPoly,
+    _horner,
     _int_coeffs,
     _int_primitive,
     _int_trim,
@@ -116,11 +130,11 @@ def _column_ops(shift, add, sub, mul_two_minus_y) -> dict:
     }
 
 
-def _word_product(w: SchubertWord, ops: dict, one, zero) -> tuple:
+def _word_product(letters, ops: dict, one, zero) -> tuple:
     """Entries (W11, W12, W21, W22) of the product of generator images
-    over the word, one column operation from ops per letter."""
+    over the letters, one column operation from ops per letter."""
     row1, row2 = (one, zero), (zero, one)
-    for letter in w.letters:
+    for letter in letters:
         op = ops[letter]
         row1, row2 = op(*row1), op(*row2)
     return (*row1, *row2)
@@ -140,15 +154,24 @@ def _no_shift(f, k: int):
 _MAJORANT_COLUMN_OPS = _column_ops(_no_shift, operator.add, operator.add, lambda v: 3 * v)
 
 
+@functools.cache
+def _majorants(n: int) -> tuple[int, int, int, int]:
+    """1-norm majorants (m11, m12, m21, m22) of the entries of the product
+    over any n-letter relator word, at every s.  The majorant table
+    ignores exponent signs and a SchubertWord alternates a, b, so they
+    depend on n alone and are computed once per length."""
+    return _word_product((("ab"[i % 2], 1) for i in range(n)), _MAJORANT_COLUMN_OPS, 1, 0)
+
+
 def _slot_bits(word: SchubertWord) -> int:
-    """Slot width B for both routes: one bit more than the largest 1-norm
-    majorant of the determinant W11 W22 - W12 W21, the candidate
+    """Slot width B of the general route: one bit more than the largest
+    1-norm majorant of the determinant W11 W22 - W12 W21, the candidate
     W11 + (1/s - s) W12 and the two sides W21 and (2-y) W12 of the
     identity, so every coefficient compared or unpacked has
     |c| < 2^(B-1).  Each side is bounded on its own: the signed-digit
     form of an integer is unique, so two packed values are equal only
     when the polynomials are."""
-    m11, m12, m21, m22 = _word_product(word, _MAJORANT_COLUMN_OPS, 1, 0)
+    m11, m12, m21, m22 = _majorants(len(word))
     bound = max(m11 * m22 + m12 * m21, m11 + 2 * m12, m21, 3 * m12)
     return bound.bit_length() + 1
 
@@ -193,7 +216,7 @@ def word_matrix(w: SchubertWord) -> tuple[int, tuple[PackedLaurent, ...]]:
     y = 2^B.  The determinant must be exactly 1; packing is injective on
     it, so the check on packed values is the polynomial identity."""
     bits = _slot_bits(w)
-    w11, w12, w21, w22 = entries = _word_product(w, _packed_laurent_ops(bits), {0: 1}, {})
+    w11, w12, w21, w22 = entries = _word_product(w.letters, _packed_laurent_ops(bits), {0: 1}, {})
     if _laurent_sub(_laurent_mul(w11, w22), _laurent_mul(w12, w21)) != {0: 1}:
         raise RileyValidationError(f"word matrix determinant differs from 1 for word {w.compact()}")
     return bits, entries
@@ -272,8 +295,12 @@ def riley_general(k: KnotId) -> RileyPoly:
 
 
 # ---------------------------------------------------------------------------
-# Parabolic fast path: the s = 1 product, each entry one packed integer.
+# Parabolic fast path: the s = 1 product over half the word, each entry
+# one packed integer.
 # ---------------------------------------------------------------------------
+
+# each letter and the letter that mirrors it in a relator word
+_MIRROR = {(g, e): ("b" if g == "a" else "a", e) for g in "ab" for e in (1, -1)}
 
 
 def _packed_column_ops(bits: int) -> dict:
@@ -281,34 +308,55 @@ def _packed_column_ops(bits: int) -> dict:
     return _column_ops(_no_shift, operator.add, operator.sub, lambda v: (v << 1) - (v << bits))
 
 
-def _parabolic_product(word: SchubertWord) -> tuple[int, tuple[int, int, int, int]]:
-    """Slot width B (_slot_bits) and the entries (W11, W12, W21, W22) of
-    the s = 1 word product, each packed as W_ij(2^B)."""
-    bits = _slot_bits(word)
-    return bits, _word_product(word, _packed_column_ops(bits), 1, 0)
+def _check_transpose_symmetry(ops: dict, bits: int) -> None:
+    """Raise unless C rho(a^e)^T C^-1 = rho(b^e), C = diag(1, 2-y), for
+    e = +-1 in the packed table ops, where a letter's rows are its
+    operation on the identity's rows.  Written without division as
+    rho(b^e) C = C rho(a^e)^T; the equation with a and b swapped is this
+    one transposed, so it needs no check of its own."""
+    for e in (1, -1):
+        (a11, a12), (a21, a22) = ops["a", e](1, 0), ops["a", e](0, 1)
+        (b11, b12), (b21, b22) = ops["b", e](1, 0), ops["b", e](0, 1)
+        b12_two_minus_y, a12_two_minus_y = (b12 << 1) - (b12 << bits), (a12 << 1) - (a12 << bits)
+        if (b11, b12_two_minus_y, b21, b22) != (a11, a21, a12_two_minus_y, a22):
+            raise RileyValidationError(
+                f"parabolic column table fails C rho(a^{e})^T C^-1 = rho(b^{e}), C = diag(1, 2-y)"
+            )
 
 
 def riley_parabolic(k: KnotId) -> UniPoly:
     """Riley polynomial of the parabolic slice x = 2, normalized.
 
     Equals riley_general(k).phi_xy evaluated at x = 2, up to the sign and
-    content normalization, but is computed directly over Z[y], on entries
-    packed at y = 2^B (see _parabolic_product).  The general route's
-    checks run here on the four packed integers: the determinant must be
-    exactly 1 and W21 = (2-y) W12 must hold, which makes the relation
-    defect at s = 1 W11 [[0, 1], [-(2-y), 0]].
+    content normalization, but is computed directly over Z[y] as
+    u11^2 + (2-y) u12^2 from the s = 1 product U over the first half of
+    the word, on entries packed at y = 2^B (module docstring).  B is one
+    bit longer than the larger 1-norm majorant, m11^2 + 3 m12^2 of Phi or
+    m11 m22 + m12 m21 of det U.  Always-on validation: the word must be
+    a palindrome with mirrored generators, the packed table
+    transpose-symmetric under C = diag(1, 2-y) and det U exactly 1, which
+    give W = U C U^T C^-1, det W = 1 and W21 = (2-y) W12, so the relation
+    defect at s = 1 is Phi [[0, 1], [-(2-y), 0]]; and Phi must be 1 at
+    y = 2 before the sign is normalized.
     """
-    bits, (w11, w12, w21, w22) = _parabolic_product(schubert_word(k))
-    if w11 * w22 - w12 * w21 != 1:
-        raise RileyValidationError(f"parabolic word matrix for {k} has determinant != 1")
-    if not w11:
-        raise RileyValidationError(f"parabolic reduction candidate for {k} vanishes")
-    if w21 != (w12 << 1) - (w12 << bits):
-        raise RileyValidationError(f"parabolic relation identity W21 = (2-y) W12 fails for {k}")
-    phi = _int_primitive(_unpack(w11, bits))
-    if phi[-1] < 0:
-        phi = [-c for c in phi]
-    return UniPoly(phi)
+    letters = schubert_word(k).letters
+    half = len(letters) // 2
+    first = letters[:half]
+    if len(letters) % 2 or letters[half:] != tuple(map(_MIRROR.__getitem__, reversed(first))):
+        raise RileyValidationError(f"relator word of {k} is not a palindrome with mirrored generators")
+    m11, m12, m21, m22 = _majorants(half)
+    bits = max(m11 * m11 + 3 * m12 * m12, m11 * m22 + m12 * m21).bit_length() + 1
+    ops = _packed_column_ops(bits)
+    _check_transpose_symmetry(ops, bits)
+    u11, u12, u21, u22 = _word_product(first, ops, 1, 0)
+    if u11 * u22 - u12 * u21 != 1:
+        raise RileyValidationError(f"parabolic half-word matrix for {k} has determinant != 1")
+    u12_sq = u12 * u12
+    phi = _unpack(u11 * u11 + (u12_sq << 1) - (u12_sq << bits), bits)
+    at_two = _horner(phi, 2, 0)
+    if at_two != 1:
+        raise RileyValidationError(f"parabolic Riley polynomial of {k} is {at_two} at y = 2, not 1")
+    return UniPoly._raw(tuple(phi) if phi[-1] > 0 else tuple(-c for c in phi))
 
 
 # ---------------------------------------------------------------------------

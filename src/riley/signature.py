@@ -23,7 +23,6 @@ them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .twobridge import KnotId
 
@@ -51,12 +50,6 @@ class EvenCF:
             if e == 0 or e % 2 != 0:
                 raise ValueError(f"entries must be nonzero even integers, got {e}")
 
-    def value(self) -> Fraction:
-        acc = Fraction(self.entries[-1])
-        for e in reversed(self.entries[:-1]):
-            acc = e - 1 / acc
-        return acc
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -80,7 +73,11 @@ def even_cf(k: KnotId) -> EvenCF:
     (never a tie: a tie would force a common factor) and recurses on the
     reciprocal of the remainder; the remainder strictly shrinks, so the
     expansion ends within p steps.  The result is round-trip checked
-    against p/q* and must have even length for a knot.
+    against p/q* and must have even length for a knot.  The round trip
+    runs on integers: the expansion's value is K(e_1..e_k) / K(e_2..e_k),
+    a ratio of continuants, so it equals p/q* exactly when
+    K(e_1..e_k) q* = K(e_2..e_k) p (no continuant vanishes: every
+    |e_i| >= 2, so |K| grows with each entry).
     """
     p, q = k.p, k.q
     q_star = q if q % 2 == 0 else p - q
@@ -100,7 +97,11 @@ def even_cf(k: KnotId) -> EvenCF:
     else:
         raise SignatureError(f"even continued fraction of {p}/{q_star} did not end within {p} steps")
     cf = EvenCF(tuple(entries))
-    if cf.value() != Fraction(p, q_star):
+    # the continuants K(e_j..e_k) and K(e_(j+1)..e_k), from j = k down to 1
+    num, den = 1, 0
+    for e in reversed(entries):
+        num, den = e * num - den, num
+    if num * q_star != den * p:
         raise SignatureError(f"even continued fraction of {p}/{q_star} failed its round-trip check")
     if len(entries) % 2 != 0:
         raise SignatureError(

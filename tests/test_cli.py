@@ -261,6 +261,26 @@ def test_scan_with_dying_worker_exits_internal():
     assert proc.stderr.startswith("worker process failed: ")
 
 
+def test_cli_import_leaves_the_pool_machinery_unloaded():
+    # serial scans, sweeps and crosschecks never start a pool, so loading
+    # the CLI must not import concurrent.futures (the scan's parallel
+    # branch and the worker-failure handler import it when they run)
+    import riley
+
+    src = str(Path(riley.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = "import sys, riley.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_signature_command(capsys):
     code, out, _ = run_cli(capsys, "signature", "7", "5")
     assert code == 0

@@ -3,7 +3,6 @@ import json
 import math
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
@@ -12,6 +11,7 @@ from riley.chebyshev import cheb_pair, cheb_poly
 from riley.exact import (
     BiPoly,
     UniPoly,
+    _int_primitive,
     _laurent_add,
     _laurent_shift,
     _zadd,
@@ -251,20 +251,161 @@ def test_mutated_column_operation_is_caught(monkeypatch):
 
 def test_mutated_parabolic_column_operation_is_caught(monkeypatch):
     # the same mutation in the packed s = 1 table: b^-1 flipped is b there,
-    # still unimodular, so the relation identity check must catch it
+    # still unimodular and equal to b^-1 at y = 2, so only the table's
+    # transpose symmetry C rho(a^-1)^T C^-1 = rho(b^-1) can catch it
     _mutate_packed_table(monkeypatch, ("b", -1), lambda table, bits: table[("b", 1)])
     for k in (KnotId(5, 2), KnotId(7, 3), KnotId(61, 17)):
-        with pytest.raises(RileyValidationError, match=r"identity W21 = \(2-y\) W12 fails"):
+        with pytest.raises(RileyValidationError, match=r"fails C rho\(a\^-1\)\^T C\^-1 = rho\(b\^-1\)"):
             riley_parabolic(k)
 
 
 def test_non_unimodular_parabolic_column_operation_is_caught(monkeypatch):
-    # a: c2 <- c1 + 2 c2 has determinant 2, so the word product's is a
-    # power of 2 and the packed determinant check must catch it
+    # a: c2 <- c1 + 2 c2 with b: (u, v) -> (u + (2-y) v, 2 v) keeps the
+    # table transpose-symmetric and u11(2) = 1, but both have determinant
+    # 2, so det U is a power of 2 on every half word holding a or b, and
+    # the packed determinant check must catch it
     _mutate_packed_table(monkeypatch, ("a", 1), lambda table, bits: lambda u, v: (u, u + 2 * v))
+    _mutate_packed_table(
+        monkeypatch,
+        ("b", 1),
+        lambda table, bits: lambda u, v: (u + (v << 1) - (v << bits), 2 * v),
+    )
     for k in (KnotId(5, 2), KnotId(7, 3), KnotId(61, 17)):
         with pytest.raises(RileyValidationError, match="has determinant != 1"):
             riley_parabolic(k)
+
+
+def _alternating(exponents) -> SchubertWord:
+    return SchubertWord(tuple(("ab"[i % 2], e) for i, e in enumerate(exponents)))
+
+
+def _mirrored(half: SchubertWord) -> SchubertWord:
+    """The palindrome over half whose mirrored letters are the other
+    generator, as every relator word is."""
+    other = {"a": "b", "b": "a"}
+    return SchubertWord(half.letters + tuple((other[g], e) for g, e in reversed(half.letters)))
+
+
+def test_non_palindromic_word_is_refused(monkeypatch):
+    # the half-word product rests on the word being a palindrome whose
+    # mirrored letters are the other generator; a word breaking either
+    # part is refused before the product runs.  aBa is an exponent
+    # palindrome whose middle letter mirrors onto itself
+    true_word = schubert_word(KnotId(7, 3))
+    flipped = SchubertWord(true_word.letters[:-1] + (("b", -true_word.letters[-1][1]),))
+    for word in (flipped, _alternating((1, -1, 1))):
+        monkeypatch.setattr(rileypoly, "schubert_word", lambda k, word=word: word)
+        with pytest.raises(RileyValidationError, match="not a palindrome with mirrored generators"):
+            riley_parabolic(KnotId(7, 3))
+
+
+def test_too_narrow_parabolic_slot_is_caught(monkeypatch):
+    # packing is a ring homomorphism, so det U packs to 1 at any slot
+    # width; a width too small for Phi's coefficients shows only when Phi
+    # is unpacked, and then Phi(2) = u11(2)^2 = 1 fails
+    monkeypatch.setattr(rileypoly, "_majorants", lambda n: (1, 1, 0, 1))
+    for k in (KnotId(7, 3), KnotId(61, 17)):
+        with pytest.raises(RileyValidationError, match="at y = 2, not 1"):
+            riley_parabolic(k)
+
+
+# --- the full-word s = 1 product the half-word route replaced, as an oracle ---
+
+
+def _full_word_parabolic(word: SchubertWord):
+    """Slot width and entries (W11, W12, W21, W22) of the packed s = 1
+    product over the whole word, at the general route's slot width."""
+    bits = rileypoly._slot_bits(word)
+    return bits, rileypoly._word_product(word.letters, rileypoly._packed_column_ops(bits), 1, 0)
+
+
+def _full_word_riley_parabolic(word: SchubertWord) -> UniPoly:
+    """W11 of the full product, its determinant and W21 = (2-y) W12
+    checked, made primitive with a positive leading coefficient."""
+    bits, (w11, w12, w21, w22) = _full_word_parabolic(word)
+    assert w11 * w22 - w12 * w21 == 1
+    assert w21 == (w12 << 1) - (w12 << bits)
+    phi = _int_primitive(rileypoly._unpack(w11, bits))
+    return UniPoly(phi if phi[-1] > 0 else [-c for c in phi])
+
+
+def test_half_word_product_matches_full_word_oracle():
+    for k in enumerate_knots(99):
+        assert riley_parabolic(k) == _full_word_riley_parabolic(schubert_word(k)), k
+
+
+def _spy_half_slot_width(monkeypatch) -> list:
+    """Patch the packed s = 1 table builder to record each slot width
+    riley_parabolic asks for."""
+    widths, true_ops = [], rileypoly._packed_column_ops
+
+    def spy(bits):
+        widths.append(bits)
+        return true_ops(bits)
+
+    monkeypatch.setattr(rileypoly, "_packed_column_ops", spy)
+    return widths
+
+
+def _assert_half_route_within_majorants(k: KnotId, word: SchubertWord, widths: list):
+    """riley_parabolic(k), which must run on the palindrome over word (its
+    first half), equals the full-word oracle, and every coefficient of
+    Phi = u11^2 + (2-y) u12^2 and of det U, from the list-based half
+    product, lies within its 1-norm majorant, below 2^(B-1) at the slot
+    width riley_parabolic used."""
+    phi = riley_parabolic(k)
+    assert phi == _full_word_riley_parabolic(_mirrored(word))
+    u11, u12, u21, u22 = rileypoly._word_product(word.letters, _LIST_PARABOLIC_OPS, [1], [])
+    m11, m12, m21, m22 = rileypoly._majorants(len(word))
+    half = 1 << (widths[-1] - 1)
+    phi_raw = _zadd(_zmul(u11, u11), _list_two_minus_y(_zmul(u12, u12)))
+    assert normalize_parabolic(UniPoly(phi_raw)) == phi
+    assert sum(map(abs, phi_raw)) <= m11 * m11 + 3 * m12 * m12 < half
+    det = _zsub(_zmul(u11, u22), _zmul(u12, u21))
+    assert det == [1]
+    assert sum(map(abs, u11)) * sum(map(abs, u22)) + sum(map(abs, u12)) * sum(
+        map(abs, u21)
+    ) <= m11 * m22 + m12 * m21 < half
+
+
+def test_half_route_coefficients_within_majorants(monkeypatch):
+    widths = _spy_half_slot_width(monkeypatch)
+    for k in enumerate_knots(61):
+        letters = schubert_word(k).letters
+        _assert_half_route_within_majorants(k, SchubertWord(letters[: len(letters) // 2]), widths)
+
+
+def test_half_route_coefficients_within_majorants_hypothesis(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    widths = _spy_half_slot_width(monkeypatch)
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.lists(st.sampled_from((1, -1)), min_size=1, max_size=40))
+    def within(exponents):
+        # any alternating first half, not only those of relator words; the
+        # knot only labels errors, the word is patched in
+        word = _alternating(exponents)
+        monkeypatch.setattr(rileypoly, "schubert_word", lambda k: _mirrored(word))
+        _assert_half_route_within_majorants(KnotId(3, 1), word, widths)
+
+    within()
+
+
+def test_cached_majorants_equal_a_fresh_run_hypothesis():
+    # the cache is keyed by length alone: the majorant table ignores
+    # exponent signs, and relator words alternate a, b
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.lists(st.sampled_from((1, -1)), max_size=120))
+    def cached_equals_fresh(exponents):
+        word = _alternating(exponents)
+        fresh = rileypoly._word_product(word.letters, rileypoly._MAJORANT_COLUMN_OPS, 1, 0)
+        assert rileypoly._majorants(len(word)) == fresh
+
+    cached_equals_fresh()
 
 
 # --- packed s = 1 product against the list-based one ---
@@ -278,12 +419,12 @@ _LIST_PARABOLIC_OPS = rileypoly._column_ops(lambda f, k: f, _zadd, _zsub, _list_
 
 
 def _assert_packed_matches_lists(word):
-    """The packed entries unpack to the list-based s = 1 product, every
-    coefficient lies within its 1-norm majorant, and so do the
-    determinant and both sides of W21 = (2-y) W12, below 2^(B-1)."""
-    bits, packed = rileypoly._parabolic_product(word)
-    lists = rileypoly._word_product(word, _LIST_PARABOLIC_OPS, [1], [])
-    majorants = rileypoly._word_product(word, rileypoly._MAJORANT_COLUMN_OPS, 1, 0)
+    """The full-word packed entries unpack to the list-based s = 1
+    product, every coefficient lies within its 1-norm majorant, and so do
+    the determinant and both sides of W21 = (2-y) W12, below 2^(B-1)."""
+    bits, packed = _full_word_parabolic(word)
+    lists = rileypoly._word_product(word.letters, _LIST_PARABOLIC_OPS, [1], [])
+    majorants = rileypoly._word_product(word.letters, rileypoly._MAJORANT_COLUMN_OPS, 1, 0)
     half = 1 << (bits - 1)
     for n, coeffs, bound in zip(packed, lists, majorants):
         assert rileypoly._unpack(n, bits) == coeffs
@@ -302,22 +443,17 @@ def _assert_packed_matches_lists(word):
 def test_packed_product_matches_list_product():
     for k in enumerate_knots(41):
         _assert_packed_matches_lists(schubert_word(k))
-    # 3 m12 sets B on no relator word with p <= 199; on a^6 (m11 = 1,
-    # m12 = 6) it alone does
-    _assert_packed_matches_lists(SimpleNamespace(letters=(("a", 1),) * 6))
 
 
 def test_packed_product_matches_list_product_hypothesis():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
-    letters = st.tuples(st.sampled_from("ab"), st.sampled_from((1, -1)))
 
     @hypothesis.settings(max_examples=200, deadline=None)
-    @hypothesis.given(st.lists(letters, max_size=60))
-    def packed_matches(letters):
-        # the product reads only .letters, so any a/b word can be fed,
-        # not only the alternating relator words
-        _assert_packed_matches_lists(SimpleNamespace(letters=tuple(letters)))
+    @hypothesis.given(st.lists(st.sampled_from((1, -1)), max_size=60))
+    def packed_matches(exponents):
+        # any alternating word, not only the relator words
+        _assert_packed_matches_lists(_alternating(exponents))
 
     packed_matches()
 
@@ -333,7 +469,7 @@ def _assert_general_packed_matches_oracle(word):
     oracle = oracle_word_matrix(word)
     assert flat == [oracle[0][0], oracle[0][1], oracle[1][0], oracle[1][1]]
     f11, f12, f21, f22 = flat
-    m11, m12, m21, m22 = rileypoly._word_product(word, rileypoly._MAJORANT_COLUMN_OPS, 1, 0)
+    m11, m12, m21, m22 = rileypoly._word_product(word.letters, rileypoly._MAJORANT_COLUMN_OPS, 1, 0)
     half = 1 << (bits - 1)
     for f, bound in zip(flat, (m11, m12, m21, m22)):
         assert _e_norm(f) <= bound < half
@@ -358,13 +494,12 @@ def test_general_packed_product_matches_oracle():
 def test_general_packed_product_matches_oracle_hypothesis():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
-    letters = st.tuples(st.sampled_from("ab"), st.sampled_from((1, -1)))
 
     @hypothesis.settings(max_examples=200, deadline=None)
-    @hypothesis.given(st.lists(letters, max_size=40))
-    def packed_matches(letters):
-        # any a/b word, not only the alternating relator words
-        _assert_general_packed_matches_oracle(SimpleNamespace(letters=tuple(letters)))
+    @hypothesis.given(st.lists(st.sampled_from((1, -1)), max_size=40))
+    def packed_matches(exponents):
+        # any alternating word, not only the relator words
+        _assert_general_packed_matches_oracle(_alternating(exponents))
 
     packed_matches()
 
