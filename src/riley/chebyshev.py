@@ -4,8 +4,9 @@ S_0(z) = 1, S_1(z) = z and S_k(z) = z*S_{k-1}(z) - S_{k-2}(z) for every
 integer k; running the recurrence backward gives S_{-1} = 0, S_{-2} = -1
 and in general S_{-k-2} = -S_k.  The expanded forms, with int
 coefficients, are memoized per process; the closed form runs the
-recurrence itself at its t, a polynomial, in cheb_pair, in homogeneous
-form at a rational x0 so that its coefficients stay integers.
+recurrence itself at its t, packed as one integer (see rileypoly), in
+cheb_pair, in homogeneous form at a rational x0 so that its
+coefficients stay integers.
 """
 
 from __future__ import annotations

@@ -536,7 +536,9 @@ def symmetrize_to_xy(f: Laurent) -> BiPoly:
 
     f maps each s-exponent to its coefficient list in y (ascending,
     trimmed).  Each pair s**k + s**-k is replaced by the trace polynomial
-    p_k(x) (p_0 = 2, p_1 = x, p_k = x*p_{k-1} - p_{k-2}).  Raises
+    p_k(x) (p_0 = 2, p_1 = x, p_k = x*p_{k-1} - p_{k-2}).  The sum
+    sum_k c_k(y) p_k(x) is collected on int lists, one x-coefficient
+    list per power of y, and becomes one BiPoly at the end.  Raises
     SymmetryError carrying the offending exponent when the input is not
     symmetric.
     """
@@ -545,12 +547,16 @@ def symmetrize_to_xy(f: Laurent) -> BiPoly:
     bad = asymmetry_exponent(f)
     if bad is not None:
         raise SymmetryError(bad)
-    result = BiPoly.zero()
+    # rows[j] is the x-coefficient list of y^j
+    rows = [[0] * (max(f) + 1) for _ in range(max(map(len, f.values())))] if f else []
     for k, c in f.items():
         if k < 0:
             continue
         # c is the y-coefficient of s^k (+ s^-k for k > 0): contributes
         # c(y) * p_k(x), except k = 0 contributes c(y) * 1 (half of p_0).
-        xpart = trace_poly(k) if k > 0 else UniPoly.const(1)
-        result = result + BiPoly(c) * xpart
-    return result
+        xpart = trace_poly(k).coeffs if k > 0 else (1,)
+        for row, cj in zip(rows, c):
+            if cj:
+                for i, v in enumerate(xpart):
+                    row[i] += cj * v
+    return BiPoly([UniPoly._raw(tuple(_int_trim(row))) for row in rows])

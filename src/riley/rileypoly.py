@@ -52,11 +52,12 @@ det W = 1 and W21 = (2-y) W12.  It also requires Phi(2, y) to be
 u11(2)^2 = 1 at y = 2 (rho(b) is the identity at s = 1, y = 2), so Phi
 is nonzero and already primitive.
 
-Packed entries: both word products hold each coefficient f in Z[y] as
-the integer f(2^B), a ring homomorphism Z[y] -> Z (Kronecker
-substitution), so a letter is a few big-integer adds and shifts.  It is
-injective where |c| < 2^(B-1) for every coefficient, and B comes from
-the same product run over 1-norm majorants, which depend only on the
+Packing: both word products and the closed form hold each coefficient
+f in Z[y] as the integer f(2^B), a ring homomorphism Z[y] -> Z
+(Kronecker substitution), so a letter or a recurrence step is a few
+big-integer adds, shifts and products.  It is injective where
+|c| < 2^(B-1) for every coefficient, and B comes from the same code run
+over 1-norm majorants.  For the word products these depend only on the
 number of letters (_majorants, computed once per length).  A general
 entry maps s-exponents to such integers; in the parabolic slice (s = 1,
 x = 2) of the conjecture scans an entry of U is one integer, and Phi is
@@ -67,17 +68,21 @@ route det U and the table's symmetry; only the candidate is unpacked.
 Closed-form route: for a double twist knot the Riley polynomial is
 S_n(t) - mu * S_{n-1}(t) with family-specific t and mu built from
 Chebyshev polynomials in y.  The two routes share nothing but basic
-polynomial arithmetic and the normalization step, so their exact
+arithmetic (_unpack) and the normalization step, so their exact
 agreement (see verifier.cross_validate) is a meaningful check of both.
-One set of family formulas builds t and mu either in Z[x][y] or, at a
-given x0 = a/b, directly in Z[y] as T = D*t and M = D*mu with D = b^2;
-the theorem sweeps and `family --x` use the latter.  The homogeneous
-recurrence H_{k+1} = T*H_k - D^2*H_{k-1} gives H_k = D^k S_k(t), so
-H_n - M*H_{n-1} = D^n Phi(x0, y) and every step runs on Python ints.
-Evaluation at x0 is a ring homomorphism Q[x][y] -> Q[y], so
-specializing before the recurrence gives the bivariate polynomial at x0
-up to a positive scalar, which normalization removes and on which no
-root count depends.
+One set of family formulas (_family_run) gives t and mu either over
+Z[x][y] or, at a given x0 = a/b, over Z[y] as T = D*t and M = D*mu with
+D = b^2; the theorem sweeps and `family --x` use the latter.  The
+homogeneous recurrence H_{k+1} = T*H_k - D^2*H_{k-1} gives
+H_k = D^k S_k(t), so H_n - M*H_{n-1} = D^n Phi(x0, y).  The formulas
+and the recurrence run once, on packed integers: Phi depends on x only
+through X = x^2, with deg_X Phi <= n, so the bivariate run packs
+X = 2^B and y = 2^(B*(n+1)), and the run at x0 packs y = 2^B with
+X = a^2; one _unpack then gives Phi, T or M.  Evaluation at x0 is a
+ring homomorphism Q[x][y] -> Q[y], so specializing before the
+recurrence gives the bivariate polynomial at x0 up to a positive
+scalar, which normalization removes and on which no root count
+depends.
 
 Normalization: Riley polynomials are defined up to units, so results are
 scaled to integer coefficients with content 1 and sign chosen to make
@@ -90,7 +95,8 @@ import functools
 import operator
 from dataclasses import dataclass
 
-from .chebyshev import cheb_pair, cheb_poly
+from .chebyshev import cheb_pair
+from .chebyshev import cheb_poly  # noqa: F401  (bound here for perfbench/traced.py)
 from .exact import (
     BiPoly,
     Laurent,
@@ -180,20 +186,15 @@ def _unpack(n: int, bits: int) -> list[int]:
     """The trimmed coefficient list of f with f(2^bits) = n, given that
     every coefficient of f satisfies |c| < 2^(bits-1).
 
-    Each slot is read as a signed digit: a residue of 2^(bits-1) or more
-    is negative and borrows 1 from the next slot.  A polynomial with s
-    slots has |f(2^bits)| >= 2^(bits*(s-1)-1), so bit_length // bits + 1
-    passes read every slot.
+    A polynomial with s slots has |f(2^bits)| >= 2^(bits*(s-1)-1), so
+    bit_length // bits + 1 slots hold every coefficient.  Adding the bias
+    2^(bits-1) to every slot at once makes each slot a digit c + 2^(bits-1)
+    in [1, 2^bits - 1] with no borrow, read with one shift and one mask.
     """
     half, mask = 1 << (bits - 1), (1 << bits) - 1
-    coeffs = []
-    for _ in range(abs(n).bit_length() // bits + 1):
-        c = n & mask
-        if c >= half:
-            c -= mask + 1
-        coeffs.append(c)
-        n = (n - c) >> bits
-    return _int_trim(coeffs)
+    slots = abs(n).bit_length() // bits + 1
+    n += half * (((1 << (bits * slots)) - 1) // mask)
+    return _int_trim([((n >> (bits * i)) & mask) - half for i in range(slots)])
 
 
 def _unpack_laurent(f: PackedLaurent, bits: int) -> Laurent:
@@ -377,13 +378,27 @@ class ClosedFormParams:
     denominator: int
 
 
-_X2 = BiPoly.const(UniPoly([0, 0, 1]))
+class _Majorant(int):
+    """A 1-norm majorant: an int whose subtraction adds.  Since
+    |f +- g|_1 <= |f|_1 + |g|_1 and |f g|_1 <= |f|_1 |g|_1, formulas run
+    on majorants of their inputs (and on nonnegative int constants) give
+    majorants of their results."""
+
+    def __add__(self, other):
+        return _Majorant(int.__add__(self, other))
+
+    __radd__ = __sub__ = __rsub__ = __add__
+
+    def __mul__(self, other):
+        return _Majorant(int.__mul__(self, other))
+
+    __rmul__ = __mul__
 
 
-def closed_form_params(d: DoubleTwist, x0: Scalar | None = None) -> ClosedFormParams:
-    """Exact (T, M) = D*(t, mu) for a double twist family, in Z[x][y]
-    with D = 1, or in Z[y] at x = x0 = a/b when x0 is given, with
-    D = b^2.
+def _family_run(d: DoubleTwist, y, x2, one) -> tuple:
+    """(T, M, H_n - M*H_{n-1}) = (D*t, D*mu, D^n * Phi) for a double
+    twist family at ring elements y, x2 = D*x^2 and one = D: D = 1 and
+    x2 = x^2 in Z[x][y], or D = b^2 and x2 = a^2 at x0 = a/b.
 
     With u = y + 2 - x^2 and S_k = S_k(y):
 
@@ -392,22 +407,14 @@ def closed_form_params(d: DoubleTwist, x0: Scalar | None = None) -> ClosedFormPa
       OE: t = x^2 - y - (y-2) u S_m S_{m-1}  mu = 1 - u S_m (S_m - S_{m-1})
       ON: t as OE                          mu = 1 + u S_{m-1} (S_m - S_{m-1})
 
-    Both depend on x only through x^2 and are linear in u, so one set of
-    formulas serves both rings: D*t and D*mu take U = D*u =
-    one*(y+2) - x2 for u and scale every other term by one = D, where
-    x2 = D*x^2 is X^2, or a^2 at x0 = a/b.  The specialized pair is the
-    bivariate one evaluated at x0, times D.  Raises TypeError on a
-    float x0.
+    Both depend on x only through x^2 and are linear in u, so D*t and
+    D*mu take U = D*u = one*(y+2) - x2 for u and scale every other term
+    by one.  The pair (H_{n-1}, H_n) comes from one pass of the
+    homogeneous Chebyshev recurrence at T (cheb_pair); no matrix product
+    is involved, keeping this route independent of the general one.
     """
-    m = d.m
-    if x0 is None:
-        y, x2, one = BiPoly.gen(), _X2, 1
-        # S_k(y) as BiPolys whose x-coefficients are constants
-        s_m, s_m1, s_m2 = (BiPoly(cheb_poly(k).coeffs) for k in (m, m - 1, m - 2))
-    else:
-        x0 = _rational(x0)
-        y, x2, one = UniPoly.gen(), x0.numerator**2, x0.denominator**2
-        s_m, s_m1, s_m2 = cheb_poly(m), cheb_poly(m - 1), cheb_poly(m - 2)
+    s_m1, s_m = cheb_pair(d.m, y)
+    s_m2 = y * s_m1 - s_m
     u = one * (y + 2) - x2
     y_minus_2 = y - 2
     if d.family in ("EE", "EN"):
@@ -422,22 +429,62 @@ def closed_form_params(d: DoubleTwist, x0: Scalar | None = None) -> ClosedFormPa
             mu = one - u * s_m * (s_m - s_m1)
         else:
             mu = one + u * s_m1 * (s_m - s_m1)
-    return ClosedFormParams(t=t, mu=mu, family=d, denominator=one)
+    h_prev, h_n = cheb_pair(d.n, t, one)
+    return t, mu, h_n - mu * h_prev
 
 
-def _closed_form(params: ClosedFormParams, n: int):
-    """H_n - M * H_{n-1} = D^n * (S_n(t) - mu * S_{n-1}(t)), from one
-    pass of the homogeneous Chebyshev recurrence at T = D*t (cheb_pair);
-    no matrix product is involved, keeping this route independent of the
-    general one."""
-    h_prev, h_n = cheb_pair(n, params.t, params.denominator)
-    return h_n - params.mu * h_prev
+def _unpack_xy(n: int, bits: int, row: int) -> BiPoly:
+    """The polynomial in (x, y) packed as n at X = x^2 = 2^bits and
+    y = 2^(bits*row), given x-degrees below 2*row and coefficients below
+    2^(bits-1) in absolute value."""
+    flat = _unpack(n, bits)
+    rows = []
+    for j in range(0, len(flat), row):
+        chunk = flat[j : j + row]
+        xs = [0] * (2 * len(chunk) - 1)
+        xs[::2] = chunk
+        rows.append(UniPoly._raw(tuple(_int_trim(xs))))
+    return BiPoly._raw(tuple(rows))
+
+
+def _closed_form_run(d: DoubleTwist, x0: Scalar | None = None) -> tuple:
+    """(unpack, D, (T, M, D^n Phi)) with the last three packed as ints
+    and unpack mapping one of them to its BiPoly in (x, y) or, given
+    x0 = a/b, its UniPoly in y at x0, where D = b^2.
+
+    Phi depends on x only through X = x^2, with deg_X t, deg_X mu <= 1,
+    so deg_X Phi <= n: the bivariate run packs X = 2^B and
+    y = 2^(B*(n+1)), the run at x0 takes X = a^2 and y = 2^B.  B is one
+    bit more than the largest 1-norm majorant of T, M and Phi, from the
+    same formulas run on majorants (|y|_1 = |X|_1 = 1)."""
+    if x0 is None:
+        bound_x2, one, row = _Majorant(1), 1, d.n + 1
+    else:
+        x0 = _rational(x0)
+        bound_x2, one, row = x0.numerator**2, x0.denominator**2, 1
+    bits = max(_family_run(d, _Majorant(1), bound_x2, one)).bit_length() + 1
+    if x0 is None:
+        x2, unpack = 1 << bits, functools.partial(_unpack_xy, bits=bits, row=row)
+    else:
+        x2, unpack = bound_x2, lambda v: UniPoly._raw(tuple(_unpack(v, bits)))
+    return unpack, one, _family_run(d, 1 << (bits * row), x2, one)
+
+
+def closed_form_params(d: DoubleTwist, x0: Scalar | None = None) -> ClosedFormParams:
+    """Exact (T, M) = D*(t, mu) for a double twist family (formulas in
+    _family_run), in Z[x][y] with D = 1, or in Z[y] at x = x0 = a/b when
+    x0 is given, with D = b^2.  Both are unpacked from the packed run of
+    _closed_form_run; the specialized pair is the bivariate one evaluated
+    at x0, times D.  Raises TypeError on a float x0."""
+    unpack, one, (t, mu, _) = _closed_form_run(d, x0)
+    return ClosedFormParams(t=unpack(t), mu=unpack(mu), family=d, denominator=one)
 
 
 def riley_closed_form(d: DoubleTwist) -> RileyPoly:
     """Closed-form Riley polynomial S_n(t) - mu * S_{n-1}(t) in (x, y),
-    normalized."""
-    return RileyPoly(normalize_bipoly(_closed_form(closed_form_params(d), d.n)), "closed_form")
+    normalized; one run on packed integers (_closed_form_run)."""
+    unpack, _, (_, _, phi) = _closed_form_run(d)
+    return RileyPoly(normalize_bipoly(unpack(phi)), "closed_form")
 
 
 def riley_closed_form_at(d: DoubleTwist, x0: Scalar) -> UniPoly:
@@ -449,4 +496,5 @@ def riley_closed_form_at(d: DoubleTwist, x0: Scalar) -> UniPoly:
     riley_closed_form(d).phi_xy.eval_x(x0) up to a positive scalar, which
     normalize_parabolic removes.  Every step runs on integers.
     """
-    return normalize_parabolic(_closed_form(closed_form_params(d, x0), d.n))
+    unpack, _, (_, _, phi) = _closed_form_run(d, x0)
+    return normalize_parabolic(unpack(phi))

@@ -162,9 +162,10 @@ class SchubertWord:
 
 
 def schubert_word(k: KnotId) -> SchubertWord:
-    """The relator word of b(p, q): length p-1, exponents from epsilon()
+    """The relator word of b(p, q): length p-1, exponents
+    e_j = (-1)^floor(j*q/p) for j = 1..p-1 (epsilon's formula, inline)
     at the odd representative of q (see odd_representative)."""
-    q_odd = odd_representative(k.p, k.q)
+    p, q = k.p, odd_representative(k.p, k.q)
     return SchubertWord(
-        tuple(("a" if j % 2 else "b", epsilon(k.p, q_odd, j)) for j in range(1, k.p))
+        tuple(("a" if j % 2 else "b", -1 if (j * q // p) % 2 else 1) for j in range(1, p))
     )

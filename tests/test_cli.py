@@ -341,6 +341,20 @@ def test_crosscheck_command(capsys):
     assert out.count("OK") == 4
 
 
+def test_crosscheck_command_reports_a_disagreement(capsys, monkeypatch):
+    from riley import verifier
+    from riley.rileypoly import RileyPoly
+
+    real = verifier.riley_general
+    monkeypatch.setattr(
+        verifier, "riley_general", lambda k: RileyPoly(real(k).phi_xy + UniPoly.gen(), "general")
+    )
+    code, out, _ = run_cli(capsys, "crosscheck", "--mmax", "1", "--nmax", "1")
+    assert code == 1
+    assert out.count("FAIL J(") == 4
+    assert "y^0: closed=" in out
+
+
 def test_help_lists_all_subcommands(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

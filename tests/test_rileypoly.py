@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -521,6 +522,48 @@ def test_unpack_round_trips_extreme_coefficients_and_gaps():
             assert rileypoly._unpack(n, bits) == coeffs, (bits, coeffs)
 
 
+def _unpack_by_borrows(n: int, bits: int) -> list[int]:
+    """The signed-digit loop _unpack replaced: per slot, read the residue,
+    make it negative at 2^(bits-1) or more and borrow from the next slot.
+    Three whole-value operations per slot; the oracle for _unpack."""
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    coeffs = []
+    for _ in range(abs(n).bit_length() // bits + 1):
+        c = n & mask
+        if c >= half:
+            c -= mask + 1
+        coeffs.append(c)
+        n = (n - c) >> bits
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def test_unpack_round_trips_against_borrow_loop_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def packed(draw):
+        bits = draw(st.integers(min_value=2, max_value=80))
+        top = (1 << (bits - 1)) - 1
+        # the extremes +-(2^(bits-1) - 1) and 0 come up often
+        coeff = st.one_of(st.sampled_from((top, -top, 0, 1, -1)), st.integers(-top, top))
+        coeffs = draw(st.lists(coeff, max_size=40))
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        return bits, coeffs
+
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(packed())
+    def round_trip(case):
+        bits, coeffs = case
+        n = sum(c << (bits * i) for i, c in enumerate(coeffs))
+        assert rileypoly._unpack(n, bits) == _unpack_by_borrows(n, bits) == coeffs
+
+    round_trip()
+
+
 def test_identity_check_catches_a_wrong_w21(monkeypatch):
     # W21 off by the constant 1, or by a multiple of s - 1 (which vanishes
     # in the parabolic slice), breaks W21 = (2-y) W12; the determinant is
@@ -694,6 +737,80 @@ def test_closed_form_specialized_equals_evaluated():
                     assert riley_closed_form_at(d, x0) == normalize_parabolic(
                         phi_xy.eval_x(x0)
                     ), (d, x0)
+
+
+# --- the packed closed form against the BiPoly closed form it replaced ---
+
+
+@functools.cache
+def _bipoly_closed_form(d: DoubleTwist) -> tuple[BiPoly, BiPoly, BiPoly]:
+    """(t, mu, S_n(t) - mu*S_{n-1}(t)) from the family formulas run on
+    BiPoly in (x, y), with the recurrence at t on BiPoly values: the
+    unnormalized oracle for the packed closed form."""
+    y, x2 = BiPoly.gen(), BiPoly.const(UniPoly([0, 0, 1]))
+    s_m, s_m1, s_m2 = (BiPoly(cheb_poly(k).coeffs) for k in (d.m, d.m - 1, d.m - 2))
+    u = y + 2 - x2
+    if d.family in ("EE", "EN"):
+        t = 2 + (y - 2) * u * s_m1 * s_m1
+        if d.family == "EE":
+            mu = 1 + u * s_m1 * (s_m - s_m1)
+        else:
+            mu = 1 - u * s_m1 * (s_m1 - s_m2)
+    else:
+        t = x2 - y - (y - 2) * u * s_m * s_m1
+        if d.family == "OE":
+            mu = 1 - u * s_m * (s_m - s_m1)
+        else:
+            mu = 1 + u * s_m1 * (s_m - s_m1)
+    s_prev, s_n = cheb_pair(d.n, t)
+    return t, mu, s_n - mu * s_prev
+
+
+def _norm_1(p: BiPoly) -> int:
+    return sum(abs(v) for c in p.coeffs for v in c.coeffs)
+
+
+_ORACLE_X0 = (2, Fraction(5, 2), Fraction(-3, 2), 0, Fraction(7, 3), 10**30 + Fraction(1, 3))
+
+
+def _assert_closed_form_at_matches_oracle(d: DoubleTwist, x0) -> None:
+    t, mu, phi = _bipoly_closed_form(d)
+    den = Fraction(x0).denominator ** 2
+    params = closed_form_params(d, x0)
+    assert (params.t, params.mu) == (t.eval_x(x0) * den, mu.eval_x(x0) * den), (d, x0)
+    assert (params.family, params.denominator) == (d, den), (d, x0)
+    assert riley_closed_form_at(d, x0) == normalize_parabolic(phi.eval_x(x0)), (d, x0)
+
+
+def test_packed_closed_form_matches_bipoly_oracle():
+    for family in FAMILIES:
+        for m in range(1, 8):
+            for n in range(1, 5):
+                d = DoubleTwist(family, m, n)
+                t, mu, phi = _bipoly_closed_form(d)
+                assert riley_closed_form(d).phi_xy == normalize_bipoly(phi), d
+                params = closed_form_params(d)
+                assert (params.t, params.mu, params.denominator) == (t, mu, 1), d
+                # the majorant run bounds every coefficient it unpacks
+                bound = max(rileypoly._family_run(d, rileypoly._Majorant(1), rileypoly._Majorant(1), 1))
+                assert max(map(_norm_1, (t, mu, phi))) <= bound, d
+                for x0 in _ORACLE_X0:
+                    _assert_closed_form_at_matches_oracle(d, x0)
+
+
+def test_packed_closed_form_matches_bipoly_oracle_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    families = [DoubleTwist(f, m, n) for f in FAMILIES for m, n in ((1, 1), (2, 3), (4, 2), (3, 4))]
+    x0s = st.builds(Fraction, st.integers(-(10**12), 10**12), st.integers(1, 10**6))
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(st.sampled_from(families), x0s)
+    def matches(d, x0):
+        _assert_closed_form_at_matches_oracle(d, x0)
+
+    matches()
 
 
 def test_float_x0_is_refused():

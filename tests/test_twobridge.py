@@ -144,3 +144,14 @@ def test_epsilon_fast_examples():
     for family, j, sign in (("EE", 1, 1), ("EN", 2, -1), ("ON", 3, 1)):
         k = family_to_pq(DoubleTwist(family, 1, 1))
         assert epsilon(k.p, k.q, j) == sign, family
+
+
+def test_schubert_word_matches_epsilon_sequence_up_to_99():
+    # schubert_word computes the signs inline; epsilon checks each j
+    for p in range(3, 100, 2):
+        for q in range(1, p):
+            if math.gcd(p, q) == 1:
+                k = KnotId(p, q)
+                eps = epsilon_sequence(p, odd_representative(p, q))
+                expected = tuple(("a" if j % 2 else "b", e) for j, e in enumerate(eps, 1))
+                assert schubert_word(k).letters == expected, k

@@ -263,6 +263,21 @@ def test_cross_validate_examples():
     assert cross_validate(DoubleTwist("ON", 1, 2)) is True
 
 
+def test_cross_validate_raises_on_disagreement(monkeypatch):
+    # the general route's Phi with x added to its y^0 coefficient
+    from riley.exact import UniPoly
+    from riley.rileypoly import RileyPoly
+
+    real = verifier.riley_general
+    monkeypatch.setattr(
+        verifier, "riley_general", lambda k: RileyPoly(real(k).phi_xy + UniPoly.gen(), "general")
+    )
+    with pytest.raises(verifier.CrossValidationError) as exc:
+        cross_validate(DoubleTwist("EE", 1, 1))
+    assert "y^0: closed=" in exc.value.diff
+    assert exc.value.diff.count("y^") == 1
+
+
 def test_cross_validate_counts_across_q_conventions():
     # OE(1,1) presents b(5,3); the canonical form b(5,2) builds a different
     # polynomial, but root counts at x = 2 agree
