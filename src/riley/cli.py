@@ -31,12 +31,11 @@ from .exact import BiPoly, UniPoly
 from .realroots import count_real_roots, isolate_roots
 from .rileypoly import (
     RileyValidationError,
-    closed_form_params,
-    riley_closed_form,
-    riley_closed_form_at,
+    _closed_form_run,
+    normalize_bipoly,
+    normalize_parabolic,
     riley_general,
     riley_parabolic,
-    normalize_parabolic,
 )
 from .signature import SignatureError, signature_two_bridge
 from .twobridge import (
@@ -282,17 +281,14 @@ def _cmd_poly(k: KnotId, x0: Fraction, bivariate: bool) -> int:
 
 def _cmd_family(family: str, m: int, n: int, x0: Fraction | None) -> int:
     d = DoubleTwist(family, m, n)
-    params = closed_form_params(d, x0)
-    # the params hold D*t and D*mu; print t and mu themselves
-    scale = Fraction(1, params.denominator)
-    if x0 is None:
-        fmt, phi = format_bipoly, riley_closed_form(d).phi_xy
-    else:
-        fmt, phi = format_unipoly, riley_closed_form_at(d, x0)
+    # one packed run gives D*t, D*mu and D^n*Phi; print t = T/D, mu = M/D
+    unpack, one, packed = _closed_form_run(d, x0)
+    t, mu, phi = map(unpack, packed)
+    fmt, normalize = (format_bipoly, normalize_bipoly) if x0 is None else (format_unipoly, normalize_parabolic)
     print(f"{d} = {family_to_pq(d)}")
-    print(f"t  = {fmt(params.t * scale)}")
-    print(f"mu = {fmt(params.mu * scale)}")
-    print(f"Phi = {fmt(phi)}")
+    print(f"t  = {fmt(t * Fraction(1, one))}")
+    print(f"mu = {fmt(mu * Fraction(1, one))}")
+    print(f"Phi = {fmt(normalize(phi))}")
     return EXIT_OK
 
 

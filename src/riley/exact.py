@@ -521,15 +521,6 @@ def _laurent_mul(f: PackedLaurent, g: PackedLaurent) -> PackedLaurent:
     return {e: c for e, c in out.items() if c}
 
 
-def asymmetry_exponent(f: Laurent) -> int | None:
-    """Smallest positive exponent k whose s^k term differs from its s^-k
-    term, or None when f is invariant under s -> 1/s."""
-    for k in sorted({abs(e) for e in f if e != 0}):
-        if f.get(k) != f.get(-k):
-            return k
-    return None
-
-
 def symmetrize_to_xy(f: Laurent) -> BiPoly:
     """Rewrite a Laurent polynomial symmetric under s -> 1/s as an exactly
     equal BiPoly in x = s + 1/s and y.
@@ -540,13 +531,14 @@ def symmetrize_to_xy(f: Laurent) -> BiPoly:
     sum_k c_k(y) p_k(x) is collected on int lists, one x-coefficient
     list per power of y, and becomes one BiPoly at the end.  Raises
     SymmetryError carrying the offending exponent when the input is not
-    symmetric.
+    symmetric: the smallest positive k whose s^k term differs from its
+    s^-k term.
     """
     from .chebyshev import trace_poly
 
-    bad = asymmetry_exponent(f)
-    if bad is not None:
-        raise SymmetryError(bad)
+    for k in sorted({abs(e) for e in f if e != 0}):
+        if f.get(k) != f.get(-k):
+            raise SymmetryError(k)
     # rows[j] is the x-coefficient list of y^j
     rows = [[0] * (max(f) + 1) for _ in range(max(map(len, f.values())))] if f else []
     for k, c in f.items():

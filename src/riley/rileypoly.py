@@ -41,14 +41,20 @@ identity the (2,2) entry of the defect is 0, its (2,1) entry is
 
 at every s: the relation holds exactly where Phi~ vanishes.  Because
 the reduction is not rederived here, every construction checks it and
-raises instead of returning a possibly-wrong polynomial.  The general
-route checks the identity itself on the full product, after the
-determinant and the s -> 1/s symmetry of the candidate, and requires
-Phi~(1, y) to be non-constant in y.  The parabolic route multiplies
-only the first half and checks the hypotheses of W = U C U^T C^-1
-instead: the word is a palindrome with mirrored generators, the column
-table is transpose-symmetric under C, and det U = 1; together they give
-det W = 1 and W21 = (2-y) W12.  It also requires Phi(2, y) to be
+raises instead of returning a possibly-wrong polynomial.  Both word
+products multiply only the first half of the word, giving U, and check
+the hypotheses of W = U C U^T C^-1 with the same helpers: the word is a
+palindrome with mirrored generators (_first_half), the column table is
+transpose-symmetric under C (_check_transpose_symmetry, over either
+entry ring), and det U = 1; together they give det W = 1 and
+W21 = (2-y) W12.  From U,
+
+    W11 = u11^2 + (2-y) u12^2,   W21 = u11 u21 + (2-y) u12 u22,
+
+and W12 = W21 / (2-y).  The general route forms all three (word_matrix),
+requires the division to leave no remainder, the candidate to be
+symmetric under s -> 1/s and Phi~(1, y) to be non-constant in y.  The
+parabolic route needs only W11 at s = 1, and requires Phi(2, y) to be
 u11(2)^2 = 1 at y = 2 (rho(b) is the identity at s = 1, y = 2), so Phi
 is nonzero and already primitive.
 
@@ -58,12 +64,13 @@ f in Z[y] as the integer f(2^B), a ring homomorphism Z[y] -> Z
 big-integer adds, shifts and products.  It is injective where
 |c| < 2^(B-1) for every coefficient, and B comes from the same code run
 over 1-norm majorants.  For the word products these depend only on the
-number of letters (_majorants, computed once per length).  A general
-entry maps s-exponents to such integers; in the parabolic slice (s = 1,
-x = 2) of the conjecture scans an entry of U is one integer, and Phi is
-u11^2 + (u12^2 << 1) - (u12^2 << B).  The general route checks its
-determinant and the identity exactly on packed values, the parabolic
-route det U and the table's symmetry; only the candidate is unpacked.
+number of letters (_majorants, computed once per length), and one
+_slot_bits serves both products.  A general entry maps s-exponents to
+such integers, and 2-y divides as one divmod by 2 - 2^B per exponent;
+in the parabolic slice (s = 1, x = 2) of the conjecture scans an entry
+of U is one integer, and Phi is u11^2 + (u12^2 << 1) - (u12^2 << B).
+Both routes check det U and the table's symmetry exactly on packed
+values; only the candidate is unpacked.
 
 Closed-form route: for a double twist knot the Riley polynomial is
 S_n(t) - mu * S_{n-1}(t) with family-specific t and mu built from
@@ -102,6 +109,7 @@ from .exact import (
     Laurent,
     PackedLaurent,
     Scalar,
+    SymmetryError,
     UniPoly,
     _horner,
     _int_coeffs,
@@ -112,7 +120,6 @@ from .exact import (
     _laurent_shift,
     _laurent_sub,
     _rational,
-    asymmetry_exponent,
     compose,  # noqa: F401  (bound here for perfbench/traced.py)
     squarefree_part,  # noqa: F401  (bound here for perfbench/traced.py)
     symmetrize_to_xy,
@@ -169,17 +176,16 @@ def _majorants(n: int) -> tuple[int, int, int, int]:
     return _word_product((("ab"[i % 2], 1) for i in range(n)), _MAJORANT_COLUMN_OPS, 1, 0)
 
 
-def _slot_bits(word: SchubertWord) -> int:
-    """Slot width B of the general route: one bit more than the largest
-    1-norm majorant of the determinant W11 W22 - W12 W21, the candidate
-    W11 + (1/s - s) W12 and the two sides W21 and (2-y) W12 of the
-    identity, so every coefficient compared or unpacked has
-    |c| < 2^(B-1).  Each side is bounded on its own: the signed-digit
-    form of an integer is unique, so two packed values are equal only
-    when the polynomials are."""
-    m11, m12, m21, m22 = _majorants(len(word))
-    bound = max(m11 * m22 + m12 * m21, m11 + 2 * m12, m21, 3 * m12)
-    return bound.bit_length() + 1
+def _slot_bits(half: int, unpacked: int) -> int:
+    """Slot width B of a word product over the first `half` letters of a
+    relator word: one bit more than the larger of `unpacked`, a 1-norm
+    majorant of every coefficient the route unpacks, and det U's majorant
+    m11 m22 + m12 m21 of _majorants(half), so every coefficient compared
+    or unpacked has |c| < 2^(B-1).  The signed-digit form of an integer
+    is unique, so two packed values are equal only when the polynomials
+    are."""
+    m11, m12, m21, m22 = _majorants(half)
+    return max(unpacked, m11 * m22 + m12 * m21).bit_length() + 1
 
 
 def _unpack(n: int, bits: int) -> list[int]:
@@ -210,17 +216,75 @@ def _packed_laurent_ops(bits: int) -> dict:
     return _column_ops(_laurent_shift, _laurent_add, _laurent_sub, lambda f: _two_minus_y(f, bits))
 
 
+# ---------------------------------------------------------------------------
+# The hypotheses of W = U C U^T C^-1, checked by both word products.
+# ---------------------------------------------------------------------------
+
+# each letter and the letter that mirrors it in a relator word
+_MIRROR = {(g, e): ("b" if g == "a" else "a", e) for g in "ab" for e in (1, -1)}
+
+
+def _first_half(word: SchubertWord, what: str) -> tuple:
+    """The letters of the first half of word, which must be a palindrome
+    whose mirrored letters are the other generator; what names the word
+    in the error."""
+    letters = word.letters
+    first = letters[: len(letters) // 2]
+    if letters != first + tuple(map(_MIRROR.__getitem__, reversed(first))):
+        raise RileyValidationError(f"{what} is not a palindrome with mirrored generators")
+    return first
+
+
+def _check_transpose_symmetry(ops: dict, one, zero, two_minus_y) -> None:
+    """Raise unless C rho(a^e)^T C^-1 = rho(b^e), C = diag(1, 2-y), for
+    e = +-1 in the table ops over an entry ring with elements one and
+    zero and multiplication by 2-y, where a letter's rows are its
+    operation on the identity's rows.  Written without division as
+    rho(b^e) C = C rho(a^e)^T; the equation with a and b swapped is this
+    one transposed, so it needs no check of its own."""
+    for e in (1, -1):
+        (a11, a12), (a21, a22) = ops["a", e](one, zero), ops["a", e](zero, one)
+        (b11, b12), (b21, b22) = ops["b", e](one, zero), ops["b", e](zero, one)
+        if (b11, two_minus_y(b12), b21, b22) != (a11, a21, two_minus_y(a12), a22):
+            raise RileyValidationError(
+                f"column table fails C rho(a^{e})^T C^-1 = rho(b^{e}), C = diag(1, 2-y)"
+            )
+
+
 def word_matrix(w: SchubertWord) -> tuple[int, tuple[PackedLaurent, ...]]:
-    """Slot width B (_slot_bits) and the entries (W11, W12, W21, W22) of
-    the product of generator images over the word, one column operation
-    per letter, each a map from s-exponent to a coefficient packed at
-    y = 2^B.  The determinant must be exactly 1; packing is injective on
-    it, so the check on packed values is the polynomial identity."""
-    bits = _slot_bits(w)
-    w11, w12, w21, w22 = entries = _word_product(w.letters, _packed_laurent_ops(bits), {0: 1}, {})
-    if _laurent_sub(_laurent_mul(w11, w22), _laurent_mul(w12, w21)) != {0: 1}:
-        raise RileyValidationError(f"word matrix determinant differs from 1 for word {w.compact()}")
-    return bits, entries
+    """Slot width B and the entries (W11, W12, W21) of the product of
+    generator images over the relator word w, each a map from s-exponent
+    to a coefficient packed at y = 2^B, from the product U over the first
+    half of w alone.
+
+    With the hypotheses of W = U C U^T C^-1 checked (w a palindrome with
+    mirrored generators, the packed table transpose-symmetric under
+    C = diag(1, 2-y), det U exactly 1):
+
+        W11 = u11^2 + (2-y) u12^2,   W21 = u11 u21 + (2-y) u12 u22,
+        W12 = W21 / (2-y),
+
+    the division one divmod by 2 - 2^B per s-exponent, which must leave
+    no remainder.  Packing is a ring homomorphism, so the quotient is
+    the packed full-word W12 at any B.  B (_slot_bits) covers det U and
+    the candidate W11 + (1/s - s) W12, bounded by m11 + 2 m12 of
+    _majorants(len(w)); W12 and W21 are never unpacked."""
+    first = _first_half(w, f"word {w.compact()}")
+    m11, m12, _, _ = _majorants(len(w))
+    bits = _slot_bits(len(first), m11 + 2 * m12)
+    ops = _packed_laurent_ops(bits)
+    _check_transpose_symmetry(ops, {0: 1}, {}, lambda f: _two_minus_y(f, bits))
+    u11, u12, u21, u22 = _word_product(first, ops, {0: 1}, {})
+    if _laurent_sub(_laurent_mul(u11, u22), _laurent_mul(u12, u21)) != {0: 1}:
+        raise RileyValidationError(f"half-word matrix of word {w.compact()} has determinant != 1")
+    w11 = _laurent_add(_laurent_mul(u11, u11), _two_minus_y(_laurent_mul(u12, u12), bits))
+    w21 = _laurent_add(_laurent_mul(u11, u21), _two_minus_y(_laurent_mul(u12, u22), bits))
+    w12 = {}
+    for e, c in w21.items():
+        w12[e], rem = divmod(c, 2 - (1 << bits))
+        if rem:
+            raise RileyValidationError(f"W21 of word {w.compact()} is not divisible by 2-y at s^{e}")
+    return bits, (w11, w12, w21)
 
 
 @dataclass(frozen=True, slots=True)
@@ -263,34 +327,34 @@ def _reduction_candidate(w11: PackedLaurent, w12: PackedLaurent) -> PackedLauren
 def _riley_from_word(word: SchubertWord, label: object) -> RileyPoly:
     """Shared general-route pipeline: product, reduction, validation (see
     riley_general), rewrite to (x, y), normalization."""
-    bits, (w11, w12, w21, _) = word_matrix(word)
+    bits, (w11, w12, _) = word_matrix(word)
     candidate = _reduction_candidate(w11, w12)
-    phi_tilde = _unpack_laurent(candidate, bits)
-
-    bad = asymmetry_exponent(phi_tilde)
-    if bad is not None:
+    try:
+        phi_xy = symmetrize_to_xy(_unpack_laurent(candidate, bits))
+    except SymmetryError as exc:
         raise RileyValidationError(
             f"reduction candidate for {label} is not symmetric under s -> 1/s "
-            f"(first offending s-exponent: {bad}); refusing to guess a unit multiple"
-        )
-    if w21 != _two_minus_y(w12, bits):
-        raise RileyValidationError(f"relation identity W21 = (2-y) W12 fails for {label}")
+            f"(first offending s-exponent: {exc.exponent}); refusing to guess a unit multiple"
+        ) from exc
     # the packed values summed over s are Phi~(1, y), packed
     if len(_unpack(sum(candidate.values()), bits)) < 2:
         raise RileyValidationError(f"reduction candidate for {label} is constant in y at s = 1")
-
-    return RileyPoly(normalize_bipoly(symmetrize_to_xy(phi_tilde)), "general")
+    return RileyPoly(normalize_bipoly(phi_xy), "general")
 
 
 def riley_general(k: KnotId) -> RileyPoly:
     """Riley polynomial from the symbolic matrix product over the relator.
 
-    Always-on validation: in word_matrix the determinant must be exactly
-    1; then the candidate must be symmetric under s -> 1/s, the identity
-    W21 = (2-y) W12 must hold exactly, which makes the relation defect
-    Phi~ [[0, 1], [-(2-y), 0]] at every s, and Phi~(1, y) must be
-    non-constant in y.  Any failure raises RileyValidationError: a
-    silently wrong polynomial is never returned.
+    The product runs over the first half of the word (word_matrix).
+    Always-on validation: in word_matrix the word must be a palindrome
+    with mirrored generators, the packed Laurent table
+    transpose-symmetric under C = diag(1, 2-y) and det U exactly 1, which
+    give W = U C U^T C^-1 and so W21 = (2-y) W12 and the relation defect
+    Phi~ [[0, 1], [-(2-y), 0]] at every s; W21 must divide by 2-y with no
+    remainder.  Then the candidate must be symmetric under s -> 1/s
+    (symmetrize_to_xy) and Phi~(1, y) non-constant in y.  Any failure
+    raises RileyValidationError: a silently wrong polynomial is never
+    returned.
     """
     return _riley_from_word(schubert_word(k), k)
 
@@ -300,29 +364,9 @@ def riley_general(k: KnotId) -> RileyPoly:
 # one packed integer.
 # ---------------------------------------------------------------------------
 
-# each letter and the letter that mirrors it in a relator word
-_MIRROR = {(g, e): ("b" if g == "a" else "a", e) for g in "ab" for e in (1, -1)}
-
-
 def _packed_column_ops(bits: int) -> dict:
     """The s = 1 table on entries packed at y = 2^bits."""
     return _column_ops(_no_shift, operator.add, operator.sub, lambda v: (v << 1) - (v << bits))
-
-
-def _check_transpose_symmetry(ops: dict, bits: int) -> None:
-    """Raise unless C rho(a^e)^T C^-1 = rho(b^e), C = diag(1, 2-y), for
-    e = +-1 in the packed table ops, where a letter's rows are its
-    operation on the identity's rows.  Written without division as
-    rho(b^e) C = C rho(a^e)^T; the equation with a and b swapped is this
-    one transposed, so it needs no check of its own."""
-    for e in (1, -1):
-        (a11, a12), (a21, a22) = ops["a", e](1, 0), ops["a", e](0, 1)
-        (b11, b12), (b21, b22) = ops["b", e](1, 0), ops["b", e](0, 1)
-        b12_two_minus_y, a12_two_minus_y = (b12 << 1) - (b12 << bits), (a12 << 1) - (a12 << bits)
-        if (b11, b12_two_minus_y, b21, b22) != (a11, a21, a12_two_minus_y, a22):
-            raise RileyValidationError(
-                f"parabolic column table fails C rho(a^{e})^T C^-1 = rho(b^{e}), C = diag(1, 2-y)"
-            )
 
 
 def riley_parabolic(k: KnotId) -> UniPoly:
@@ -331,24 +375,21 @@ def riley_parabolic(k: KnotId) -> UniPoly:
     Equals riley_general(k).phi_xy evaluated at x = 2, up to the sign and
     content normalization, but is computed directly over Z[y] as
     u11^2 + (2-y) u12^2 from the s = 1 product U over the first half of
-    the word, on entries packed at y = 2^B (module docstring).  B is one
-    bit longer than the larger 1-norm majorant, m11^2 + 3 m12^2 of Phi or
-    m11 m22 + m12 m21 of det U.  Always-on validation: the word must be
-    a palindrome with mirrored generators, the packed table
-    transpose-symmetric under C = diag(1, 2-y) and det U exactly 1, which
+    the word, on entries packed at y = 2^B (module docstring).  B
+    (_slot_bits) is one bit longer than the larger 1-norm majorant,
+    m11^2 + 3 m12^2 of Phi or m11 m22 + m12 m21 of det U.  Always-on
+    validation, shared with word_matrix: the word must be a palindrome
+    with mirrored generators, the packed table transpose-symmetric under
+    C = diag(1, 2-y) and det U exactly 1, which
     give W = U C U^T C^-1, det W = 1 and W21 = (2-y) W12, so the relation
     defect at s = 1 is Phi [[0, 1], [-(2-y), 0]]; and Phi must be 1 at
     y = 2 before the sign is normalized.
     """
-    letters = schubert_word(k).letters
-    half = len(letters) // 2
-    first = letters[:half]
-    if len(letters) % 2 or letters[half:] != tuple(map(_MIRROR.__getitem__, reversed(first))):
-        raise RileyValidationError(f"relator word of {k} is not a palindrome with mirrored generators")
-    m11, m12, m21, m22 = _majorants(half)
-    bits = max(m11 * m11 + 3 * m12 * m12, m11 * m22 + m12 * m21).bit_length() + 1
+    first = _first_half(schubert_word(k), f"relator word of {k}")
+    m11, m12, _, _ = _majorants(len(first))
+    bits = _slot_bits(len(first), m11 * m11 + 3 * m12 * m12)
     ops = _packed_column_ops(bits)
-    _check_transpose_symmetry(ops, bits)
+    _check_transpose_symmetry(ops, 1, 0, lambda v: (v << 1) - (v << bits))
     u11, u12, u21, u22 = _word_product(first, ops, 1, 0)
     if u11 * u22 - u12 * u21 != 1:
         raise RileyValidationError(f"parabolic half-word matrix for {k} has determinant != 1")
@@ -456,7 +497,8 @@ def _closed_form_run(d: DoubleTwist, x0: Scalar | None = None) -> tuple:
     so deg_X Phi <= n: the bivariate run packs X = 2^B and
     y = 2^(B*(n+1)), the run at x0 takes X = a^2 and y = 2^B.  B is one
     bit more than the largest 1-norm majorant of T, M and Phi, from the
-    same formulas run on majorants (|y|_1 = |X|_1 = 1)."""
+    same formulas run on majorants (|y|_1 = |X|_1 = 1).  `riley family`
+    prints t, mu and Phi from one such run."""
     if x0 is None:
         bound_x2, one, row = _Majorant(1), 1, d.n + 1
     else:

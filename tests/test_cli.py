@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from riley.cli import (
+    EXIT_INTERNAL,
     build_parser,
     format_bipoly,
     format_epsilons,
@@ -127,6 +128,24 @@ def test_family_command(capsys):
     assert code == 0
     assert "J(3,-2) = b(7,5)" in out
     assert "Phi = y^3 - 3*y^2 + 2*y - 1" in out
+
+
+def test_family_command_runs_the_closed_form_once(capsys, monkeypatch):
+    # t, mu and Phi come from one packed run of the family formulas
+    from riley import cli, rileypoly
+
+    runs = []
+    true_run = rileypoly._closed_form_run
+
+    def counted(*args):
+        runs.append(args)
+        return true_run(*args)
+
+    monkeypatch.setattr(rileypoly, "_closed_form_run", counted)
+    monkeypatch.setattr(cli, "_closed_form_run", counted, raising=False)
+    code, out, _ = run_cli(capsys, "family", "EE", "3", "2", "--x", "5/2")
+    assert code == 0 and out.startswith("J(6,4) = b(23,19)\n")
+    assert len(runs) == 1
 
 
 def test_family_specialized_output_pinned(capsys):
@@ -300,6 +319,16 @@ def test_verify_conjecture_to_file(tmp_path, capsys):
     rows = [json.loads(l) for l in lines]
     assert all(r["holds"] for r in rows)
     assert rows[0]["knot"] == "b(3,1)"
+
+
+def test_verify_conjecture_unwritable_out_is_an_io_error(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "r.jsonl"
+    code, _, err = run_cli(
+        capsys, "verify", "conjecture", "--pmax", "5", "--out", str(out_path), "--jobs", "1"
+    )
+    assert code == EXIT_INTERNAL
+    assert err.startswith("i/o error: cannot write report to ")
+    assert not out_path.parent.exists()
 
 
 def test_verify_conjecture_stdout_and_even_pmax(tmp_path, capsys):

@@ -14,10 +14,13 @@ from riley.exact import (
     UniPoly,
     _int_primitive,
     _laurent_add,
+    _laurent_mul,
     _laurent_shift,
+    _laurent_sub,
     _zadd,
     _zmul,
     _zsub,
+    symmetrize_to_xy,
 )
 from riley.realroots import count_real_roots
 from riley.rileypoly import (
@@ -126,10 +129,25 @@ def _at_s(f, s0):
     return sum((UniPoly(c) * Fraction(s0) ** e for e, c in f.items()), UniPoly.zero())
 
 
-def _unpacked_matrix(w):
-    """word_matrix's entries, unpacked into {s-exponent: y-list} maps."""
-    bits, entries = word_matrix(w)
-    return [rileypoly._unpack_laurent(e, bits) for e in entries]
+def _packed_flat(f, bits: int) -> dict:
+    """A flat oracle entry with y packed as 2^bits: {s-exponent: int}."""
+    out = {}
+    for (se, ye), c in f.items():
+        out[se] = out.get(se, 0) + (c << (bits * ye))
+    return {e: c for e, c in out.items() if c}
+
+
+def _oracle_entries(word: SchubertWord):
+    """The flat oracle's (W11, W12, W21), the entries word_matrix returns."""
+    (f11, f12), (f21, _) = oracle_word_matrix(word)
+    return [f11, f12, f21]
+
+
+def _unpacked_w11(w):
+    """word_matrix's W11, unpacked into an {s-exponent: y-list} map (W11
+    lies within the candidate's majorant, so it fits the slot)."""
+    bits, (w11, _, _) = word_matrix(w)
+    return rileypoly._unpack_laurent(w11, bits)
 
 
 _IDENTITY_ROWS = (({0: 1}, {}), ({}, {0: 1}))
@@ -157,12 +175,15 @@ def test_rho_traces():
         (w11, _), (_, w22) = _apply([(gen, 1)])
         assert _laurent_add(w11, w22) == {1: 1, -1: 1}
     # trace of rho(a b^-1) is y, symbolically: packed, it is 2^B
-    bits, (w11, _, _, w22) = word_matrix(_word("aB"))
+    bits = 8
+    (w11, _), (_, w22) = _apply([("a", 1), ("b", -1)], bits)
     assert _laurent_add(w11, w22) == {0: 1 << bits}
     assert rileypoly._unpack_laurent(_laurent_add(w11, w22), bits) == {0: [0, 1]}
 
 
 def test_word_matrix_against_flat_oracle():
+    # every word is a palindrome with mirrored generators; W12 and W21
+    # are compared packed, since they are never unpacked
     words = [
         _word("ab"),
         _word("aBAb"),
@@ -180,28 +201,32 @@ def test_word_matrix_against_flat_oracle():
         if math.gcd(p, q) == 1
     ]
     for w in words:
-        ours = [to_flat(e) for e in _unpacked_matrix(w)]
-        oracle = oracle_word_matrix(w)
-        assert ours == [oracle[0][0], oracle[0][1], oracle[1][0], oracle[1][1]], w.compact()
+        bits, entries = word_matrix(w)
+        oracle = _oracle_entries(w)
+        assert entries == tuple(_packed_flat(f, bits) for f in oracle), w.compact()
+        assert to_flat(rileypoly._unpack_laurent(entries[0], bits)) == oracle[0], w.compact()
 
 
 def test_word_matrix_hand_values():
     # w = ab: entry (1,1) is s^2 + 2 - y
-    w11 = _unpacked_matrix(_word("ab"))[0]
+    w11 = _unpacked_w11(_word("ab"))
     assert to_flat(w11) == {(2, 0): 1, (0, 0): 2, (0, 1): -1}
     # w = ab^-1a^-1b at s = 1, entry (1,1) is (2-y)^2 - (2-y) + 1
-    w11 = _at_s(_unpacked_matrix(_word("aBAb"))[0], 1)
+    w11 = _at_s(_unpacked_w11(_word("aBAb")), 1)
     u = UniPoly([2, -1])
     assert w11 == u * u - u + 1
-    # empty word
-    assert word_matrix(SchubertWord(()))[1] == ({0: 1}, {}, {}, {0: 1})
+    # empty word: the identity's W11, W12, W21
+    assert word_matrix(SchubertWord(()))[1] == ({0: 1}, {}, {})
 
 
 def test_word_matrix_det_is_one():
-    # on the unpacked entries, by the flat oracle's arithmetic
+    # by the flat oracle's arithmetic, on the full word and on the first
+    # half whose product U word_matrix forms: det W = det U^2 = 1
     for compact in ("ab", "aBAb", "aBabAb", "abab"):
-        f11, f12, f21, f22 = (to_flat(e) for e in _unpacked_matrix(_word(compact)))
-        assert _e_sub(_e_mul(f11, f22), _e_mul(f12, f21)) == {(0, 0): 1}
+        word = _word(compact)
+        for w in (word, SchubertWord(word.letters[: len(word) // 2])):
+            (f11, f12), (f21, f22) = oracle_word_matrix(w)
+            assert _e_sub(_e_mul(f11, f22), _e_mul(f12, f21)) == {(0, 0): 1}, w.compact()
 
 
 def _mutate_packed_table(monkeypatch, letter, mutation, builder="_packed_column_ops"):
@@ -217,25 +242,35 @@ def _mutate_packed_table(monkeypatch, letter, mutation, builder="_packed_column_
 
 
 def test_word_matrix_exact_determinant_catches_non_unimodular_op(monkeypatch):
-    # the determinant is checked exactly on packed values at every word
-    # length; a: c1 <- s^2 c1 has determinant s, so the check must catch
-    # it on a word of more than 24 letters too
-    word = schubert_word(KnotId(61, 17))
-    assert len(word) > 24
-    word_matrix(word)
-    _mutate_packed_table(
-        monkeypatch,
-        ("a", 1),
-        lambda table, bits: lambda u, v: (_laurent_shift(u, 2), table[("a", 1)](u, v)[1]),
-        "_packed_laurent_ops",
-    )
-    with pytest.raises(RileyValidationError, match="determinant differs from 1 for word"):
-        word_matrix(word)
+    # det U is checked exactly on packed values at every word length;
+    # a: c1 <- s^2 c1 together with b: c1 <- s^2 c1 + (2-y) c2 keeps the
+    # table transpose-symmetric, but both have determinant s, so only the
+    # determinant check can catch it, on short and long words alike
+    for k in (KnotId(7, 3), KnotId(61, 17)):
+        word_matrix(schubert_word(k))
+
+    def s_squared_c1(table, letter):
+        def op(u, v):
+            c1, c2 = table[letter](u, v)
+            return _laurent_add(c1, _laurent_sub(_laurent_shift(u, 2), _laurent_shift(u, 1))), c2
+
+        return op
+
+    for letter in (("a", 1), ("b", 1)):
+        _mutate_packed_table(
+            monkeypatch,
+            letter,
+            lambda table, bits, letter=letter: s_squared_c1(table, letter),
+            "_packed_laurent_ops",
+        )
+    for k in (KnotId(7, 3), KnotId(61, 17)):
+        with pytest.raises(RileyValidationError, match="half-word matrix of word .* has determinant != 1"):
+            riley_general(k)
 
 
 def test_mutated_column_operation_is_caught(monkeypatch):
     # b^-1 with the sign of its (2-y) term flipped is still unimodular,
-    # so only the relation validation can catch it
+    # so only the general table's transpose symmetry can catch it
     _mutate_packed_table(
         monkeypatch,
         ("b", -1),
@@ -246,7 +281,29 @@ def test_mutated_column_operation_is_caught(monkeypatch):
         "_packed_laurent_ops",
     )
     for k in (KnotId(5, 2), KnotId(7, 3), KnotId(61, 17)):
-        with pytest.raises(RileyValidationError):
+        with pytest.raises(RileyValidationError, match=r"fails C rho\(a\^-1\)\^T C\^-1 = rho\(b\^-1\)"):
+            riley_general(k)
+
+
+def test_division_remainder_is_caught(monkeypatch):
+    # b: c1 <- s c1 + (3-y) c2 is unimodular, but it breaks the table's
+    # transpose symmetry, and with that check switched off it breaks
+    # W = U C U^T C^-1 while det U stays 1.  At y = 2 it leaves U lower
+    # entries the true table never has (there rho(a), rho(b) are upper
+    # triangular), so W21 = u11 u21 + (2-y) u12 u22 is not divisible by
+    # 2-y on a word whose first half holds b: the remainder check
+    # catches it
+    _mutate_packed_table(
+        monkeypatch,
+        ("b", 1),
+        lambda table, bits: lambda u, v: (_laurent_add(table[("b", 1)](u, v)[0], v), _laurent_shift(v, -1)),
+        "_packed_laurent_ops",
+    )
+    monkeypatch.setattr(rileypoly, "_check_transpose_symmetry", lambda *args: None)
+    for k in (KnotId(7, 3), KnotId(11, 3), KnotId(61, 17)):
+        letters = schubert_word(k).letters
+        assert ("b", 1) in letters[: len(letters) // 2], k
+        with pytest.raises(RileyValidationError, match=r"is not divisible by 2-y at s\^"):
             riley_general(k)
 
 
@@ -288,7 +345,7 @@ def _mirrored(half: SchubertWord) -> SchubertWord:
 
 
 def test_non_palindromic_word_is_refused(monkeypatch):
-    # the half-word product rests on the word being a palindrome whose
+    # both half-word products rest on the word being a palindrome whose
     # mirrored letters are the other generator; a word breaking either
     # part is refused before the product runs.  aBa is an exponent
     # palindrome whose middle letter mirrors onto itself
@@ -296,8 +353,9 @@ def test_non_palindromic_word_is_refused(monkeypatch):
     flipped = SchubertWord(true_word.letters[:-1] + (("b", -true_word.letters[-1][1]),))
     for word in (flipped, _alternating((1, -1, 1))):
         monkeypatch.setattr(rileypoly, "schubert_word", lambda k, word=word: word)
-        with pytest.raises(RileyValidationError, match="not a palindrome with mirrored generators"):
-            riley_parabolic(KnotId(7, 3))
+        for route in (riley_parabolic, riley_general):
+            with pytest.raises(RileyValidationError, match="not a palindrome with mirrored generators"):
+                route(KnotId(7, 3))
 
 
 def test_too_narrow_parabolic_slot_is_caught(monkeypatch):
@@ -310,14 +368,47 @@ def test_too_narrow_parabolic_slot_is_caught(monkeypatch):
             riley_parabolic(k)
 
 
-# --- the full-word s = 1 product the half-word route replaced, as an oracle ---
+# --- the full-word products the half-word routes replaced, as oracles ---
+
+
+def _full_word_slot_bits(word: SchubertWord) -> int:
+    """The slot width the full-word general route used: one bit more than
+    the largest 1-norm majorant of the determinant, the candidate and
+    both sides of W21 = (2-y) W12."""
+    m11, m12, m21, m22 = rileypoly._majorants(len(word))
+    return max(m11 * m22 + m12 * m21, m11 + 2 * m12, m21, 3 * m12).bit_length() + 1
 
 
 def _full_word_parabolic(word: SchubertWord):
     """Slot width and entries (W11, W12, W21, W22) of the packed s = 1
-    product over the whole word, at the general route's slot width."""
-    bits = rileypoly._slot_bits(word)
+    product over the whole word, at the full-word slot width."""
+    bits = _full_word_slot_bits(word)
     return bits, rileypoly._word_product(word.letters, rileypoly._packed_column_ops(bits), 1, 0)
+
+
+def _full_word_general(word: SchubertWord):
+    """Slot width and entries (W11, W12, W21, W22) of the packed general
+    product over the whole word, with the full Laurent determinant and
+    W21 = (2-y) W12 checked exactly, as the general route once did."""
+    bits = _full_word_slot_bits(word)
+    ops = rileypoly._packed_laurent_ops(bits)
+    w11, w12, w21, w22 = entries = rileypoly._word_product(word.letters, ops, {0: 1}, {})
+    assert _laurent_sub(_laurent_mul(w11, w22), _laurent_mul(w12, w21)) == {0: 1}, word.compact()
+    assert w21 == rileypoly._two_minus_y(w12, bits), word.compact()
+    return bits, entries
+
+
+def _full_word_riley_general(word: SchubertWord) -> BiPoly:
+    """The candidate W11 + (1/s - s) W12 of the full product, rewritten
+    in (x, y) and normalized."""
+    bits, (w11, w12, _, _) = _full_word_general(word)
+    candidate = _laurent_sub(_laurent_add(w11, _laurent_shift(w12, -1)), _laurent_shift(w12, 1))
+    return normalize_bipoly(symmetrize_to_xy(rileypoly._unpack_laurent(candidate, bits)))
+
+
+def test_riley_general_matches_full_word_oracle():
+    for k in enumerate_knots(61):
+        assert riley_general(k).phi_xy == _full_word_riley_general(schubert_word(k)), k
 
 
 def _full_word_riley_parabolic(word: SchubertWord) -> UniPoly:
@@ -460,31 +551,27 @@ def test_packed_product_matches_list_product_hypothesis():
 
 
 def _assert_general_packed_matches_oracle(word):
-    """The packed general entries unpack to the flat oracle's product, and
-    every coefficient of the entries, the determinant, the candidate and
-    both sides of W21 = (2-y) W12 lies within its 1-norm majorant, below
-    2^(B-1)."""
+    """word_matrix's packed (W11, W12, W21) equal the flat oracle's full
+    product packed at the same width; every coefficient of the candidate
+    and of det U over the first half lies within its 1-norm majorant,
+    below 2^(B-1); and the candidate unpacks to the oracle's."""
     bits, packed = word_matrix(word)
-    assert bits == rileypoly._slot_bits(word)
-    flat = [to_flat(rileypoly._unpack_laurent(e, bits)) for e in packed]
-    oracle = oracle_word_matrix(word)
-    assert flat == [oracle[0][0], oracle[0][1], oracle[1][0], oracle[1][1]]
-    f11, f12, f21, f22 = flat
-    m11, m12, m21, m22 = rileypoly._word_product(word.letters, rileypoly._MAJORANT_COLUMN_OPS, 1, 0)
+    oracle = _oracle_entries(word)
+    assert packed == tuple(_packed_flat(f, bits) for f in oracle)
+    f11, f12, _ = oracle
+    m11, m12, _, _ = rileypoly._word_product(word.letters, rileypoly._MAJORANT_COLUMN_OPS, 1, 0)
     half = 1 << (bits - 1)
-    for f, bound in zip(flat, (m11, m12, m21, m22)):
-        assert _e_norm(f) <= bound < half
-    # |f g|_1 <= |f|_1 |g|_1 bounds every coefficient of W11 W22 - W12 W21
-    det_norm = _e_norm(f11) * _e_norm(f22) + _e_norm(f12) * _e_norm(f21)
-    assert det_norm <= m11 * m22 + m12 * m21 < half
-    w11, w12, w21, _ = packed
     candidate = _e_sub(_e_add(f11, _e_shift(f12, -1)), _e_shift(f12, 1))
-    ours = [rileypoly._reduction_candidate(w11, w12), w21, rileypoly._two_minus_y(w12, bits)]
-    for got, want, bound in zip(
-        ours, (candidate, f21, _e_two_minus_y(f12)), (m11 + 2 * m12, m21, 3 * m12)
-    ):
-        assert to_flat(rileypoly._unpack_laurent(got, bits)) == want
-        assert _e_norm(want) <= bound < half
+    assert _e_norm(candidate) <= m11 + 2 * m12 < half
+    w11, w12, _ = packed
+    assert to_flat(rileypoly._unpack_laurent(rileypoly._reduction_candidate(w11, w12), bits)) == candidate
+    first = SchubertWord(word.letters[: len(word) // 2])
+    (u11, u12), (u21, u22) = oracle_word_matrix(first)
+    h11, h12, h21, h22 = rileypoly._word_product(first.letters, rileypoly._MAJORANT_COLUMN_OPS, 1, 0)
+    # |f g|_1 <= |f|_1 |g|_1 bounds every coefficient of u11 u22 - u12 u21
+    det_norm = _e_norm(u11) * _e_norm(u22) + _e_norm(u12) * _e_norm(u21)
+    assert det_norm <= h11 * h22 + h12 * h21 < half
+    assert _e_sub(_e_mul(u11, u22), _e_mul(u12, u21)) == {(0, 0): 1}
 
 
 def test_general_packed_product_matches_oracle():
@@ -497,10 +584,11 @@ def test_general_packed_product_matches_oracle_hypothesis():
     st = pytest.importorskip("hypothesis.strategies")
 
     @hypothesis.settings(max_examples=200, deadline=None)
-    @hypothesis.given(st.lists(st.sampled_from((1, -1)), max_size=40))
+    @hypothesis.given(st.lists(st.sampled_from((1, -1)), max_size=20))
     def packed_matches(exponents):
-        # any alternating word, not only the relator words
-        _assert_general_packed_matches_oracle(_alternating(exponents))
+        # the palindrome over any alternating first half, not only the
+        # relator words
+        _assert_general_packed_matches_oracle(_mirrored(_alternating(exponents)))
 
     packed_matches()
 
@@ -564,24 +652,6 @@ def test_unpack_round_trips_against_borrow_loop_hypothesis():
     round_trip()
 
 
-def test_identity_check_catches_a_wrong_w21(monkeypatch):
-    # W21 off by the constant 1, or by a multiple of s - 1 (which vanishes
-    # in the parabolic slice), breaks W21 = (2-y) W12; the determinant is
-    # checked inside word_matrix, before W21 is altered, and the candidate
-    # reads only W11 and W12, so only the identity check can catch it
-    true_word_matrix = rileypoly.word_matrix
-    for offset in ({0: 1}, {1: 1, 0: -1}):
-
-        def wrong_w21(word, offset=offset):
-            bits, (w11, w12, w21, w22) = true_word_matrix(word)
-            return bits, (w11, w12, _laurent_add(w21, offset), w22)
-
-        monkeypatch.setattr(rileypoly, "word_matrix", wrong_w21)
-        for k in (KnotId(7, 3), KnotId(61, 17)):
-            with pytest.raises(RileyValidationError, match=r"identity W21 = \(2-y\) W12 fails"):
-                riley_general(k)
-
-
 def test_relation_defect_is_the_candidate_times_a_constant_matrix():
     # the identity on the flat oracle, independent of packing: for a
     # relator word W21 = (2-y) W12, so rho(w a) - rho(b w) equals
@@ -637,6 +707,18 @@ def test_riley_general_pinned_crosscheck_families():
     )
 
 
+def test_riley_general_pinned_long_word():
+    # sha256 of the bivariate polynomial of b(101, 29) as `riley poly
+    # 101 29 --bivariate` prints it, from a 100-letter word, taken with
+    # the full-word product and its determinant check
+    from riley.cli import format_bipoly
+
+    text = format_bipoly(riley_general(KnotId(101, 29)).phi_xy)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "d290bbec032b3b97a427f6b96e92f934101a82fc6d3051e16e7a8093726026af"
+    )
+
+
 def test_riley_general_trefoil():
     phi = riley_general(KnotId(3, 1)).phi_xy
     # x^2 - 1 - y, normalized so the leading y-coefficient is positive at x=2
@@ -653,13 +735,25 @@ def test_riley_general_figure_eight_both_presentations():
     assert expected.eval_x(2) == UniPoly([3, -3, 1])
 
 
-def test_riley_general_validation_rejects_bad_word():
-    # ab^-1 is not a two-bridge relator word; its candidate is asymmetric
-    # (W11 + (1/s - s) W12 = y - s^2) and must be refused
+def test_riley_general_validation_rejects_bad_word(monkeypatch):
+    # ab^-1 is not a two-bridge relator word: the letter mirroring a is
+    # b, not b^-1, so it is refused before any product runs
     from riley.rileypoly import _riley_from_word
 
-    with pytest.raises(RileyValidationError, match="not symmetric"):
+    with pytest.raises(RileyValidationError, match="word aB is not a palindrome"):
         _riley_from_word(_word("aB"), "test word")
+    # every palindrome with mirrored generators gives a symmetric
+    # candidate (all 2,047 with a first half of at most 10 letters do),
+    # so an asymmetric one needs a broken reduction: the candidate
+    # W11 + (1/s + s) W12 is refused with the offending exponent
+    monkeypatch.setattr(
+        rileypoly,
+        "_reduction_candidate",
+        lambda w11, w12: _laurent_add(_laurent_add(w11, _laurent_shift(w12, -1)), _laurent_shift(w12, 1)),
+    )
+    for k in (KnotId(5, 2), KnotId(61, 17)):
+        with pytest.raises(RileyValidationError, match=r"not symmetric under s -> 1/s \(first offending s-exponent: \d+\)"):
+            riley_general(k)
 
 
 def test_riley_parabolic_examples():

@@ -1,11 +1,14 @@
+import builtins
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from riley.exact import UniPoly
 from riley.realroots import _IntChain, cauchy_bound
-from riley.signature import EvenCF, even_cf, signature_two_bridge
+from riley import signature
+from riley.signature import EvenCF, SignatureError, even_cf, signature_two_bridge
 from riley.twobridge import DoubleTwist, KnotId, family_to_pq
 
 
@@ -74,6 +77,46 @@ def test_even_cf_validation():
         EvenCF((2, 0))
     with pytest.raises(ValueError):
         EvenCF(())
+
+
+def test_even_cf_step_bound_is_enforced(monkeypatch):
+    # the expansion of 29/12 takes more than one step; with the loop cut
+    # to one step it cannot end, and the step bound must raise rather
+    # than hand a truncated expansion to the round trip
+    monkeypatch.setattr(signature, "range", lambda n: builtins.range(1), raising=False)
+    with pytest.raises(SignatureError, match="did not end within 29 steps"):
+        even_cf(KnotId(29, 12))
+
+
+def test_even_cf_round_trip_catches_a_corrupted_entry(monkeypatch):
+    # the round trip reads the entries back to front; corrupt the last one
+    # as it is read, and the continuants no longer give p/q*
+    true_reversed = builtins.reversed
+    monkeypatch.setattr(
+        signature,
+        "reversed",
+        lambda xs: [xs[-1] + 2, *true_reversed(xs[:-1])],
+        raising=False,
+    )
+    with pytest.raises(SignatureError, match="failed its round-trip check"):
+        even_cf(KnotId(29, 12))
+
+
+def test_even_cf_refuses_odd_length():
+    # a link is not a KnotId; b(2, 1), the Hopf link, has the one-entry
+    # expansion 2/1 = [2], which passes the round trip but has odd length
+    with pytest.raises(SignatureError, match="has odd length 1"):
+        even_cf(SimpleNamespace(p=2, q=1))
+
+
+def test_signature_two_bridge_checks_the_determinant(monkeypatch):
+    # one corrupted entry changes the continuant, so |det| != p
+    true_even_cf = signature.even_cf
+    monkeypatch.setattr(
+        signature, "even_cf", lambda k: EvenCF((true_even_cf(k).entries[0] + 2, *true_even_cf(k).entries[1:]))
+    )
+    with pytest.raises(SignatureError, match=r"\|det\| = \d+ != p = 29 for b\(29,12\)"):
+        signature_two_bridge(KnotId(29, 12))
 
 
 def test_even_cf_signature_examples():

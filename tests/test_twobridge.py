@@ -32,6 +32,14 @@ def test_normalize_rejects_links_and_non_coprime():
         KnotId(9, 6)
 
 
+def test_knotid_rejects_q_out_of_range():
+    # 9 is coprime to 7, so only the range guard refuses q >= p
+    with pytest.raises(ValueError, match="q must satisfy"):
+        KnotId(7, 9)
+    with pytest.raises(ValueError, match="q must satisfy"):
+        KnotId(7, 0)
+
+
 def test_knotid_mirror_and_canonical():
     k = KnotId(7, 5)
     assert k.canonical() == KnotId(7, 3)

@@ -321,6 +321,13 @@ def test_emit_report_jsonl():
     }
 
 
+def test_emit_report_to_a_missing_directory_raises(tmp_path):
+    missing = tmp_path / "missing" / "r.jsonl"
+    with pytest.raises(OSError, match=r"^cannot write report to .*r\.jsonl: "):
+        emit_report([check_conjecture(KnotId(3, 1))], destination=missing)
+    assert not missing.parent.exists()
+
+
 def test_emit_report_empty():
     assert emit_report([], format="jsonl") == ""
     assert emit_report([], format="csv") == ""
