@@ -1,7 +1,7 @@
 """Exact computation with two-bridge knot groups.
 
 Builds Schubert presentations and Riley polynomials of two-bridge knots
-in exact rational arithmetic, counts real roots with Sturm sequences
+in exact integer arithmetic, counts real roots with Sturm sequences
 (one remainder sequence per squarefree input), computes signatures as
 sign counts of even continued fraction entries, and cross-checks the
 double twist closed forms against the general matrix construction.

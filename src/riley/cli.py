@@ -68,13 +68,10 @@ EXIT_INTERNAL = 3
 # ---------------------------------------------------------------------------
 
 
-def _coeff_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
-def _monomials(p: UniPoly, var: str, ypart: str = "") -> list[tuple[bool, str]]:
-    """(positive, body) for each nonzero term of p * ypart, descending
-    powers of var: "3*x^2*y", with a bare power when the magnitude is 1."""
+def _monomials(p: UniPoly, var: str, ypart: str = "", den: int = 1) -> list[tuple[bool, str]]:
+    """(positive, body) for each nonzero term of p/den * ypart, descending
+    powers of var: "3*x^2*y" or "3/2*x", with a bare power when the
+    magnitude is 1."""
     terms: list[tuple[bool, str]] = []
     for k in range(p.degree, -1, -1):
         c = p.coeff(k)
@@ -82,8 +79,8 @@ def _monomials(p: UniPoly, var: str, ypart: str = "") -> list[tuple[bool, str]]:
             continue
         vpart = "" if k == 0 else (var if k == 1 else f"{var}^{k}")
         powers = [part for part in (vpart, ypart) if part]
-        mag = abs(c)
-        factors = powers if mag == 1 and powers else [_coeff_str(mag), *powers]
+        mag = Fraction(abs(c), den)
+        factors = powers if mag == 1 and powers else [str(mag), *powers]
         terms.append((c > 0, "*".join(factors)))
     return terms
 
@@ -96,23 +93,23 @@ def _join_terms(terms: list[tuple[bool, str]]) -> str:
     return text[2:] if terms[0][0] else f"-{text[2:]}"
 
 
-def format_unipoly(p: UniPoly, var: str = "y") -> str:
-    """Plain-text polynomial, descending powers: "y^2 - 3*y + 3"."""
-    return _join_terms(_monomials(p, var))
+def format_unipoly(p: UniPoly, var: str = "y", den: int = 1) -> str:
+    """Plain-text p/den, descending powers: "y^2 - 3*y + 3"."""
+    return _join_terms(_monomials(p, var, den=den))
 
 
-def format_bipoly(p: BiPoly) -> str:
-    """Plain text, descending y-powers; non-constant x-coefficients are
-    parenthesized, e.g. "y^2 + (-x^2 + 1)*y + x^2 - 1"."""
+def format_bipoly(p: BiPoly, den: int = 1) -> str:
+    """Plain-text p/den, descending y-powers; non-constant x-coefficients
+    are parenthesized, e.g. "y^2 + (-x^2 + 1)*y + x^2 - 1"."""
     terms: list[tuple[bool, str]] = []
     for j in range(p.degree, -1, -1):
         c = p.coeff(j)
         ypart = "" if j == 0 else ("y" if j == 1 else f"y^{j}")
         if c.degree <= 0 or j == 0:
             # a constant coefficient, or the x-polynomial tail inlined
-            terms += _monomials(c, "x", ypart)
+            terms += _monomials(c, "x", ypart, den)
         else:
-            terms.append((True, f"({format_unipoly(c, 'x')})*{ypart}"))
+            terms.append((True, f"({format_unipoly(c, 'x', den)})*{ypart}"))
     return _join_terms(terms)
 
 
@@ -164,19 +161,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _default_jobs() -> int:
-    env = os.environ.get("RILEY_JOBS")
-    if env:
-        try:
-            jobs = int(env)
-            if jobs >= 1:
-                return jobs
-        except ValueError:
-            pass
-        print(f"ignoring invalid RILEY_JOBS={env!r}", file=sys.stderr)
-    return os.cpu_count() or 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="riley",
@@ -220,8 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp_c.add_argument("--pmax", type=int, required=True)
     sp_c.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     sp_c.add_argument("--out", default=None, help="report file (default: records to stdout)")
-    sp_c.add_argument("--jobs", type=int, default=None,
-                      help="worker processes (default: RILEY_JOBS or cpu count)")
+    sp_c.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+                      help="worker processes (default: cpu count)")
 
     sp_t1 = vsub.add_parser("theorem1", help="even double twist exact-count sweep")
     sp_t1.add_argument("--mmax", type=_positive_int, default=5)
@@ -286,8 +270,8 @@ def _cmd_family(family: str, m: int, n: int, x0: Fraction | None) -> int:
     t, mu, phi = map(unpack, packed)
     fmt, normalize = (format_bipoly, normalize_bipoly) if x0 is None else (format_unipoly, normalize_parabolic)
     print(f"{d} = {family_to_pq(d)}")
-    print(f"t  = {fmt(t * Fraction(1, one))}")
-    print(f"mu = {fmt(mu * Fraction(1, one))}")
+    print(f"t  = {fmt(t, den=one)}")
+    print(f"mu = {fmt(mu, den=one)}")
     print(f"Phi = {fmt(normalize(phi))}")
     return EXIT_OK
 
@@ -314,12 +298,10 @@ def _cmd_signature(k: KnotId) -> int:
     return EXIT_OK
 
 
-def _cmd_verify_conjecture(pmax: int, fmt: str, out: str | None, jobs: int | None) -> int:
+def _cmd_verify_conjecture(pmax: int, fmt: str, out: str | None, jobs: int) -> int:
     if pmax % 2 == 0:
         print(f"pmax {pmax} is even; scanning odd p <= {pmax - 1}", file=sys.stderr)
         pmax -= 1
-    if jobs is None:
-        jobs = _default_jobs()
     result = scan_conjecture(pmax, jobs=jobs)
     if out is None:
         sys.stdout.write(emit_report(result.records, format=fmt))
@@ -392,7 +374,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.check == "conjecture":
                 if args.pmax < 3:
                     parser.error("--pmax must be >= 3")
-                if args.jobs is not None and args.jobs < 1:
+                if args.jobs < 1:
                     parser.error("--jobs must be >= 1")
                 return _cmd_verify_conjecture(args.pmax, args.format, args.out, args.jobs)
             if args.check == "theorem1":

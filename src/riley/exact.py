@@ -1,32 +1,20 @@
-"""Exact polynomial arithmetic: one polynomial container and one dense
-ring kernel, run on integer coefficients everywhere but at the edges.
+"""Exact polynomial arithmetic over Z: one polynomial container and one
+dense ring kernel.
 
-The dense kernel (_zadd, _zsub, _zmul, _int_trim, _horner) works on
-ascending coefficient sequences over any ring, given the ring's zero
-where it creates entries.  UniPoly (dense, ascending coefficients,
-immutable) runs it over the rationals, stored canonically: a coefficient
-that is an integer is a Python int, and only one that is not is a
-`fractions.Fraction` (_rational; a float is refused).  Results are
-stored so too (_canonical): only one that holds a Fraction is converted,
-so integer polynomials run on Python ints throughout.  BiPoly, a
-polynomial in y over UniPoly coefficients in x, is a UniPoly subclass
-that states only that ring.  Calling either is Horner evaluation at a
-rational or composition with a polynomial.  Sturm sequences
-(subresultant sequences with tracked contents), squarefree parts and
-exact division run on plain int coefficient lists (ascending, trimmed,
-[] for zero).  A Sturm sequence of f ends in +-gcd(f, f'), so one
-remainder sequence serves both root counting and squarefree parts.
+UniPoly holds int coefficients (a non-integral rational or a float is
+refused, _integer); BiPoly is a UniPoly over UniPoly coefficients in x.
+The kernel (_zadd, _zsub, _zmul, _int_trim, _horner) serves both and
+plain int lists.  BiPoly.eval_x(a/b) is b^(deg_x) times the value at
+x = a/b, so it stays in Z[y] (_homogeneous).  Sturm sequences, squarefree
+parts and exact division run on int lists; a Sturm sequence of f ends in
++-gcd(f, f'), so one remainder sequence serves both root counting and
+squarefree parts.  By Gauss's lemma a primitive d divides e in Q[y]
+exactly when integer long division leaves no remainder (_int_exact_div).
 
-Divisibility over Q is decided by exact division in Z[y]: when the
-divisor d is primitive, Gauss's lemma says d divides e in Q[y] exactly
-when it does in Z[y], i.e. when integer long division leaves no
-remainder (_int_exact_div).
-
-Laurent polynomials in s over Z[y] (the entries of the Riley word
-matrix) map s-exponents to coefficients in Z[y], packed as ints c(2^B)
-for the ring operations (see rileypoly) and as int lists otherwise.  One
-invariant under s -> 1/s rewrites exactly into a BiPoly via x = s + 1/s
-(symmetrize_to_xy).
+Laurent polynomials in s over Z[y] (the Riley word matrix entries) map
+s-exponents to coefficients packed as ints c(2^B) (see rileypoly) or as
+int lists; one invariant under s -> 1/s rewrites exactly into a BiPoly
+in x = s + 1/s (symmetrize_to_xy).
 """
 
 from __future__ import annotations
@@ -51,11 +39,15 @@ def _rational(c) -> Scalar:
     return c.numerator if c.denominator == 1 else c
 
 
-def _canonical(coeffs: list) -> tuple:
-    """The result coeffs as a canonical tuple, converted only if it holds a Fraction."""
-    if Fraction in map(type, coeffs):
-        return tuple(map(_rational, coeffs))
-    return tuple(coeffs)
+def _integer(c) -> int:
+    """c as a polynomial coefficient, an int: _rational, then ValueError
+    unless the value is integral (int() would truncate 1/2 to 0)."""
+    if type(c) is int:
+        return c
+    c = _rational(c)
+    if type(c) is not int:
+        raise ValueError(f"coefficient {c} is not an integer")
+    return c
 
 
 def format_rational(v: Scalar) -> str:
@@ -80,22 +72,20 @@ class SymmetryError(ValueError):
 
 class UniPoly:
     """Dense polynomial in one variable over a coefficient ring, trimmed
-    canonical form; UniPoly's ring is Q, held as int or Fraction values.
+    canonical form; UniPoly's ring is Z, held as Python ints.
 
     Coefficients are stored ascending by degree; the leading coefficient
     is nonzero unless the polynomial is zero (empty tuple).  Instances
     are immutable and hashable; equality is coefficientwise.  A subclass
-    states another ring by four class attributes: _lift embeds a value
-    as a coefficient, _canon puts a result's coefficient list in
-    canonical form, _zero is the ring's zero, and _scalars are the
+    states another ring by three class attributes: _lift embeds a value
+    as a coefficient, _zero is the ring's zero, and _scalars are the
     types that multiply coefficientwise.
     """
 
     __slots__ = ("coeffs",)
-    _lift = staticmethod(_rational)
-    _canon = staticmethod(_canonical)
+    _lift = staticmethod(_integer)
     _zero = 0
-    _scalars = (int, Fraction)
+    _scalars = (int,)
 
     def __init__(self, coeffs: Iterable = ()):
         self.coeffs: tuple = tuple(_int_trim([self._lift(c) for c in coeffs]))
@@ -152,7 +142,7 @@ class UniPoly:
         b = self._coerce(other)
         if b is NotImplemented:
             return NotImplemented
-        return self._raw(self._canon(_zadd(self.coeffs, b)))
+        return self._raw(tuple(_zadd(self.coeffs, b)))
 
     __radd__ = __add__
 
@@ -160,7 +150,7 @@ class UniPoly:
         b = self._coerce(other)
         if b is NotImplemented:
             return NotImplemented
-        return self._raw(self._canon(_zsub(self.coeffs, b, self._zero)))
+        return self._raw(tuple(_zsub(self.coeffs, b, self._zero)))
 
     def __rsub__(self, other) -> "UniPoly":
         return (-self) + other
@@ -170,11 +160,11 @@ class UniPoly:
 
     def __mul__(self, other) -> "UniPoly":
         if type(other) is type(self):
-            return self._raw(self._canon(_zmul(self.coeffs, other.coeffs, self._zero)))
+            return self._raw(tuple(_zmul(self.coeffs, other.coeffs, self._zero)))
         if isinstance(other, self._scalars):
             if not other:
                 return self.zero()
-            return self._raw(self._canon([c * other for c in self.coeffs]))
+            return self._raw(tuple(c * other for c in self.coeffs))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -183,14 +173,6 @@ class UniPoly:
         """Exact evaluation by Horner's rule at any ring element v (a
         rational, or a polynomial for composition)."""
         return _horner(self.coeffs, v, self._zero)
-
-    def monic(self) -> "UniPoly":
-        if self.is_zero():
-            raise ValueError("zero polynomial cannot be made monic")
-        lead = self.leading
-        if lead == 1:
-            return self
-        return type(self)([Fraction(c) / lead for c in self.coeffs])
 
     def __eq__(self, other: object) -> bool:
         b = self._coerce(other)
@@ -215,17 +197,16 @@ class UniPoly:
 # The dense ring kernel and the integer coefficient kernel.
 #
 # _zadd, _zsub, _zmul, _int_trim and _horner need only +, -, * and
-# truthiness of the coefficients: they serve int lists here, rational
-# tuples in UniPoly and UniPoly tuples in BiPoly.  _zsub and _zmul take
-# the ring's zero (default int 0) for the entries they create, so no int
-# 0 lands in a BiPoly.
+# truthiness of the coefficients: they serve int lists and int tuples in
+# UniPoly, and UniPoly tuples in BiPoly.  _zsub and _zmul take the
+# ring's zero (default int 0) for the entries they create, so no int 0
+# lands in a BiPoly.
 #
 # Sturm sequences, squarefree parts and exact division run over plain
 # int lists (ascending, trimmed): subresultant sequences keep the
-# numbers small without a content gcd per step, and Python-int
-# arithmetic is much faster than Fraction.  Scaling by
-# nonzero constants is harmless everywhere these are used: it changes no
-# zero set, and positive scaling changes no sign.
+# numbers small without a content gcd per step.  Scaling by nonzero
+# constants is harmless everywhere these are used: it changes no zero
+# set, and positive scaling changes no sign.
 # ---------------------------------------------------------------------------
 
 
@@ -285,14 +266,6 @@ def _int_exact_div(a: Sequence[int], d: Sequence[int]) -> list[int] | None:
     return quot
 
 
-def _int_coeffs(values: Sequence[Scalar]) -> list[int]:
-    """The values scaled by the lcm of their denominators, as ints."""
-    den = math.lcm(*(c.denominator for c in values))
-    if den == 1:
-        return [c.numerator for c in values]
-    return [c.numerator * (den // c.denominator) for c in values]
-
-
 def _int_content(coeffs: Sequence[int]) -> int:
     g = 0
     for c in coeffs:
@@ -302,7 +275,7 @@ def _int_content(coeffs: Sequence[int]) -> int:
     return g
 
 
-def _int_primitive(coeffs: list[int]) -> list[int]:
+def _int_primitive(coeffs: Sequence[int]) -> list[int]:
     """Divide by the (positive) content; preserves every coefficient sign."""
     g = _int_content(coeffs)
     if g > 1:
@@ -320,6 +293,16 @@ def _horner(coeffs: Sequence, v, acc):
     """sum coeffs[i] * v**i by Horner's rule, starting from the zero acc."""
     for c in reversed(coeffs):
         acc = acc * v + c
+    return acc
+
+
+def _homogeneous(coeffs: Sequence[int], num: int, den: int) -> int:
+    """den^d * f(num/den) = sum c_i num^i den^(d-i) for the integer
+    coefficient list f of degree d, by Horner's rule; 0 for []."""
+    acc, dpow = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * num + c * dpow
+        dpow *= den
     return acc
 
 
@@ -435,19 +418,17 @@ def _int_squarefree(f: list[int], g: list[int]) -> list[int]:
     return q
 
 
-def _int_squarefree_part(f: list[int]) -> list[int]:
-    """f / gcd(f, f') for a non-constant integer list f, up to content."""
-    return _int_squarefree(f, _int_sturm(f)[-1])
-
-
 def squarefree_part(a: UniPoly) -> UniPoly:
-    """Monic a / gcd(a, a'), i.e. the product of a's distinct irreducible
-    factors.  Raises ValueError on zero input."""
+    """a / gcd(a, a'), i.e. the product of a's distinct irreducible
+    factors, primitive with a positive leading coefficient.  Raises
+    ValueError on zero input."""
     if a.is_zero():
         raise ValueError("squarefree part of the zero polynomial is undefined")
     if a.degree == 0:
         return UniPoly.const(1)
-    return UniPoly(_int_squarefree_part(_int_coeffs(a.coeffs))).monic()
+    f = list(a.coeffs)
+    q = _int_primitive(_int_squarefree(f, _int_sturm(f)[-1]))
+    return UniPoly._raw(tuple(q) if q[-1] > 0 else tuple(-c for c in q))
 
 
 class BiPoly(UniPoly):
@@ -459,15 +440,18 @@ class BiPoly(UniPoly):
 
     __slots__ = ()
     _lift = staticmethod(lambda c: c if type(c) is UniPoly else UniPoly.const(c))
-    # UniPoly results are canonical already
-    _canon = staticmethod(tuple)
     _zero = UniPoly.zero()
-    _scalars = (int, Fraction, UniPoly)
+    _scalars = (int, UniPoly)
 
     def eval_x(self, x0: Scalar) -> UniPoly:
-        """Substitute x := x0 in every coefficient, leaving a UniPoly in y."""
+        """b^d * Phi(a/b, y) in Z[y] for x0 = a/b in lowest terms, b > 0,
+        and d the x-degree of Phi: x := x0 substituted in every
+        coefficient, scaled to stay integral.  Raises TypeError on a
+        float."""
         x0 = _rational(x0)
-        return UniPoly([c(x0) for c in self.coeffs])
+        a, b = x0.numerator, x0.denominator
+        d = max((c.degree for c in self.coeffs), default=0)
+        return UniPoly([_homogeneous(c.coeffs, a, b) * b ** (d - c.degree) for c in self.coeffs])
 
     def to_json_dict(self) -> dict:
         """JSON-compatible form: y-coefficients ascending, each a list of

@@ -19,7 +19,7 @@ up to sign, the Euclidean sequence of f and f', so it ends in
 squarefree and the sequence is already its Sturm chain.  Only otherwise
 is f divided exactly by the gcd and the chain built again on the
 squarefree part.  The sequence itself is exact._int_sturm, which also
-gives exact._int_squarefree_part its gcd.
+gives exact.squarefree_part its gcd.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import UniPoly, _int_coeffs, _int_primitive, _int_squarefree, _int_sturm
+from .exact import UniPoly, _homogeneous, _int_primitive, _int_squarefree, _int_sturm
 
 DEFAULT_ISOLATION_WIDTH = Fraction(1, 64)
 
@@ -60,17 +60,6 @@ def _variations(signs: list[int]) -> int:
     return count
 
 
-def _sign_at_rational(poly: list[int], num: int, den: int) -> int:
-    """Sign of the polynomial at num/den (den > 0) via the homogeneous
-    integer evaluation sum c_i * num^i * den^(d-i)."""
-    acc = poly[-1]
-    dpow = 1
-    for i in range(len(poly) - 2, -1, -1):
-        dpow *= den
-        acc = acc * num + poly[i] * dpow
-    return _sign(acc)
-
-
 class _IntChain:
     """Integer Sturm chain with sign-variation queries."""
 
@@ -79,7 +68,7 @@ class _IntChain:
             raise ValueError("Sturm chain of the zero polynomial is undefined")
         if f.degree < 1:
             raise ValueError("Sturm chain of a constant polynomial is undefined")
-        f_int = _int_primitive(_int_coeffs(f.coeffs))
+        f_int = _int_primitive(f.coeffs)
         chain = _int_sturm(f_int)
         if len(chain[-1]) > 1:
             chain = _int_sturm(_int_squarefree(f_int, chain[-1]))
@@ -90,8 +79,9 @@ class _IntChain:
         self.chain = chain
 
     def variations_at(self, v: Fraction) -> int:
+        # den^d * p(v) has the sign of p(v): den > 0
         num, den = v.numerator, v.denominator
-        return _variations([_sign_at_rational(p, num, den) for p in self.chain])
+        return _variations([_sign(_homogeneous(p, num, den)) for p in self.chain])
 
     def variations_at_inf(self, positive: bool) -> int:
         signs = []
@@ -103,7 +93,7 @@ class _IntChain:
         return _variations(signs)
 
     def sign_at(self, v: Fraction) -> int:
-        return _sign_at_rational(self.chain[0], v.numerator, v.denominator)
+        return _sign(_homogeneous(self.chain[0], v.numerator, v.denominator))
 
     def count_all(self) -> int:
         return self.variations_at_inf(False) - self.variations_at_inf(True)

@@ -53,10 +53,12 @@ W21 = (2-y) W12.  From U,
 
 and W12 = W21 / (2-y).  The general route forms all three (word_matrix),
 requires the division to leave no remainder, the candidate to be
-symmetric under s -> 1/s and Phi~(1, y) to be non-constant in y.  The
-parabolic route needs only W11 at s = 1, and requires Phi(2, y) to be
-u11(2)^2 = 1 at y = 2 (rho(b) is the identity at s = 1, y = 2), so Phi
-is nonzero and already primitive.
+symmetric under s -> 1/s and Phi~(1, y) to be non-constant in y and 1
+at y = 2 (rho(b) is the identity at s = 1, y = 2, so W11 = 1 there).
+The parabolic route needs only W11 at s = 1, and requires Phi(2, y) to
+be u11(2)^2 = 1 at y = 2, so Phi is nonzero and already primitive.
+These value checks are consistency checks on the unpacked result, not a
+proof that the slot width was wide enough; that rests on the majorants.
 
 Packing: both word products and the closed form hold each coefficient
 f in Z[y] as the integer f(2^B), a ring homomorphism Z[y] -> Z
@@ -92,8 +94,8 @@ scalar, which normalization removes and on which no root count
 depends.
 
 Normalization: Riley polynomials are defined up to units, so results are
-scaled to integer coefficients with content 1 and sign chosen to make
-the leading y-coefficient positive at x = 2.
+divided by their content, with the sign chosen to make the leading
+y-coefficient positive at x = 2.
 """
 
 from __future__ import annotations
@@ -112,7 +114,6 @@ from .exact import (
     SymmetryError,
     UniPoly,
     _horner,
-    _int_coeffs,
     _int_primitive,
     _int_trim,
     _laurent_add,
@@ -289,18 +290,17 @@ def word_matrix(w: SchubertWord) -> tuple[int, tuple[PackedLaurent, ...]]:
 
 @dataclass(frozen=True, slots=True)
 class RileyPoly:
-    """A normalized Riley polynomial and which construction produced it."""
+    """A normalized Riley polynomial in (x, y)."""
 
     phi_xy: BiPoly
-    source: str  # "general" | "closed_form"
 
 
 def normalize_bipoly(phi: BiPoly) -> BiPoly:
-    """Scale to integer coefficients with content 1, sign fixed so the
-    leading y-coefficient is positive at x = 2."""
+    """Divide by the content, sign fixed so the leading y-coefficient is
+    positive at x = 2."""
     if phi.is_zero():
         raise ValueError("cannot normalize the zero polynomial")
-    ints = iter(_int_primitive(_int_coeffs([v for c in phi.coeffs for v in c.coeffs])))
+    ints = iter(_int_primitive([v for c in phi.coeffs for v in c.coeffs]))
     # the same integers, regrouped by y-degree
     phi = BiPoly([UniPoly([next(ints) for _ in c.coeffs]) for c in phi.coeffs])
     lead = phi.leading(2)
@@ -312,10 +312,10 @@ def normalize_bipoly(phi: BiPoly) -> BiPoly:
 
 
 def normalize_parabolic(phi: UniPoly) -> UniPoly:
-    """Univariate analogue: integer coefficients, content 1, leading > 0."""
+    """Univariate analogue: content 1, leading coefficient > 0."""
     if phi.is_zero():
         raise ValueError("cannot normalize the zero polynomial")
-    phi = UniPoly(_int_primitive(_int_coeffs(phi.coeffs)))
+    phi = UniPoly(_int_primitive(phi.coeffs))
     return -phi if phi.leading < 0 else phi
 
 
@@ -336,10 +336,15 @@ def _riley_from_word(word: SchubertWord, label: object) -> RileyPoly:
             f"reduction candidate for {label} is not symmetric under s -> 1/s "
             f"(first offending s-exponent: {exc.exponent}); refusing to guess a unit multiple"
         ) from exc
-    # the packed values summed over s are Phi~(1, y), packed
-    if len(_unpack(sum(candidate.values()), bits)) < 2:
+    # the packed values summed over s are Phi~(1, y), packed; at s = 1 and
+    # y = 2, rho(b) is the identity, so W11 = Phi~(1, 2) = 1
+    at_one = _unpack(sum(candidate.values()), bits)
+    if len(at_one) < 2:
         raise RileyValidationError(f"reduction candidate for {label} is constant in y at s = 1")
-    return RileyPoly(normalize_bipoly(phi_xy), "general")
+    at_two = _horner(at_one, 2, 0)
+    if at_two != 1:
+        raise RileyValidationError(f"reduction candidate for {label} is {at_two} at s = 1, y = 2, not 1")
+    return RileyPoly(normalize_bipoly(phi_xy))
 
 
 def riley_general(k: KnotId) -> RileyPoly:
@@ -352,7 +357,8 @@ def riley_general(k: KnotId) -> RileyPoly:
     give W = U C U^T C^-1 and so W21 = (2-y) W12 and the relation defect
     Phi~ [[0, 1], [-(2-y), 0]] at every s; W21 must divide by 2-y with no
     remainder.  Then the candidate must be symmetric under s -> 1/s
-    (symmetrize_to_xy) and Phi~(1, y) non-constant in y.  Any failure
+    (symmetrize_to_xy) and Phi~(1, y) non-constant in y with
+    Phi~(1, 2) = 1.  Any failure
     raises RileyValidationError: a silently wrong polynomial is never
     returned.
     """
@@ -526,7 +532,7 @@ def riley_closed_form(d: DoubleTwist) -> RileyPoly:
     """Closed-form Riley polynomial S_n(t) - mu * S_{n-1}(t) in (x, y),
     normalized; one run on packed integers (_closed_form_run)."""
     unpack, _, (_, _, phi) = _closed_form_run(d)
-    return RileyPoly(normalize_bipoly(unpack(phi)), "closed_form")
+    return RileyPoly(normalize_bipoly(unpack(phi)))
 
 
 def riley_closed_form_at(d: DoubleTwist, x0: Scalar) -> UniPoly:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -30,9 +31,12 @@ def run_cli(capsys, *argv):
 def test_format_unipoly():
     assert format_unipoly(UniPoly([-3, 1])) == "y - 3"
     assert format_unipoly(UniPoly([3, -3, 1])) == "y^2 - 3*y + 3"
-    assert format_unipoly(UniPoly([Fraction(3, 2), 0, 0, -1])) == "-y^3 + 3/2"
     assert format_unipoly(UniPoly.zero()) == "0"
-    assert format_unipoly(UniPoly([0, Fraction(1, 2)])) == "1/2*y"
+    # p/den, each coefficient in lowest terms
+    assert format_unipoly(UniPoly([3, 0, 0, -2]), den=2) == "-y^3 + 3/2"
+    assert format_unipoly(UniPoly([0, 1]), den=2) == "1/2*y"
+    assert format_unipoly(UniPoly([6, -4, 2]), den=4) == "1/2*y^2 - y + 3/2"
+    assert format_unipoly(UniPoly.zero(), den=9) == "0"
 
 
 def test_unipoly_text_roundtrip_random():
@@ -40,14 +44,11 @@ def test_unipoly_text_roundtrip_random():
     y = sympy.Symbol("y")
     rng = random.Random(101)
     for _ in range(100):
-        coeffs = [
-            Fraction(rng.randint(-30, 30), rng.randint(1, 12))
-            for _ in range(rng.randint(1, 8))
-        ]
-        p = UniPoly(coeffs)
-        parsed = sympy.Poly(sympy.sympify(format_unipoly(p).replace("^", "**")), y)
+        p = UniPoly([rng.randint(-30, 30) for _ in range(rng.randint(1, 8))])
+        den = rng.randint(1, 12)
+        parsed = sympy.Poly(sympy.sympify(format_unipoly(p, den=den).replace("^", "**")), y)
         back = [Fraction(int(c.p), int(c.q)) for c in reversed(parsed.all_coeffs())]
-        assert UniPoly(back) == p
+        assert back == ([Fraction(c, den) for c in p.coeffs] or [0])
 
 
 def test_format_bipoly():
@@ -57,10 +58,10 @@ def test_format_bipoly():
     assert format_bipoly(fig8) == "y^2 + (-x^2 + 1)*y + x^2 - 1"
     assert format_bipoly(BiPoly.zero()) == "0"
     # constant coefficients of magnitude other than 1 at y^j
-    assert format_bipoly(BiPoly([5, 0, -3, Fraction(1, 2)])) == "1/2*y^3 - 3*y^2 + 5"
+    assert format_bipoly(BiPoly([10, 0, -6, 1]), den=2) == "1/2*y^3 - 3*y^2 + 5"
     # a rational x-tail, inlined term by term
-    tail = BiPoly([UniPoly([Fraction(3, 4), -1, Fraction(-1, 2)]), 0, UniPoly([0, 2])])
-    assert format_bipoly(tail) == "(2*x)*y^2 - 1/2*x^2 - x + 3/4"
+    tail = BiPoly([UniPoly([3, -4, -2]), 0, UniPoly([0, 8])])
+    assert format_bipoly(tail, den=4) == "(2*x)*y^2 - 1/2*x^2 - x + 3/4"
 
 
 def test_format_epsilons():
@@ -175,6 +176,29 @@ def test_family_specialized_output_pinned(capsys):
     }
     for argv, out in expected.items():
         assert run_cli(capsys, "family", *argv) == (0, out, ""), argv
+
+
+def test_poly_and_roots_at_rational_x_pinned(capsys):
+    # sha256 of the stdout of poly and roots at five x0 other than 2, over
+    # every scanned knot with p <= 31 (with --isolate for p <= 15), taken
+    # when BiPoly.eval_x still returned rational coefficients: scaling
+    # by den(x0)^(deg_x) changes no printed byte
+    from riley.verifier import enumerate_knots
+
+    digest = hashlib.sha256()
+    commands = 0
+    for k in enumerate_knots(31):
+        for x0 in ("5/2", "-3/2", "7/3", "1/7", "3"):
+            argvs = [["poly", str(k.p), str(k.q), f"--x={x0}"], ["roots", str(k.p), str(k.q), f"--x={x0}"]]
+            if k.p <= 15:
+                argvs.append([*argvs[1], "--isolate"])
+            for argv in argvs:
+                code, out, err = run_cli(capsys, *argv)
+                assert (code, err) == (0, ""), argv
+                digest.update(out.encode())
+                commands += 1
+    assert commands == 1015
+    assert digest.hexdigest() == "f167fa5957ae9cb5e000fa24b15c3a798bd27bb39f5621a308d1d51f7be0395b"
 
 
 def _run_or_exit(capsys, argv):
@@ -376,7 +400,7 @@ def test_crosscheck_command_reports_a_disagreement(capsys, monkeypatch):
 
     real = verifier.riley_general
     monkeypatch.setattr(
-        verifier, "riley_general", lambda k: RileyPoly(real(k).phi_xy + UniPoly.gen(), "general")
+        verifier, "riley_general", lambda k: RileyPoly(real(k).phi_xy + UniPoly.gen())
     )
     code, out, _ = run_cli(capsys, "crosscheck", "--mmax", "1", "--nmax", "1")
     assert code == 1
@@ -400,15 +424,6 @@ def test_verify_help_lists_checks(capsys):
     out = capsys.readouterr().out
     for name in ("conjecture", "theorem1", "theorem2"):
         assert name in out
-
-
-def test_rily_jobs_env_fallback(monkeypatch):
-    from riley.cli import _default_jobs
-
-    monkeypatch.setenv("RILEY_JOBS", "3")
-    assert _default_jobs() == 3
-    monkeypatch.setenv("RILEY_JOBS", "bogus")
-    assert _default_jobs() >= 1
 
 
 def test_parser_requires_subcommand():

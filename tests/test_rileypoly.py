@@ -124,9 +124,9 @@ def _word(compact: str) -> SchubertWord:
     )
 
 
-def _at_s(f, s0):
-    """An unpacked Laurent entry {s-exponent: y-list} at s = s0, in Q[y]."""
-    return sum((UniPoly(c) * Fraction(s0) ** e for e, c in f.items()), UniPoly.zero())
+def _at_s_one(f):
+    """An unpacked Laurent entry {s-exponent: y-list} at s = 1, in Z[y]."""
+    return sum(map(UniPoly, f.values()), UniPoly.zero())
 
 
 def _packed_flat(f, bits: int) -> dict:
@@ -212,7 +212,7 @@ def test_word_matrix_hand_values():
     w11 = _unpacked_w11(_word("ab"))
     assert to_flat(w11) == {(2, 0): 1, (0, 0): 2, (0, 1): -1}
     # w = ab^-1a^-1b at s = 1, entry (1,1) is (2-y)^2 - (2-y) + 1
-    w11 = _at_s(_unpacked_w11(_word("aBAb")), 1)
+    w11 = _at_s_one(_unpacked_w11(_word("aBAb")))
     u = UniPoly([2, -1])
     assert w11 == u * u - u + 1
     # empty word: the identity's W11, W12, W21
@@ -756,6 +756,16 @@ def test_riley_general_validation_rejects_bad_word(monkeypatch):
             riley_general(k)
 
 
+def test_riley_general_checks_the_value_at_s_one_y_two(monkeypatch):
+    # at s = 1 and y = 2, rho(b) is the identity and W11 = Phi~(1, 2) = 1.
+    # A slot width too narrow for the product unpacks a wrong candidate
+    # that still passes every packed check (det U, 2-y | W21, symmetry);
+    # the value check refuses it instead of returning it
+    monkeypatch.setattr(rileypoly, "_majorants", lambda n: (1, 1, 0, 1))
+    with pytest.raises(RileyValidationError, match=r"is -?\d+ at s = 1, y = 2, not 1"):
+        riley_general(KnotId(61, 17))
+
+
 def test_riley_parabolic_examples():
     assert riley_parabolic(KnotId(3, 1)) == UniPoly([-3, 1])
     assert riley_parabolic(KnotId(5, 2)) == UniPoly([3, -3, 1])
@@ -823,10 +833,11 @@ def test_closed_form_specialized_equals_evaluated():
                 phi_xy = riley_closed_form(d).phi_xy
                 for x0 in _SPECIALIZATION_X0:
                     at = closed_form_params(d, x0)
-                    # the specialized pair is scaled by D = den(x0)^2
+                    # the specialized pair is scaled by D = den(x0)^2, and so
+                    # is eval_x: t and mu have x-degree 2
                     assert at.denominator == Fraction(x0).denominator ** 2, (d, x0)
-                    assert at.t == bivariate.t.eval_x(x0) * at.denominator, (d, x0)
-                    assert at.mu == bivariate.mu.eval_x(x0) * at.denominator, (d, x0)
+                    assert at.t == bivariate.t.eval_x(x0), (d, x0)
+                    assert at.mu == bivariate.mu.eval_x(x0), (d, x0)
                     assert at.family == d
                     assert riley_closed_form_at(d, x0) == normalize_parabolic(
                         phi_xy.eval_x(x0)
@@ -871,7 +882,7 @@ def _assert_closed_form_at_matches_oracle(d: DoubleTwist, x0) -> None:
     t, mu, phi = _bipoly_closed_form(d)
     den = Fraction(x0).denominator ** 2
     params = closed_form_params(d, x0)
-    assert (params.t, params.mu) == (t.eval_x(x0) * den, mu.eval_x(x0) * den), (d, x0)
+    assert (params.t, params.mu) == (t.eval_x(x0), mu.eval_x(x0)), (d, x0)
     assert (params.family, params.denominator) == (d, den), (d, x0)
     assert riley_closed_form_at(d, x0) == normalize_parabolic(phi.eval_x(x0)), (d, x0)
 
@@ -1053,7 +1064,7 @@ def test_parabolic_never_vanishes_at_two():
 
 
 def test_normalize_bipoly():
-    raw = BiPoly([UniPoly([Fraction(1, 2), 0, Fraction(-1, 2)]), UniPoly.const(Fraction(-1, 2))])
+    raw = BiPoly([UniPoly([3, 0, -3]), UniPoly.const(-3)])
     norm = normalize_bipoly(raw)
     assert norm == BiPoly([UniPoly([-1, 0, 1]), UniPoly.const(1)])
     assert norm.leading(Fraction(2)) > 0
@@ -1062,8 +1073,9 @@ def test_normalize_bipoly():
 
 
 def test_normalize_parabolic():
-    assert normalize_parabolic(UniPoly([Fraction(3, 2), Fraction(-1, 2)])) == UniPoly([-3, 1])
+    assert normalize_parabolic(UniPoly([3, -1])) == UniPoly([-3, 1])
     assert normalize_parabolic(UniPoly([6, -2])) == UniPoly([-3, 1])
+    assert normalize_parabolic(UniPoly([-6, 4])) == UniPoly([-3, 2])
 
 
 def test_closed_form_coefficients_are_integers():

@@ -32,5 +32,16 @@ def test_every_wrapped_name_is_bound(monkeypatch):
 def test_oracle_rebuilds_knot_and_theorem_polynomials(monkeypatch):
     pytest.importorskip("sympy")
     module = _load(monkeypatch, "perfbench_run", PERFBENCH / "run.py")
-    counts = [(("knot", 7, 3), 1), (("theorem", "EE", 1, 1, "2"), 1)]
+    counts = [
+        (("knot", 7, 3), 1),
+        (("theorem", "EE", 1, 1, "2"), 1),
+        # at x0 = a/b, eval_x returns b^(deg_x) * Phi(a/b, y): the same roots
+        (("theorem", "OE", 2, 3, "5/2"), 6),
+        (("theorem", "ON", 2, 3, "-7/3"), 7),
+        (("theorem", "EE", 2, 1, "31/16"), 1),
+    ]
     assert module.oracle_mismatches(counts, 1) == []
+    wrong = [(("theorem", "OE", 2, 3, "5/2"), 5)]
+    assert module.oracle_mismatches(wrong, 1) == [
+        "('theorem', 'OE', 2, 3, '5/2'): reported 5, sympy counts 6"
+    ]

@@ -270,7 +270,7 @@ def test_cross_validate_raises_on_disagreement(monkeypatch):
 
     real = verifier.riley_general
     monkeypatch.setattr(
-        verifier, "riley_general", lambda k: RileyPoly(real(k).phi_xy + UniPoly.gen(), "general")
+        verifier, "riley_general", lambda k: RileyPoly(real(k).phi_xy + UniPoly.gen())
     )
     with pytest.raises(verifier.CrossValidationError) as exc:
         cross_validate(DoubleTwist("EE", 1, 1))
