@@ -8,7 +8,7 @@ double twist closed forms against the general matrix construction.
 """
 
 from .chebyshev import cheb_poly, trace_poly
-from .exact import BiPoly, SymmetryError, UniPoly, compose, symmetrize_to_xy
+from .exact import BiPoly, UniPoly, compose
 from .realroots import RootCount, count_real_roots, isolate_roots
 from .rileypoly import (
     ClosedFormParams,
@@ -19,6 +19,7 @@ from .rileypoly import (
     riley_closed_form_at,
     riley_general,
     riley_parabolic,
+    symmetrize_to_xy,
     word_matrix,
 )
 from .signature import (
@@ -70,7 +71,6 @@ __all__ = [
     "ScanResult",
     "SchubertWord",
     "SignatureError",
-    "SymmetryError",
     "TheoremRecord",
     "TwoBridgeSignature",
     "UniPoly",

@@ -68,11 +68,14 @@ big-integer adds, shifts and products.  It is injective where
 over 1-norm majorants.  For the word products these depend only on the
 number of letters (_majorants, computed once per length), and one
 _slot_bits serves both products.  A general entry maps s-exponents to
-such integers, and 2-y divides as one divmod by 2 - 2^B per exponent;
-in the parabolic slice (s = 1, x = 2) of the conjecture scans an entry
-of U is one integer, and Phi is u11^2 + (u12^2 << 1) - (u12^2 << B).
-Both routes check det U and the table's symmetry exactly on packed
-values; only the candidate is unpacked.
+such integers (PackedLaurent, with its ring operations _laurent_*), and
+2-y divides as one divmod by 2 - 2^B per exponent; in the parabolic
+slice (s = 1, x = 2) of the conjecture scans an entry of U is one
+integer, and Phi is u11^2 + (u12^2 << 1) - (u12^2 << B).  Both routes
+check det U and the table's symmetry exactly on packed values, and the
+general route checks the candidate's s -> 1/s symmetry there too; only
+its terms at s^k, k >= 0, are unpacked, and symmetrize_to_xy rewrites
+them in x = s + 1/s.
 
 Closed-form route: for a double twist knot the Riley polynomial is
 S_n(t) - mu * S_{n-1}(t) with family-specific t and mu built from
@@ -104,27 +107,19 @@ import functools
 import operator
 from dataclasses import dataclass
 
-from .chebyshev import cheb_pair
+from .chebyshev import cheb_pair, trace_poly
 from .chebyshev import cheb_poly  # noqa: F401  (bound here for perfbench/traced.py)
 from .exact import (
     BiPoly,
-    Laurent,
-    PackedLaurent,
     Scalar,
-    SymmetryError,
     UniPoly,
     _horner,
     _int_primitive,
     _int_trim,
-    _laurent_add,
-    _laurent_mul,
-    _laurent_shift,
-    _laurent_sub,
     _rational,
     compose,  # noqa: F401  (bound here for perfbench/traced.py)
-    squarefree_part,  # noqa: F401  (bound here for perfbench/traced.py)
-    symmetrize_to_xy,
 )
+from .realroots import squarefree_part  # noqa: F401  (bound here for perfbench/traced.py)
 from .twobridge import DoubleTwist, KnotId, SchubertWord, schubert_word
 
 class RileyValidationError(RuntimeError):
@@ -152,6 +147,42 @@ def _word_product(letters, ops: dict, one, zero) -> tuple:
         op = ops[letter]
         row1, row2 = op(*row1), op(*row2)
     return (*row1, *row2)
+
+
+# ---------------------------------------------------------------------------
+# Laurent polynomials in s over Z[y], packed: {s-exponent: c(2^B)}, with
+# no zero values.
+# ---------------------------------------------------------------------------
+
+PackedLaurent = dict[int, int]
+
+
+def _laurent_shift(f: PackedLaurent, k: int) -> PackedLaurent:
+    """s^k * f."""
+    return {e + k: c for e, c in f.items()}
+
+
+def _laurent_add(f: PackedLaurent, g: PackedLaurent) -> PackedLaurent:
+    out = dict(f)
+    for e, c in g.items():
+        c += out.get(e, 0)
+        if c:
+            out[e] = c
+        else:
+            del out[e]
+    return out
+
+
+def _laurent_sub(f: PackedLaurent, g: PackedLaurent) -> PackedLaurent:
+    return _laurent_add(f, {e: -c for e, c in g.items()})
+
+
+def _laurent_mul(f: PackedLaurent, g: PackedLaurent) -> PackedLaurent:
+    out: PackedLaurent = {}
+    for ef, cf in f.items():
+        for eg, cg in g.items():
+            out[ef + eg] = out.get(ef + eg, 0) + cf * cg
+    return {e: c for e, c in out.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +233,6 @@ def _unpack(n: int, bits: int) -> list[int]:
     slots = abs(n).bit_length() // bits + 1
     n += half * (((1 << (bits * slots)) - 1) // mask)
     return _int_trim([((n >> (bits * i)) & mask) - half for i in range(slots)])
-
-
-def _unpack_laurent(f: PackedLaurent, bits: int) -> Laurent:
-    return {e: _unpack(c, bits) for e, c in f.items()}
 
 
 def _two_minus_y(f: PackedLaurent, bits: int) -> PackedLaurent:
@@ -324,18 +351,46 @@ def _reduction_candidate(w11: PackedLaurent, w12: PackedLaurent) -> PackedLauren
     return _laurent_sub(_laurent_add(w11, _laurent_shift(w12, -1)), _laurent_shift(w12, 1))
 
 
+def symmetrize_to_xy(half: dict[int, list[int]]) -> BiPoly:
+    """Rewrite a Laurent polynomial symmetric under s -> 1/s as an exactly
+    equal BiPoly in x = s + 1/s and y.
+
+    half maps each s-exponent k >= 0 to its coefficient list in y
+    (ascending, trimmed); the terms at -k are those at k.  Each pair
+    s**k + s**-k is replaced by the trace polynomial p_k(x) (p_0 = 2,
+    p_1 = x, p_k = x*p_{k-1} - p_{k-2}).  The sum sum_k c_k(y) p_k(x) is
+    collected on int lists, one x-coefficient list per power of y, and
+    becomes one BiPoly at the end.  Raises ValueError on a negative key.
+    """
+    if any(k < 0 for k in half):
+        raise ValueError(f"symmetrize_to_xy takes exponents k >= 0, got {min(half)}")
+    # rows[j] is the x-coefficient list of y^j
+    rows = [[0] * (max(half) + 1) for _ in range(max(map(len, half.values())))] if half else []
+    for k, c in half.items():
+        # c is the y-coefficient of s^k (+ s^-k for k > 0): contributes
+        # c(y) * p_k(x), except k = 0 contributes c(y) * 1 (half of p_0).
+        xpart = trace_poly(k).coeffs if k > 0 else (1,)
+        for row, cj in zip(rows, c):
+            if cj:
+                for i, v in enumerate(xpart):
+                    row[i] += cj * v
+    return BiPoly([UniPoly._raw(tuple(_int_trim(row))) for row in rows])
+
+
 def _riley_from_word(word: SchubertWord, label: object) -> RileyPoly:
     """Shared general-route pipeline: product, reduction, validation (see
     riley_general), rewrite to (x, y), normalization."""
     bits, (w11, w12, _) = word_matrix(word)
     candidate = _reduction_candidate(w11, w12)
-    try:
-        phi_xy = symmetrize_to_xy(_unpack_laurent(candidate, bits))
-    except SymmetryError as exc:
+    # packing is injective at this slot width, so packed values compare
+    # as the polynomials do
+    asymmetric = [k for k in map(abs, candidate) if candidate.get(k) != candidate.get(-k)]
+    if asymmetric:
         raise RileyValidationError(
             f"reduction candidate for {label} is not symmetric under s -> 1/s "
-            f"(first offending s-exponent: {exc.exponent}); refusing to guess a unit multiple"
-        ) from exc
+            f"(first offending s-exponent: {min(asymmetric)}); refusing to guess a unit multiple"
+        )
+    phi_xy = symmetrize_to_xy({k: _unpack(c, bits) for k, c in candidate.items() if k >= 0})
     # the packed values summed over s are Phi~(1, y), packed; at s = 1 and
     # y = 2, rho(b) is the identity, so W11 = Phi~(1, 2) = 1
     at_one = _unpack(sum(candidate.values()), bits)
@@ -356,8 +411,8 @@ def riley_general(k: KnotId) -> RileyPoly:
     transpose-symmetric under C = diag(1, 2-y) and det U exactly 1, which
     give W = U C U^T C^-1 and so W21 = (2-y) W12 and the relation defect
     Phi~ [[0, 1], [-(2-y), 0]] at every s; W21 must divide by 2-y with no
-    remainder.  Then the candidate must be symmetric under s -> 1/s
-    (symmetrize_to_xy) and Phi~(1, y) non-constant in y with
+    remainder.  Then the candidate must be symmetric under s -> 1/s,
+    checked on its packed values, and Phi~(1, y) non-constant in y with
     Phi~(1, 2) = 1.  Any failure
     raises RileyValidationError: a silently wrong polynomial is never
     returned.

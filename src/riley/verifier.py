@@ -24,6 +24,8 @@ order, so reports are byte-for-byte reproducible.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import os
@@ -354,18 +356,19 @@ def emit_report(
     """Serialize records, one per line, to a file or returned string.
 
     jsonl: one JSON object per record.  csv: fixed header then one row
-    per record.  Field order is deterministic and rationals appear as
-    exact "num/den" strings, so repeated runs emit identical bytes.
+    per record, a cell holding a comma (the knot "b(p,q)") quoted.
+    Field order is deterministic and rationals appear as exact "num/den"
+    strings, so repeated runs emit identical bytes.
     Zero records produce an empty file.
     """
     records = list(records)
     if format not in ("jsonl", "csv"):
         raise ValueError(f"format must be jsonl or csv, got {format!r}")
-    lines: list[str] = []
+    text = ""
     if records:
         rows = [record_fields(r) for r in records]
         if format == "jsonl":
-            lines = [json.dumps(r) for r in rows]
+            text = "".join(json.dumps(r) + "\n" for r in rows)
         else:
             fields = (
                 _CONJECTURE_CSV_FIELDS
@@ -378,10 +381,11 @@ def emit_report(
                     return "true" if v else "false"
                 return str(v)
 
-            lines = [",".join(fields)]
-            for row in rows:
-                lines.append(",".join(cell(row.get(f, "")) for f in fields))
-    text = "".join(line + "\n" for line in lines)
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(fields)
+            writer.writerows([cell(row.get(f, "")) for f in fields] for row in rows)
+            text = buf.getvalue()
     if destination is None:
         return text
     if isinstance(destination, (str, Path)):

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -372,6 +373,13 @@ def test_verify_conjecture_csv(tmp_path, capsys):
     lines = out_path.read_text().splitlines()
     assert lines[0] == "knot,sigma_abs,degree,real_roots,holds,flag"
     assert len(lines) == 7
+    # the knot "b(p,q)" holds a comma, so every row must quote it to keep
+    # as many fields as the header
+    from riley.verifier import enumerate_knots
+
+    header, *rows = csv.reader(lines)
+    assert [row[0] for row in rows] == [str(k) for k in enumerate_knots(7)]
+    assert all(len(row) == len(header) for row in rows)
 
 
 def test_verify_theorem1_command(capsys):

@@ -7,25 +7,23 @@ import pytest
 from riley import exact
 from riley.exact import (
     BiPoly,
-    SymmetryError,
     UniPoly,
-    _int_derivative,
-    _int_exact_div,
-    _int_sturm,
     _int_trim,
-    _laurent_add,
-    _laurent_mul,
-    _laurent_shift,
-    _laurent_sub,
     _zadd,
     _zmul,
     _zsub,
     compose,
     format_rational,
-    squarefree_part,
+)
+from riley.realroots import _int_derivative, _int_exact_div, _int_sturm, squarefree_part
+from riley.rileypoly import (
+    _laurent_add,
+    _laurent_mul,
+    _laurent_shift,
+    _laurent_sub,
+    _unpack,
     symmetrize_to_xy,
 )
-from riley.rileypoly import _unpack
 
 Y = UniPoly.gen()
 
@@ -399,18 +397,21 @@ def test_bipoly_subs_y():
 
 
 def test_symmetrize_examples():
+    # the k >= 0 half of s + 1/s, of s^2 + c + s^-2 and of y
     x = UniPoly.gen()
-    assert symmetrize_to_xy({1: [1], -1: [1]}) == BiPoly.const(x)
+    assert symmetrize_to_xy({1: [1]}) == BiPoly.const(x)
     c = 5
-    assert symmetrize_to_xy({2: [1], 0: [c], -2: [1]}) == BiPoly.const(UniPoly([c - 2, 0, 1]))
+    assert symmetrize_to_xy({2: [1], 0: [c]}) == BiPoly.const(UniPoly([c - 2, 0, 1]))
     assert symmetrize_to_xy({0: [0, 1]}) == BiPoly.gen()
+    assert symmetrize_to_xy({}) == BiPoly.zero()
 
 
-def test_symmetrize_asymmetric_raises_with_exponent():
-    f = {2: [1], -2: [2]}
-    with pytest.raises(SymmetryError) as exc:
-        symmetrize_to_xy(f)
-    assert exc.value.exponent == 2
+def test_symmetrize_rejects_negative_exponent():
+    # the terms at -k are implied by those at k, so a negative key is a
+    # caller passing the whole Laurent polynomial
+    for f in ({1: [1], -1: [1]}, {-2: [3]}):
+        with pytest.raises(ValueError, match="k >= 0"):
+            symmetrize_to_xy(f)
 
 
 def _pack(coeffs: list[int], bits: int) -> int:
@@ -422,6 +423,11 @@ def _rand_ylist(rng) -> list[int]:
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs or [1]
+
+
+def _half(f: dict) -> dict:
+    """The terms at s^k, k >= 0, that symmetrize_to_xy takes."""
+    return {e: c for e, c in f.items() if e >= 0}
 
 
 def _rand_symmetric(rng) -> dict[int, list[int]]:
@@ -443,8 +449,9 @@ def test_symmetrize_is_ring_homomorphism():
         pf, pg = ({e: _pack(c, bits) for e, c in h.items()} for h in (f, g))
         product = {e: _unpack(c, bits) for e, c in _laurent_mul(pf, pg).items()}
         total = {e: _unpack(c, bits) for e, c in _laurent_add(pf, pg).items()}
-        assert symmetrize_to_xy(product) == symmetrize_to_xy(f) * symmetrize_to_xy(g)
-        assert symmetrize_to_xy(total) == symmetrize_to_xy(f) + symmetrize_to_xy(g)
+        phi_f, phi_g = symmetrize_to_xy(_half(f)), symmetrize_to_xy(_half(g))
+        assert symmetrize_to_xy(_half(product)) == phi_f * phi_g
+        assert symmetrize_to_xy(_half(total)) == phi_f + phi_g
 
 
 def test_symmetrize_exactness_via_eval():
@@ -458,7 +465,7 @@ def test_symmetrize_exactness_via_eval():
             sum(c[j] * s0**e for e, c in f.items() if j < len(c))
             for j in range(max(map(len, f.values())))
         ]
-        phi, x0 = symmetrize_to_xy(f), s0 + 1 / s0
+        phi, x0 = symmetrize_to_xy(_half(f)), s0 + 1 / s0
         # eval_x scales by den(x0)^(deg_x)
         scale = x0.denominator ** max(c.degree for c in phi.coeffs)
         assert list(phi.eval_x(x0).coeffs) == _int_trim([v * scale for v in at_s0])

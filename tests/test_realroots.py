@@ -3,16 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-import riley.exact
 import riley.realroots
-from riley.exact import (
-    UniPoly,
+from riley.exact import UniPoly, _int_primitive
+from riley.realroots import (
     _int_derivative,
-    _int_primitive,
     _int_sturm,
+    _IntChain,
+    cauchy_bound,
+    count_real_roots,
+    isolate_roots,
     squarefree_part,
 )
-from riley.realroots import _IntChain, cauchy_bound, count_real_roots, isolate_roots
 from riley.rileypoly import riley_closed_form_at, riley_parabolic
 from riley.twobridge import FAMILIES, DoubleTwist
 from riley.verifier import enumerate_knots
@@ -137,7 +138,7 @@ def test_chain_contract_raises_when_squarefree_part_is_wrong(monkeypatch):
 def test_sturm_sequence_is_bounded(monkeypatch):
     # a remainder that never shrinks in degree must end in an error, not
     # in a loop without end
-    monkeypatch.setattr(riley.exact, "_int_sturm_rem", lambda a, b: list(b))
+    monkeypatch.setattr(riley.realroots, "_int_sturm_rem", lambda a, b: list(b))
     with pytest.raises(ArithmeticError, match="did not end"):
         count_real_roots(CUBIC)
 
@@ -145,7 +146,7 @@ def test_sturm_sequence_is_bounded(monkeypatch):
 def test_sturm_division_is_checked_exact(monkeypatch):
     # CUBIC is monic and f' = 3y^2 - 6y + 2, so the second remainder is
     # divided by g*h = 9; a perturbed remainder must not pass that division
-    real_rem = riley.exact._int_sturm_rem
+    real_rem = riley.realroots._int_sturm_rem
     calls = []
 
     def perturbed(a, b):
@@ -153,7 +154,7 @@ def test_sturm_division_is_checked_exact(monkeypatch):
         calls.append(p)
         return [p[0] + 1] + p[1:] if len(calls) == 2 else p
 
-    monkeypatch.setattr(riley.exact, "_int_sturm_rem", perturbed)
+    monkeypatch.setattr(riley.realroots, "_int_sturm_rem", perturbed)
     with pytest.raises(ArithmeticError, match="not exact"):
         count_real_roots(CUBIC)
 

@@ -13,19 +13,18 @@ from riley.exact import (
     BiPoly,
     UniPoly,
     _int_primitive,
-    _laurent_add,
-    _laurent_mul,
-    _laurent_shift,
-    _laurent_sub,
     _zadd,
     _zmul,
     _zsub,
-    symmetrize_to_xy,
 )
 from riley.realroots import count_real_roots
 from riley.rileypoly import (
     ClosedFormParams,
     RileyValidationError,
+    _laurent_add,
+    _laurent_mul,
+    _laurent_shift,
+    _laurent_sub,
     closed_form_params,
     normalize_bipoly,
     normalize_parabolic,
@@ -33,6 +32,7 @@ from riley.rileypoly import (
     riley_closed_form_at,
     riley_general,
     riley_parabolic,
+    symmetrize_to_xy,
     word_matrix,
 )
 from riley.twobridge import (
@@ -143,11 +143,16 @@ def _oracle_entries(word: SchubertWord):
     return [f11, f12, f21]
 
 
+def _unpack_laurent(f, bits: int) -> dict:
+    """A packed Laurent entry unpacked into an {s-exponent: y-list} map."""
+    return {e: rileypoly._unpack(c, bits) for e, c in f.items()}
+
+
 def _unpacked_w11(w):
     """word_matrix's W11, unpacked into an {s-exponent: y-list} map (W11
     lies within the candidate's majorant, so it fits the slot)."""
     bits, (w11, _, _) = word_matrix(w)
-    return rileypoly._unpack_laurent(w11, bits)
+    return _unpack_laurent(w11, bits)
 
 
 _IDENTITY_ROWS = (({0: 1}, {}), ({}, {0: 1}))
@@ -178,7 +183,7 @@ def test_rho_traces():
     bits = 8
     (w11, _), (_, w22) = _apply([("a", 1), ("b", -1)], bits)
     assert _laurent_add(w11, w22) == {0: 1 << bits}
-    assert rileypoly._unpack_laurent(_laurent_add(w11, w22), bits) == {0: [0, 1]}
+    assert _unpack_laurent(_laurent_add(w11, w22), bits) == {0: [0, 1]}
 
 
 def test_word_matrix_against_flat_oracle():
@@ -204,7 +209,7 @@ def test_word_matrix_against_flat_oracle():
         bits, entries = word_matrix(w)
         oracle = _oracle_entries(w)
         assert entries == tuple(_packed_flat(f, bits) for f in oracle), w.compact()
-        assert to_flat(rileypoly._unpack_laurent(entries[0], bits)) == oracle[0], w.compact()
+        assert to_flat(_unpack_laurent(entries[0], bits)) == oracle[0], w.compact()
 
 
 def test_word_matrix_hand_values():
@@ -402,8 +407,11 @@ def _full_word_riley_general(word: SchubertWord) -> BiPoly:
     """The candidate W11 + (1/s - s) W12 of the full product, rewritten
     in (x, y) and normalized."""
     bits, (w11, w12, _, _) = _full_word_general(word)
-    candidate = _laurent_sub(_laurent_add(w11, _laurent_shift(w12, -1)), _laurent_shift(w12, 1))
-    return normalize_bipoly(symmetrize_to_xy(rileypoly._unpack_laurent(candidate, bits)))
+    candidate = _unpack_laurent(
+        _laurent_sub(_laurent_add(w11, _laurent_shift(w12, -1)), _laurent_shift(w12, 1)), bits
+    )
+    assert all(candidate.get(-e) == c for e, c in candidate.items()), word.compact()
+    return normalize_bipoly(symmetrize_to_xy({e: c for e, c in candidate.items() if e >= 0}))
 
 
 def test_riley_general_matches_full_word_oracle():
@@ -564,7 +572,7 @@ def _assert_general_packed_matches_oracle(word):
     candidate = _e_sub(_e_add(f11, _e_shift(f12, -1)), _e_shift(f12, 1))
     assert _e_norm(candidate) <= m11 + 2 * m12 < half
     w11, w12, _ = packed
-    assert to_flat(rileypoly._unpack_laurent(rileypoly._reduction_candidate(w11, w12), bits)) == candidate
+    assert to_flat(_unpack_laurent(rileypoly._reduction_candidate(w11, w12), bits)) == candidate
     first = SchubertWord(word.letters[: len(word) // 2])
     (u11, u12), (u21, u22) = oracle_word_matrix(first)
     h11, h12, h21, h22 = rileypoly._word_product(first.letters, rileypoly._MAJORANT_COLUMN_OPS, 1, 0)

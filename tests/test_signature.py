@@ -9,7 +9,8 @@ from riley.exact import UniPoly
 from riley.realroots import _IntChain, cauchy_bound
 from riley import signature
 from riley.signature import EvenCF, SignatureError, even_cf, signature_two_bridge
-from riley.twobridge import DoubleTwist, KnotId, family_to_pq
+from riley.twobridge import DoubleTwist, KnotId, family_to_pq, schubert_word
+from riley.verifier import enumerate_knots
 
 
 def _charpoly(entries):
@@ -197,3 +198,16 @@ def test_sigma_parity_and_bound():
             s = signature_two_bridge(KnotId(p, q))
             assert s.sigma_signed % 2 == 0
             assert abs(s.sigma_signed) <= len(s.cf)
+
+
+def test_sigma_abs_is_the_exponent_sum_of_the_relator_word():
+    # an oracle independent of the even continued fraction: by the
+    # classical exponent-sum formula for two-bridge knots (Murasugi),
+    # |sigma(b(p, q))| = |sum_j e_j| over the Schubert word.  The signed
+    # sum follows another sign convention (equal to sigma_signed on some
+    # knots, opposite on others), so only absolute values are compared
+    knots = list(enumerate_knots(199))
+    assert len(knots) == 3154
+    for k in knots:
+        exponent_sum = sum(e for _, e in schubert_word(k).letters)
+        assert abs(exponent_sum) == signature_two_bridge(k).sigma_abs, k

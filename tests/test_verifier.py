@@ -338,7 +338,7 @@ def test_emit_report_csv_header():
     text = emit_report(recs, format="csv")
     lines = text.splitlines()
     assert lines[0] == "knot,sigma_abs,degree,real_roots,holds,flag"
-    assert lines[1] == "b(3,1),2,1,1,true,"
+    assert lines[1] == '"b(3,1)",2,1,1,true,'
 
 
 def test_report_bytes_pinned_p59():
@@ -351,7 +351,7 @@ def test_report_bytes_pinned_p59():
     }
     assert digests == {
         "jsonl": "b7985d3dddff5d40084acf22c7652996da659054ac55309b6eda472f5bfb36a1",
-        "csv": "75bc92f432cfaf4c3c61b09424151d519584bc128871a4a2e0019c1cc0459bc8",
+        "csv": "231435d237219d862c03c7e2a5af7c37952b7dd119af26dd8207623d2f0bf2c2",
     }
 
 
@@ -366,7 +366,7 @@ def test_report_bytes_pinned_p99():
     }
     assert digests == {
         "jsonl": "cd67e225221674286040e93236ae9025178e614cbf370ee9f3caa9eae2174a68",
-        "csv": "401c8dde4db85c1db1fc43f5139949302f1eaa62dba1fe15fe1d3844ad284fe1",
+        "csv": "889ed5405980b39a649a7a5d8ca8c06ca1af7b93f458cc909d082b690c06628b",
     }
 
 
