@@ -33,7 +33,6 @@ from .twobridge import (
     DoubleTwist,
     KnotId,
     SchubertWord,
-    epsilon,
     epsilon_sequence,
     family_to_pq,
     odd_representative,
@@ -84,7 +83,6 @@ __all__ = [
     "cross_validate",
     "emit_report",
     "enumerate_knots",
-    "epsilon",
     "epsilon_sequence",
     "even_cf",
     "family_to_pq",

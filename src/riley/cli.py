@@ -42,7 +42,6 @@ from .twobridge import (
     DoubleTwist,
     FAMILIES,
     KnotId,
-    epsilon_sequence,
     family_to_pq,
     odd_representative,
     schubert_word,
@@ -234,7 +233,6 @@ def _knot_or_usage(parser: argparse.ArgumentParser, p: int, q: int) -> KnotId:
         return KnotId(p, q)
     except ValueError as exc:
         parser.error(str(exc))
-        raise AssertionError("unreachable")
 
 
 def _cmd_knot(k: KnotId) -> int:
@@ -243,7 +241,7 @@ def _cmd_knot(k: KnotId) -> int:
     print(str(k))
     print(f"canonical: {k.canonical()}")
     label = "ε" if q_odd == k.q else f"ε (via q = {q_odd})"
-    print(f"{label}: {format_epsilons(epsilon_sequence(k.p, q_odd))}")
+    print(f"{label}: {format_epsilons(word.exponents)}")
     print(f"word: {word.pretty()}")
     print(f"compact: {word.compact()}")
     return EXIT_OK
@@ -400,7 +398,6 @@ def main(argv: list[str] | None = None) -> int:
             raise
         print(f"worker process failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -27,7 +27,9 @@ is, from the four entries,
 
     [[0, Phi~], [(s - 1/s) W21 - (2-y) W11, W21 - (2-y) W12]].
 
-A relator word is a palindrome whose mirrored letters are the other
+A relator word (a SchubertWord: its exponents, the generators
+alternating a, b, a, ... by position) has an even length and a
+palindromic exponent sequence, so its mirrored letters carry the other
 generator, and C rho(g^e)^T C^-1 = rho(g'^e) with C = diag(1, 2-y) for
 the two generators g, g' and e = +-1, so W = U C U^T C^-1 with U the
 product over the first half of the word (Riley, "Nonabelian
@@ -44,9 +46,10 @@ the reduction is not rederived here, every construction checks it and
 raises instead of returning a possibly-wrong polynomial.  Both word
 products multiply only the first half of the word, giving U, and check
 the hypotheses of W = U C U^T C^-1 with the same helpers: the word is a
-palindrome with mirrored generators (_first_half), the column table is
-transpose-symmetric under C (_check_transpose_symmetry, over either
-entry ring), and det U = 1; together they give det W = 1 and
+palindrome with mirrored generators (_first_half, on the exponents
+alone), the column table is transpose-symmetric under C
+(_check_transpose_symmetry, over either entry ring), and det U = 1;
+together they give det W = 1 and
 W21 = (2-y) W12.  From U,
 
     W11 = u11^2 + (2-y) u12^2,   W21 = u11 u21 + (2-y) u12 u22,
@@ -104,6 +107,7 @@ y-coefficient positive at x = 2.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from dataclasses import dataclass
 
@@ -139,11 +143,12 @@ def _column_ops(shift, add, sub, mul_two_minus_y) -> dict:
     }
 
 
-def _word_product(letters, ops: dict, one, zero) -> tuple:
+def _word_product(exponents, ops: dict, one, zero) -> tuple:
     """Entries (W11, W12, W21, W22) of the product of generator images
-    over the letters, one column operation from ops per letter."""
+    over a word's exponents, one column operation from ops per letter;
+    the generators alternate a, b, a, ... from the first letter."""
     row1, row2 = (one, zero), (zero, one)
-    for letter in letters:
+    for letter in zip(itertools.cycle("ab"), exponents):
         op = ops[letter]
         row1, row2 = op(*row1), op(*row2)
     return (*row1, *row2)
@@ -203,9 +208,10 @@ _MAJORANT_COLUMN_OPS = _column_ops(_no_shift, operator.add, operator.add, lambda
 def _majorants(n: int) -> tuple[int, int, int, int]:
     """1-norm majorants (m11, m12, m21, m22) of the entries of the product
     over any n-letter relator word, at every s.  The majorant table
-    ignores exponent signs and a SchubertWord alternates a, b, so they
-    depend on n alone and are computed once per length."""
-    return _word_product((("ab"[i % 2], 1) for i in range(n)), _MAJORANT_COLUMN_OPS, 1, 0)
+    ignores exponent signs and the generators of a word are fixed by
+    position, so they depend on n alone and are computed once per
+    length."""
+    return _word_product((1,) * n, _MAJORANT_COLUMN_OPS, 1, 0)
 
 
 def _slot_bits(half: int, unpacked: int) -> int:
@@ -248,17 +254,17 @@ def _packed_laurent_ops(bits: int) -> dict:
 # The hypotheses of W = U C U^T C^-1, checked by both word products.
 # ---------------------------------------------------------------------------
 
-# each letter and the letter that mirrors it in a relator word
-_MIRROR = {(g, e): ("b" if g == "a" else "a", e) for g in "ab" for e in (1, -1)}
-
 
 def _first_half(word: SchubertWord, what: str) -> tuple:
-    """The letters of the first half of word, which must be a palindrome
-    whose mirrored letters are the other generator; what names the word
-    in the error."""
-    letters = word.letters
-    first = letters[: len(letters) // 2]
-    if letters != first + tuple(map(_MIRROR.__getitem__, reversed(first))):
+    """The exponents of the first half of word, which must be a
+    palindrome whose mirrored letters are the other generator; what names
+    the word in the error.  Letters j and len(word) + 1 - j carry the
+    other generator exactly when the length is even, and an exponent
+    sequence first + reversed(first) has even length, so comparing
+    exponents checks both."""
+    exps = word.exponents
+    first = exps[: len(exps) // 2]
+    if exps != first + first[::-1]:
         raise RileyValidationError(f"{what} is not a palindrome with mirrored generators")
     return first
 

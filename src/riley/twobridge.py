@@ -9,7 +9,9 @@ when q' == q or q' == q^-1 (mod p).  The knot group has the presentation
 
 where the q in the floor formula must be the odd representative of
 {q, q - p} (for even stored q the word is built on q - p, which names
-the same knot).
+the same knot).  The generators alternate, a at odd j and b at even j,
+so a SchubertWord holds only the exponents e_j, and epsilon_sequence is
+the one place the sign formula is written.
 
 Double twist knots J(k, l) (k, l counting half twists, k*l even) form
 four families indexed by the parities and signs of (k, l); each family
@@ -53,20 +55,14 @@ class KnotId:
         return f"b({self.p},{self.q})"
 
 
-def epsilon(p: int, q: int, j: int) -> int:
-    """Exponent sign e_j = (-1)^floor(j*q/p) for 1 <= j <= p-1.
+def epsilon_sequence(p: int, q: int) -> tuple[int, ...]:
+    """Exponent signs e_j = (-1)^floor(j*q/p) for j = 1..p-1.
 
     q may be any integer coprime to p (in particular the negative odd
     representative used for relator words); the floor is exact integer
     arithmetic either way.
     """
-    if not 1 <= j <= p - 1:
-        raise ValueError(f"j must satisfy 1 <= j <= p-1 = {p - 1}, got {j}")
-    return -1 if (j * q // p) % 2 else 1
-
-
-def epsilon_sequence(p: int, q: int) -> tuple[int, ...]:
-    return tuple(epsilon(p, q, j) for j in range(1, p))
+    return tuple(-1 if (j * q // p) % 2 else 1 for j in range(1, p))
 
 
 def odd_representative(p: int, q: int) -> int:
@@ -134,38 +130,35 @@ def family_to_pq(d: DoubleTwist) -> KnotId:
 
 @dataclass(frozen=True, slots=True)
 class SchubertWord:
-    """Relator word: alternating letters a, b, a, b, ... with exponents +-1."""
+    """Relator word a^e_1 b^e_2 a^e_3 ..., held as its exponents e_j = +-1.
 
-    letters: tuple[tuple[str, int], ...]
+    The generators alternate, so letter j's generator is implied by its
+    position: a for odd j, b for even j.
+    """
+
+    exponents: tuple[int, ...]
 
     def __post_init__(self):
-        for i, (gen, exp) in enumerate(self.letters):
-            expected = "a" if i % 2 == 0 else "b"
-            if gen != expected:
-                raise ValueError(
-                    f"letter {i + 1} must be generator {expected!r}, got {gen!r}: "
-                    "generators must alternate a, b, a, b, ..."
-                )
-            if exp not in (1, -1):
-                raise ValueError(f"letter {i + 1} has exponent {exp}, expected +1 or -1")
+        for j, e in enumerate(self.exponents, 1):
+            if e not in (1, -1):
+                raise ValueError(f"letter {j} has exponent {e}, expected +1 or -1")
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self.exponents)
 
     def pretty(self) -> str:
         """Spaced rendering, e.g. "a b⁻¹ a⁻¹ b"."""
-        return " ".join(g + ("" if e == 1 else "⁻¹") for g, e in self.letters)
+        return " ".join(
+            "ab"[i % 2] + ("" if e == 1 else "⁻¹") for i, e in enumerate(self.exponents)
+        )
 
     def compact(self) -> str:
         """ASCII rendering: a, b for exponent +1 and A, B for -1."""
-        return "".join(g if e == 1 else g.upper() for g, e in self.letters)
+        return "".join(("ab" if e == 1 else "AB")[i % 2] for i, e in enumerate(self.exponents))
 
 
 def schubert_word(k: KnotId) -> SchubertWord:
     """The relator word of b(p, q): length p-1, exponents
-    e_j = (-1)^floor(j*q/p) for j = 1..p-1 (epsilon's formula, inline)
-    at the odd representative of q (see odd_representative)."""
-    p, q = k.p, odd_representative(k.p, k.q)
-    return SchubertWord(
-        tuple(("a" if j % 2 else "b", -1 if (j * q // p) % 2 else 1) for j in range(1, p))
-    )
+    epsilon_sequence at the odd representative of q (see
+    odd_representative)."""
+    return SchubertWord(epsilon_sequence(k.p, odd_representative(k.p, k.q)))

@@ -89,14 +89,6 @@ class TheoremRecord:
     holds: bool
 
 
-def _expectation_holds(expected: str, observed: int) -> bool:
-    if expected.startswith("=="):
-        return observed == int(expected[2:])
-    if expected.startswith(">="):
-        return observed >= int(expected[2:])
-    raise ValueError(f"malformed expectation {expected!r}")
-
-
 def _nonabelian_root_count(phi: UniPoly, context: object) -> int:
     """Distinct real roots, excluding y = 2 if it ever appears (that value
     does not correspond to a nonabelian representation)."""
@@ -205,16 +197,18 @@ def scan_conjecture(p_max: int, jobs: int = 1) -> ScanResult:
 
 
 def _theorem_record(
-    d: DoubleTwist, x0: Scalar, in_range: bool | None, expected: str
+    d: DoubleTwist, x0: Scalar, in_range: bool | None, comparison: str, bound: int
 ) -> TheoremRecord:
+    """The record of d at x0, expecting observed_roots == bound when
+    comparison is "==" and observed_roots >= bound when it is ">="."""
     observed = _nonabelian_root_count(riley_closed_form_at(d, x0), d)
     return TheoremRecord(
         family=d,
         x0=x0,
         in_range=in_range,
-        expected=expected,
+        expected=f"{comparison}{bound}",
         observed_roots=observed,
-        holds=_expectation_holds(expected, observed),
+        holds=observed >= bound if comparison == ">=" else observed == bound,
     )
 
 
@@ -230,8 +224,8 @@ def check_theorem1(m: int, n: int, x0: Scalar) -> tuple[TheoremRecord, TheoremRe
     x0 = _rational(x0)
     in_range = 4 - Fraction(1, m * n) < x0 * x0 <= 4
     return (
-        _theorem_record(ee, x0, in_range, "==1"),
-        _theorem_record(en, x0, in_range, "==0"),
+        _theorem_record(ee, x0, in_range, "==", 1),
+        _theorem_record(en, x0, in_range, "==", 0),
     )
 
 
@@ -248,8 +242,8 @@ def check_theorem2(m: int, n: int, x0: Scalar) -> tuple[TheoremRecord, TheoremRe
     x0 = _rational(x0)
     in_range: bool | None = True if x0 * x0 >= 4 else None
     return (
-        _theorem_record(oe, x0, in_range, f">={n - 1}"),
-        _theorem_record(on, x0, in_range, f">={n}"),
+        _theorem_record(oe, x0, in_range, ">=", n - 1),
+        _theorem_record(on, x0, in_range, ">=", n),
     )
 
 

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -78,6 +79,24 @@ def test_knot_command(capsys):
     assert "+ - + + - +" in lines[2]
     assert "a b⁻¹ a b a⁻¹ b" in lines[3]
     assert lines[4] == "compact: aBabAb"
+
+
+def test_knot_output_pinned(capsys):
+    # sha256 of the stdout of `knot p q` for every coprime 0 < q < p with
+    # odd p <= 61, even q (the "ε (via q = q - p)" label) included, taken
+    # when SchubertWord still held (generator, exponent) letters and ε was
+    # printed from its own sign sequence
+    digest = hashlib.sha256()
+    commands = 0
+    for p in range(3, 62, 2):
+        for q in range(1, p):
+            if math.gcd(p, q) == 1:
+                code, out, err = run_cli(capsys, "knot", str(p), str(q))
+                assert (code, err) == (0, ""), (p, q)
+                digest.update(out.encode())
+                commands += 1
+    assert commands == 788
+    assert digest.hexdigest() == "cf826ae200f09c63ecd2ab99420edf244f2dd299a86732b3f03e4d166fa82a75"
 
 
 def test_knot_command_rejects_even_p(capsys):
@@ -414,6 +433,20 @@ def test_crosscheck_command_reports_a_disagreement(capsys, monkeypatch):
     assert code == 1
     assert out.count("FAIL J(") == 4
     assert "y^0: closed=" in out
+
+
+def test_unmapped_exception_propagates(monkeypatch):
+    # main maps only its own error types to exit codes; anything else
+    # (here a KeyError from a command handler) is re-raised, not reported
+    # as a failed worker process
+    from riley import cli
+
+    def broken(k):
+        raise KeyError("not an error main maps")
+
+    monkeypatch.setattr(cli, "_cmd_signature", broken)
+    with pytest.raises(KeyError, match="not an error main maps"):
+        main(["signature", "7", "3"])
 
 
 def test_help_lists_all_subcommands(capsys):

@@ -336,6 +336,15 @@ def test_isolate_root_at_midpoint_is_bounded(monkeypatch):
         isolate_roots(Y)
 
 
+def test_isolate_checks_its_interval_count(monkeypatch):
+    # f = y has one root, at the first midpoint; a chain claiming two
+    # roots leaves bisection with one interval, and the final count check
+    # must refuse to return it
+    monkeypatch.setattr(riley.realroots._IntChain, "count_all", lambda self: 2)
+    with pytest.raises(ArithmeticError, match="isolation found 1 intervals for 2 roots"):
+        isolate_roots(Y)
+
+
 def test_isolate_accepts_an_int_width():
     # the first midpoint of f = y is its root, so the enclosure starts from
     # max_width / 2, which must stay exact for an int max_width

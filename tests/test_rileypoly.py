@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -109,7 +110,7 @@ def _e_norm(a) -> int:
 
 def oracle_word_matrix(word: SchubertWord):
     m = [[{(0, 0): 1}, {}], [{}, {(0, 0): 1}]]
-    for letter in word.letters:
+    for letter in zip(itertools.cycle("ab"), word.exponents):
         m = _m_mul(m, _ORACLE_GEN[letter])
     return m
 
@@ -119,9 +120,8 @@ def to_flat(entry):
 
 
 def _word(compact: str) -> SchubertWord:
-    return SchubertWord(
-        tuple((c.lower(), 1 if c.islower() else -1) for c in compact)
-    )
+    assert compact.lower() == ("ab" * len(compact))[: len(compact)], compact
+    return SchubertWord(tuple(1 if c.islower() else -1 for c in compact))
 
 
 def _at_s_one(f):
@@ -158,30 +158,31 @@ def _unpacked_w11(w):
 _IDENTITY_ROWS = (({0: 1}, {}), ({}, {0: 1}))
 
 
-def _apply(letters, bits=8):
-    """Rows of the product of the letters' images, by the packed column
-    operations themselves (the letters need not alternate)."""
+def _apply(letters: str, bits=8):
+    """Rows of the product of the images of letters, written as compact()
+    writes a word, by the packed column operations themselves (the
+    letters need not alternate, so this is not a SchubertWord)."""
     ops = rileypoly._packed_laurent_ops(bits)
     rows = _IDENTITY_ROWS
-    for letter in letters:
-        rows = tuple(ops[letter](*row) for row in rows)
+    for c in letters:
+        rows = tuple(ops[c.lower(), 1 if c.islower() else -1](*row) for row in rows)
     return rows
 
 
 def test_rho_inverses_give_identity():
     for gen in ("a", "b"):
-        assert _apply([(gen, 1), (gen, -1)]) == _IDENTITY_ROWS
-        assert _apply([(gen, -1), (gen, 1)]) == _IDENTITY_ROWS
+        assert _apply(gen + gen.upper()) == _IDENTITY_ROWS
+        assert _apply(gen.upper() + gen) == _IDENTITY_ROWS
 
 
 def test_rho_traces():
     # meridian trace is s + 1/s
     for gen in ("a", "b"):
-        (w11, _), (_, w22) = _apply([(gen, 1)])
+        (w11, _), (_, w22) = _apply(gen)
         assert _laurent_add(w11, w22) == {1: 1, -1: 1}
     # trace of rho(a b^-1) is y, symbolically: packed, it is 2^B
     bits = 8
-    (w11, _), (_, w22) = _apply([("a", 1), ("b", -1)], bits)
+    (w11, _), (_, w22) = _apply("aB", bits)
     assert _laurent_add(w11, w22) == {0: 1 << bits}
     assert _unpack_laurent(_laurent_add(w11, w22), bits) == {0: [0, 1]}
 
@@ -229,7 +230,7 @@ def test_word_matrix_det_is_one():
     # half whose product U word_matrix forms: det W = det U^2 = 1
     for compact in ("ab", "aBAb", "aBabAb", "abab"):
         word = _word(compact)
-        for w in (word, SchubertWord(word.letters[: len(word) // 2])):
+        for w in (word, SchubertWord(word.exponents[: len(word) // 2])):
             (f11, f12), (f21, f22) = oracle_word_matrix(w)
             assert _e_sub(_e_mul(f11, f22), _e_mul(f12, f21)) == {(0, 0): 1}, w.compact()
 
@@ -306,8 +307,9 @@ def test_division_remainder_is_caught(monkeypatch):
     )
     monkeypatch.setattr(rileypoly, "_check_transpose_symmetry", lambda *args: None)
     for k in (KnotId(7, 3), KnotId(11, 3), KnotId(61, 17)):
-        letters = schubert_word(k).letters
-        assert ("b", 1) in letters[: len(letters) // 2], k
+        # the first half holds b, a letter at an even position j
+        exps = schubert_word(k).exponents
+        assert 1 in exps[1 : len(exps) // 2 : 2], k
         with pytest.raises(RileyValidationError, match=r"is not divisible by 2-y at s\^"):
             riley_general(k)
 
@@ -338,15 +340,10 @@ def test_non_unimodular_parabolic_column_operation_is_caught(monkeypatch):
             riley_parabolic(k)
 
 
-def _alternating(exponents) -> SchubertWord:
-    return SchubertWord(tuple(("ab"[i % 2], e) for i, e in enumerate(exponents)))
-
-
 def _mirrored(half: SchubertWord) -> SchubertWord:
     """The palindrome over half whose mirrored letters are the other
     generator, as every relator word is."""
-    other = {"a": "b", "b": "a"}
-    return SchubertWord(half.letters + tuple((other[g], e) for g, e in reversed(half.letters)))
+    return SchubertWord(half.exponents + half.exponents[::-1])
 
 
 def test_non_palindromic_word_is_refused(monkeypatch):
@@ -355,8 +352,8 @@ def test_non_palindromic_word_is_refused(monkeypatch):
     # part is refused before the product runs.  aBa is an exponent
     # palindrome whose middle letter mirrors onto itself
     true_word = schubert_word(KnotId(7, 3))
-    flipped = SchubertWord(true_word.letters[:-1] + (("b", -true_word.letters[-1][1]),))
-    for word in (flipped, _alternating((1, -1, 1))):
+    flipped = SchubertWord(true_word.exponents[:-1] + (-true_word.exponents[-1],))
+    for word in (flipped, _word("aBa")):
         monkeypatch.setattr(rileypoly, "schubert_word", lambda k, word=word: word)
         for route in (riley_parabolic, riley_general):
             with pytest.raises(RileyValidationError, match="not a palindrome with mirrored generators"):
@@ -388,7 +385,7 @@ def _full_word_parabolic(word: SchubertWord):
     """Slot width and entries (W11, W12, W21, W22) of the packed s = 1
     product over the whole word, at the full-word slot width."""
     bits = _full_word_slot_bits(word)
-    return bits, rileypoly._word_product(word.letters, rileypoly._packed_column_ops(bits), 1, 0)
+    return bits, rileypoly._word_product(word.exponents, rileypoly._packed_column_ops(bits), 1, 0)
 
 
 def _full_word_general(word: SchubertWord):
@@ -397,7 +394,7 @@ def _full_word_general(word: SchubertWord):
     W21 = (2-y) W12 checked exactly, as the general route once did."""
     bits = _full_word_slot_bits(word)
     ops = rileypoly._packed_laurent_ops(bits)
-    w11, w12, w21, w22 = entries = rileypoly._word_product(word.letters, ops, {0: 1}, {})
+    w11, w12, w21, w22 = entries = rileypoly._word_product(word.exponents, ops, {0: 1}, {})
     assert _laurent_sub(_laurent_mul(w11, w22), _laurent_mul(w12, w21)) == {0: 1}, word.compact()
     assert w21 == rileypoly._two_minus_y(w12, bits), word.compact()
     return bits, entries
@@ -455,7 +452,7 @@ def _assert_half_route_within_majorants(k: KnotId, word: SchubertWord, widths: l
     width riley_parabolic used."""
     phi = riley_parabolic(k)
     assert phi == _full_word_riley_parabolic(_mirrored(word))
-    u11, u12, u21, u22 = rileypoly._word_product(word.letters, _LIST_PARABOLIC_OPS, [1], [])
+    u11, u12, u21, u22 = rileypoly._word_product(word.exponents, _LIST_PARABOLIC_OPS, [1], [])
     m11, m12, m21, m22 = rileypoly._majorants(len(word))
     half = 1 << (widths[-1] - 1)
     phi_raw = _zadd(_zmul(u11, u11), _list_two_minus_y(_zmul(u12, u12)))
@@ -471,8 +468,8 @@ def _assert_half_route_within_majorants(k: KnotId, word: SchubertWord, widths: l
 def test_half_route_coefficients_within_majorants(monkeypatch):
     widths = _spy_half_slot_width(monkeypatch)
     for k in enumerate_knots(61):
-        letters = schubert_word(k).letters
-        _assert_half_route_within_majorants(k, SchubertWord(letters[: len(letters) // 2]), widths)
+        exps = schubert_word(k).exponents
+        _assert_half_route_within_majorants(k, SchubertWord(exps[: len(exps) // 2]), widths)
 
 
 def test_half_route_coefficients_within_majorants_hypothesis(monkeypatch):
@@ -483,9 +480,9 @@ def test_half_route_coefficients_within_majorants_hypothesis(monkeypatch):
     @hypothesis.settings(max_examples=200, deadline=None)
     @hypothesis.given(st.lists(st.sampled_from((1, -1)), min_size=1, max_size=40))
     def within(exponents):
-        # any alternating first half, not only those of relator words; the
+        # any first half, not only those of relator words; the
         # knot only labels errors, the word is patched in
-        word = _alternating(exponents)
+        word = SchubertWord(tuple(exponents))
         monkeypatch.setattr(rileypoly, "schubert_word", lambda k: _mirrored(word))
         _assert_half_route_within_majorants(KnotId(3, 1), word, widths)
 
@@ -501,9 +498,8 @@ def test_cached_majorants_equal_a_fresh_run_hypothesis():
     @hypothesis.settings(max_examples=200, deadline=None)
     @hypothesis.given(st.lists(st.sampled_from((1, -1)), max_size=120))
     def cached_equals_fresh(exponents):
-        word = _alternating(exponents)
-        fresh = rileypoly._word_product(word.letters, rileypoly._MAJORANT_COLUMN_OPS, 1, 0)
-        assert rileypoly._majorants(len(word)) == fresh
+        fresh = rileypoly._word_product(exponents, rileypoly._MAJORANT_COLUMN_OPS, 1, 0)
+        assert rileypoly._majorants(len(exponents)) == fresh
 
     cached_equals_fresh()
 
@@ -523,8 +519,8 @@ def _assert_packed_matches_lists(word):
     product, every coefficient lies within its 1-norm majorant, and so do
     the determinant and both sides of W21 = (2-y) W12, below 2^(B-1)."""
     bits, packed = _full_word_parabolic(word)
-    lists = rileypoly._word_product(word.letters, _LIST_PARABOLIC_OPS, [1], [])
-    majorants = rileypoly._word_product(word.letters, rileypoly._MAJORANT_COLUMN_OPS, 1, 0)
+    lists = rileypoly._word_product(word.exponents, _LIST_PARABOLIC_OPS, [1], [])
+    majorants = rileypoly._word_product(word.exponents, rileypoly._MAJORANT_COLUMN_OPS, 1, 0)
     half = 1 << (bits - 1)
     for n, coeffs, bound in zip(packed, lists, majorants):
         assert rileypoly._unpack(n, bits) == coeffs
@@ -552,8 +548,8 @@ def test_packed_product_matches_list_product_hypothesis():
     @hypothesis.settings(max_examples=200, deadline=None)
     @hypothesis.given(st.lists(st.sampled_from((1, -1)), max_size=60))
     def packed_matches(exponents):
-        # any alternating word, not only the relator words
-        _assert_packed_matches_lists(_alternating(exponents))
+        # any word, not only the relator words
+        _assert_packed_matches_lists(SchubertWord(tuple(exponents)))
 
     packed_matches()
 
@@ -567,15 +563,15 @@ def _assert_general_packed_matches_oracle(word):
     oracle = _oracle_entries(word)
     assert packed == tuple(_packed_flat(f, bits) for f in oracle)
     f11, f12, _ = oracle
-    m11, m12, _, _ = rileypoly._word_product(word.letters, rileypoly._MAJORANT_COLUMN_OPS, 1, 0)
+    m11, m12, _, _ = rileypoly._word_product(word.exponents, rileypoly._MAJORANT_COLUMN_OPS, 1, 0)
     half = 1 << (bits - 1)
     candidate = _e_sub(_e_add(f11, _e_shift(f12, -1)), _e_shift(f12, 1))
     assert _e_norm(candidate) <= m11 + 2 * m12 < half
     w11, w12, _ = packed
     assert to_flat(_unpack_laurent(rileypoly._reduction_candidate(w11, w12), bits)) == candidate
-    first = SchubertWord(word.letters[: len(word) // 2])
+    first = SchubertWord(word.exponents[: len(word) // 2])
     (u11, u12), (u21, u22) = oracle_word_matrix(first)
-    h11, h12, h21, h22 = rileypoly._word_product(first.letters, rileypoly._MAJORANT_COLUMN_OPS, 1, 0)
+    h11, h12, h21, h22 = rileypoly._word_product(first.exponents, rileypoly._MAJORANT_COLUMN_OPS, 1, 0)
     # |f g|_1 <= |f|_1 |g|_1 bounds every coefficient of u11 u22 - u12 u21
     det_norm = _e_norm(u11) * _e_norm(u22) + _e_norm(u12) * _e_norm(u21)
     assert det_norm <= h11 * h22 + h12 * h21 < half
@@ -594,9 +590,9 @@ def test_general_packed_product_matches_oracle_hypothesis():
     @hypothesis.settings(max_examples=200, deadline=None)
     @hypothesis.given(st.lists(st.sampled_from((1, -1)), max_size=20))
     def packed_matches(exponents):
-        # the palindrome over any alternating first half, not only the
+        # the palindrome over any first half, not only the
         # relator words
-        _assert_general_packed_matches_oracle(_mirrored(_alternating(exponents)))
+        _assert_general_packed_matches_oracle(_mirrored(SchubertWord(tuple(exponents))))
 
     packed_matches()
 

@@ -209,5 +209,5 @@ def test_sigma_abs_is_the_exponent_sum_of_the_relator_word():
     knots = list(enumerate_knots(199))
     assert len(knots) == 3154
     for k in knots:
-        exponent_sum = sum(e for _, e in schubert_word(k).letters)
+        exponent_sum = sum(schubert_word(k).exponents)
         assert abs(exponent_sum) == signature_two_bridge(k).sigma_abs, k

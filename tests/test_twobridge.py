@@ -7,7 +7,6 @@ from riley.twobridge import (
     DoubleTwist,
     KnotId,
     SchubertWord,
-    epsilon,
     epsilon_sequence,
     family_to_pq,
     odd_representative,
@@ -50,11 +49,9 @@ def test_knotid_mirror_and_canonical():
 def test_epsilon_examples():
     assert epsilon_sequence(3, 1) == (1, 1)
     assert epsilon_sequence(5, 3) == (1, -1, -1, 1)
-    assert epsilon(7, 5, 3) == 1  # floor(15/7) = 2
-    with pytest.raises(ValueError):
-        epsilon(5, 3, 5)
-    with pytest.raises(ValueError):
-        epsilon(5, 3, 0)
+    assert epsilon_sequence(7, 5)[3 - 1] == 1  # floor(15/7) = 2
+    # q may be the negative odd representative: floor(-j/5) is odd at j = 1..4
+    assert epsilon_sequence(5, -1) == (-1, -1, -1, -1)
 
 
 def test_word_palindrome_up_to_200():
@@ -93,16 +90,15 @@ def test_word_shape():
                 continue
             w = schubert_word(KnotId(p, q))
             assert len(w) == p - 1
-            gens = [g for g, _ in w.letters]
-            assert gens[0] == "a" and gens[-1] == "b"
-            assert all(g == ("a" if i % 2 == 0 else "b") for i, g in enumerate(gens))
+            # the generator is implied by the position: a, b, a, ..., b
+            assert w.compact().lower() == "ab" * ((p - 1) // 2), (p, q)
 
 
 def test_word_validation():
-    with pytest.raises(ValueError, match="alternate"):
-        SchubertWord((("a", 1), ("a", 1)))
     with pytest.raises(ValueError, match="exponent"):
-        SchubertWord((("a", 2),))
+        SchubertWord((2,))
+    with pytest.raises(ValueError, match="letter 2 has exponent 0"):
+        SchubertWord((1, 0))
 
 
 def test_family_to_pq_known_values():
@@ -142,24 +138,18 @@ def test_family_word_matches_schubert_word():
             for n in range(1, 9):
                 k = family_to_pq(DoubleTwist(family, m, n))
                 assert odd_representative(k.p, k.q) == k.q, (family, m, n)
-                exps = tuple(e for _, e in schubert_word(k).letters)
-                assert exps == epsilon_sequence(k.p, k.q), (family, m, n)
-
-
-def test_epsilon_fast_examples():
-    # family sign spot values, read from the floor formula at the family
-    # presentations
-    for family, j, sign in (("EE", 1, 1), ("EN", 2, -1), ("ON", 3, 1)):
-        k = family_to_pq(DoubleTwist(family, 1, 1))
-        assert epsilon(k.p, k.q, j) == sign, family
+                assert schubert_word(k).exponents == epsilon_sequence(k.p, k.q), (family, m, n)
 
 
 def test_schubert_word_matches_epsilon_sequence_up_to_99():
-    # schubert_word computes the signs inline; epsilon checks each j
+    # the word holds the signs at the odd representative of q, and both
+    # renderings put a at odd j and b at even j
     for p in range(3, 100, 2):
         for q in range(1, p):
             if math.gcd(p, q) == 1:
-                k = KnotId(p, q)
+                w = schubert_word(KnotId(p, q))
                 eps = epsilon_sequence(p, odd_representative(p, q))
-                expected = tuple(("a" if j % 2 else "b", e) for j, e in enumerate(eps, 1))
-                assert schubert_word(k).letters == expected, k
+                assert w.exponents == eps, (p, q)
+                letters = [("a" if j % 2 else "b", e) for j, e in enumerate(eps, 1)]
+                assert w.compact() == "".join(g if e == 1 else g.upper() for g, e in letters)
+                assert w.pretty() == " ".join(g if e == 1 else g + "⁻¹" for g, e in letters)
