@@ -9,7 +9,7 @@ double twist closed forms against the general matrix construction.
 
 from .chebyshev import cheb_poly, trace_poly
 from .exact import BiPoly, UniPoly, compose
-from .realroots import RootCount, count_real_roots, isolate_roots
+from .realroots import count_real_roots, isolate_roots
 from .rileypoly import (
     ClosedFormParams,
     RileyPoly,
@@ -66,7 +66,6 @@ __all__ = [
     "KnotId",
     "RileyPoly",
     "RileyValidationError",
-    "RootCount",
     "ScanResult",
     "SchubertWord",
     "SignatureError",

@@ -37,7 +37,9 @@ def cheb_pair(k: int, z: Scalar | UniPoly | BiPoly, den: int = 1) -> tuple:
     H_{j+1} = z*H_j - den^2*H_{j-1}.  With den = 1 this is
     (S_{k-1}(z), S_k(z)); with den > 1 a z of integer coefficients keeps
     them integral.  For k <= 1 the entries are the ints 0 or 1, not ring
-    elements."""
+    elements.  Raises ValueError for k < 0."""
+    if k < 0:
+        raise ValueError(f"cheb_pair requires k >= 0, got {k}")
     d2 = den * den
     prev, cur = 0, 1  # H_{-1}, H_0
     for _ in range(k):

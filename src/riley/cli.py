@@ -278,12 +278,12 @@ def _cmd_roots(k: KnotId, x0: Fraction, isolate: bool) -> int:
     phi = _specialized_poly(k, x0)
     print(f"Phi = {format_unipoly(phi)}")
     if isolate:
-        rc = isolate_roots(phi)
-        print(f"real roots: {rc.total_real}")
-        for lo, hi in rc.intervals or ():
+        intervals = isolate_roots(phi)
+        print(f"real roots: {len(intervals)}")
+        for lo, hi in intervals:
             print(f"  ({lo}, {hi})")
     else:
-        print(f"real roots: {count_real_roots(phi).total_real}")
+        print(f"real roots: {count_real_roots(phi)}")
     return EXIT_OK
 
 

@@ -269,14 +269,6 @@ class BiPoly(UniPoly):
         d = max((c.degree for c in self.coeffs), default=0)
         return UniPoly([_homogeneous(c.coeffs, a, b) * b ** (d - c.degree) for c in self.coeffs])
 
-    def to_json_dict(self) -> dict:
-        """JSON-compatible form: y-coefficients ascending, each a list of
-        exact "num/den" strings ascending by x-degree."""
-        return {
-            "y_degree": self.degree,
-            "coeffs": [[format_rational(c) for c in p.coeffs] for p in self.coeffs],
-        }
-
 
 def compose(outer: UniPoly, inner: BiPoly) -> BiPoly:
     """Exact polynomial composition outer(inner) by Horner's rule."""

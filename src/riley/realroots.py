@@ -20,30 +20,22 @@ squarefree and the sequence is already its Sturm chain.  Only otherwise
 is f divided exactly by the gcd and the chain built again on the
 squarefree part.  The sequence itself is _int_sturm, which also gives
 squarefree_part its gcd.
+
+count_real_roots returns the count as an int and isolate_roots the
+isolating intervals as a tuple, ascending, one per distinct real root.
+Both refuse the zero polynomial; a nonzero constant has no roots.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .exact import UniPoly, _homogeneous, _int_content, _int_primitive, _int_trim
 
-DEFAULT_ISOLATION_WIDTH = Fraction(1, 64)
-
-
-@dataclass(frozen=True, slots=True)
-class RootCount:
-    """Number of distinct real roots, with optional isolating intervals.
-
-    The intervals (when present) are pairwise disjoint open rational
-    intervals, each containing exactly one root of the squarefree part.
-    """
-
-    total_real: int
-    intervals: tuple[tuple[Fraction, Fraction], ...] | None = None
+# widest isolating interval that isolate_roots returns
+_ISOLATION_WIDTH = Fraction(1, 64)
 
 
 def _sign(v: int) -> int:
@@ -226,15 +218,14 @@ def squarefree_part(a: UniPoly) -> UniPoly:
 
 
 class _IntChain:
-    """Integer Sturm chain with sign-variation queries."""
+    """Integer Sturm chain with sign-variation queries.  A nonzero
+    constant is its own chain; the zero polynomial raises ValueError."""
 
     def __init__(self, f: UniPoly):
         if f.is_zero():
-            raise ValueError("Sturm chain of the zero polynomial is undefined")
-        if f.degree < 1:
-            raise ValueError("Sturm chain of a constant polynomial is undefined")
+            raise ValueError("root count of the zero polynomial is undefined")
         f_int = _int_primitive(f.coeffs)
-        chain = _int_sturm(f_int)
+        chain = _int_sturm(f_int) if f.degree else [f_int]
         if len(chain[-1]) > 1:
             chain = _int_sturm(_int_squarefree(f_int, chain[-1]))
             if len(chain[-1]) != 1:
@@ -248,39 +239,29 @@ class _IntChain:
         num, den = v.numerator, v.denominator
         return _variations([_sign(_homogeneous(p, num, den)) for p in self.chain])
 
-    def variations_at_inf(self, positive: bool) -> int:
-        signs = []
-        for poly in self.chain:
-            s = _sign(poly[-1])
-            if not positive and (len(poly) - 1) % 2 == 1:
-                s = -s
-            signs.append(s)
-        return _variations(signs)
-
     def sign_at(self, v: Fraction) -> int:
         return _sign(_homogeneous(self.chain[0], v.numerator, v.denominator))
 
     def count_all(self) -> int:
-        return self.variations_at_inf(False) - self.variations_at_inf(True)
+        """V(-inf) - V(+inf), from the leading coefficients' signs; at
+        -inf the odd-degree elements flip sign."""
+        at_pos = [_sign(p[-1]) for p in self.chain]
+        at_neg = [-s if len(p) % 2 == 0 else s for s, p in zip(at_pos, self.chain)]
+        return _variations(at_neg) - _variations(at_pos)
 
     def count_open(self, lo: Fraction, hi: Fraction) -> int:
         """Distinct roots in (lo, hi); endpoints must not be roots."""
         return self.variations_at(lo) - self.variations_at(hi)
 
 
-def count_real_roots(f: UniPoly) -> RootCount:
-    """Number of distinct real roots of f (no intervals computed)."""
-    if f.is_zero():
-        raise ValueError("root count of the zero polynomial is undefined")
-    if f.degree < 1:
-        return RootCount(0)
-    return RootCount(_IntChain(f).count_all())
+def count_real_roots(f: UniPoly) -> int:
+    """Number of distinct real roots of f; ValueError on zero."""
+    return _IntChain(f).count_all()
 
 
-def cauchy_bound(f: UniPoly) -> Fraction:
-    """1 + max |a_i / a_d|: every real root lies strictly inside (-B, B)."""
-    if f.is_zero() or f.degree < 1:
-        raise ValueError("Cauchy bound requires a non-constant polynomial")
+def _cauchy_bound(f: UniPoly) -> Fraction:
+    """1 + max |a_i / a_d| for a non-constant f: every real root lies
+    strictly inside (-B, B)."""
     return 1 + Fraction(max(abs(c) for c in f.coeffs[:-1])) / abs(f.leading)
 
 
@@ -295,24 +276,22 @@ def _halvings_below_separation(f: list[int], radius: Fraction) -> int:
     return a + b
 
 
-def isolate_roots(f: UniPoly, max_width: Fraction = DEFAULT_ISOLATION_WIDTH) -> RootCount:
-    """Disjoint rational isolating intervals via Sturm-guided bisection.
+def isolate_roots(f: UniPoly) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Disjoint open rational intervals (lo, hi), ascending, each holding
+    exactly one distinct real root of f, by Sturm-guided bisection.
 
     Starts from the Cauchy bound and bisects until each interval holds
-    exactly one root of the squarefree part and is no wider than
-    max_width.  Midpoints that land exactly on a root are enclosed by a
+    one root and is no wider than 1/64, so there are count_real_roots(f)
+    intervals.  Midpoints that land exactly on a root are enclosed by a
     symmetric interval, halved at most until it is narrower than Mahler's
     root-separation bound; past that the contract raises ArithmeticError.
-    Raises ValueError unless max_width > 0.
+    ValueError on zero; a nonzero constant gives ().
     """
-    if max_width <= 0:
-        raise ValueError(f"max_width must be > 0, got {max_width}")
-    max_width = Fraction(max_width)
     chain = _IntChain(f)
     total = chain.count_all()
     if total == 0:
-        return RootCount(0, ())
-    bound = cauchy_bound(f)
+        return ()
+    bound = _cauchy_bound(f)
     intervals: list[tuple[Fraction, Fraction]] = []
 
     def enclose_root_at(mid: Fraction, radius: Fraction) -> tuple[Fraction, Fraction]:
@@ -338,12 +317,12 @@ def isolate_roots(f: UniPoly, max_width: Fraction = DEFAULT_ISOLATION_WIDTH) -> 
         lo, hi, cnt = work.pop()
         if cnt == 0:
             continue
-        if cnt == 1 and hi - lo <= max_width:
+        if cnt == 1 and hi - lo <= _ISOLATION_WIDTH:
             intervals.append((lo, hi))
             continue
         mid = (lo + hi) / 2
         if chain.sign_at(mid) == 0:
-            inner = enclose_root_at(mid, min(max_width, hi - mid) / 2)
+            inner = enclose_root_at(mid, min(_ISOLATION_WIDTH, hi - mid) / 2)
             intervals.append(inner)
             work.append((lo, inner[0], chain.count_open(lo, inner[0])))
             work.append((inner[1], hi, chain.count_open(inner[1], hi)))
@@ -356,4 +335,4 @@ def isolate_roots(f: UniPoly, max_width: Fraction = DEFAULT_ISOLATION_WIDTH) -> 
         raise ArithmeticError(
             f"isolation found {len(intervals)} intervals for {total} roots"
         )
-    return RootCount(total, tuple(intervals))
+    return tuple(intervals)

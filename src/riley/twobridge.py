@@ -41,7 +41,8 @@ class KnotId:
 
     def __post_init__(self):
         if self.p < 3 or self.p % 2 == 0:
-            raise ValueError(f"p must be an odd integer >= 3, got {self.p} (even p gives a link, not a knot)")
+            link = " (even p gives a link, not a knot)" if self.p % 2 == 0 else ""
+            raise ValueError(f"p must be an odd integer >= 3, got {self.p}{link}")
         if not 0 < self.q < self.p:
             raise ValueError(f"q must satisfy 0 < q < p, got q={self.q}, p={self.p}")
         if math.gcd(self.p, self.q) != 1:

@@ -92,7 +92,7 @@ class TheoremRecord:
 def _nonabelian_root_count(phi: UniPoly, context: object) -> int:
     """Distinct real roots, excluding y = 2 if it ever appears (that value
     does not correspond to a nonabelian representation)."""
-    total = count_real_roots(phi).total_real
+    total = count_real_roots(phi)
     if phi(2) == 0:
         warnings.warn(
             f"{context}: parabolic polynomial vanishes at y = 2; "

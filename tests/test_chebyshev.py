@@ -64,6 +64,13 @@ def test_cheb_pair_matches_poly():
         assert cheb_pair(k, g) == (at_g(k - 1), at_g(k))
 
 
+def test_cheb_pair_rejects_negative_k():
+    # the loop would run no step and return (0, 1), but
+    # (S_{-2}(2), S_{-1}(2)) = (-1, 0)
+    with pytest.raises(ValueError, match="k >= 0, got -1"):
+        cheb_pair(-1, 2)
+
+
 def test_pell_identity_exact():
     for k in range(1, 21):
         sk, sk1 = cheb_poly(k), cheb_poly(k - 1)

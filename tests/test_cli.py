@@ -221,6 +221,24 @@ def test_poly_and_roots_at_rational_x_pinned(capsys):
     assert digest.hexdigest() == "f167fa5957ae9cb5e000fa24b15c3a798bd27bb39f5621a308d1d51f7be0395b"
 
 
+def test_roots_isolate_at_two_pinned(capsys):
+    # sha256 of the stdout of `roots p q --isolate` at x = 2 for every
+    # scanned knot with p <= 41, taken when isolate_roots still returned a
+    # RootCount and took the width as a parameter; b(3,1), Phi = y - 3,
+    # puts a bisection midpoint exactly on its root
+    from riley.verifier import enumerate_knots
+
+    digest = hashlib.sha256()
+    commands = 0
+    for k in enumerate_knots(41):
+        code, out, err = run_cli(capsys, "roots", str(k.p), str(k.q), "--isolate")
+        assert (code, err) == (0, ""), k
+        digest.update(out.encode())
+        commands += 1
+    assert commands == 149
+    assert digest.hexdigest() == "fe844d73f693a9e4e929d52142248f9215f745e5122e0a4a82f4799f000b11f9"
+
+
 def _run_or_exit(capsys, argv):
     try:
         code = main(argv)

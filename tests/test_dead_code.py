@@ -20,9 +20,7 @@ PACKAGE = ROOT / "src" / "riley"
 PERFBENCH = ROOT / "perfbench"
 
 # Kept without a caller in the package, each for one reason.
-EXEMPT = {
-    "exact.BiPoly.to_json_dict": "README documents it as the BiPoly JSON form",
-}
+EXEMPT: dict[str, str] = {}
 
 
 def _definitions(tree: ast.Module):

@@ -576,9 +576,7 @@ def test_rational_formatting():
     assert format_rational(Fraction(5)) == "5/1"
 
 
-def test_bipoly_json_roundtrip():
-    p = BiPoly([UniPoly([2, 0, -1]), UniPoly.const(3)])
-    d = p.to_json_dict()
-    assert d["y_degree"] == 1
-    assert d["coeffs"][0] == ["2/1", "0/1", "-1/1"]
-    assert BiPoly([UniPoly([Fraction(v) for v in row]) for row in d["coeffs"]]) == p
+def test_zero_has_no_leading_coefficient():
+    # a ValueError naming the cause, not the IndexError of an empty tuple
+    with pytest.raises(ValueError, match="no leading coefficient"):
+        UniPoly.zero().leading

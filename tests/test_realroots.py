@@ -8,8 +8,8 @@ from riley.exact import UniPoly, _int_primitive
 from riley.realroots import (
     _int_derivative,
     _int_sturm,
+    _cauchy_bound,
     _IntChain,
-    cauchy_bound,
     count_real_roots,
     isolate_roots,
     squarefree_part,
@@ -57,10 +57,9 @@ def test_chain_squarefree_reduction():
     assert chain[0] == [-1, 1]
 
 
-def test_chain_rejects_constant_and_zero():
-    with pytest.raises(ValueError):
-        _IntChain(UniPoly.const(3))
-    with pytest.raises(ValueError):
+def test_chain_of_constant_is_itself_and_zero_raises():
+    assert _IntChain(UniPoly.const(-6)).chain == [[-1]]
+    with pytest.raises(ValueError, match="root count of the zero polynomial is undefined"):
         _IntChain(UniPoly.zero())
 
 
@@ -76,18 +75,22 @@ def test_chain_degrees_strictly_decrease():
 
 
 def test_count_examples():
-    assert count_real_roots(Y - 3).total_real == 1
-    assert count_real_roots(UniPoly([3, -3, 1])).total_real == 0
-    assert count_real_roots(CUBIC).total_real == 1
+    assert count_real_roots(Y - 3) == 1
+    assert count_real_roots(UniPoly([3, -3, 1])) == 0
+    assert count_real_roots(CUBIC) == 1
 
 
 def test_count_zero_raises():
-    with pytest.raises(ValueError):
-        count_real_roots(UniPoly.zero())
+    # both entry points refuse zero with the one message of _IntChain
+    for fn in (count_real_roots, isolate_roots):
+        with pytest.raises(ValueError, match="^root count of the zero polynomial is undefined$"):
+            fn(UniPoly.zero())
 
 
 def test_count_constant_is_zero():
-    assert count_real_roots(UniPoly.const(5)).total_real == 0
+    for c in (5, -3, 1):
+        assert count_real_roots(UniPoly.const(c)) == 0
+        assert isolate_roots(UniPoly.const(c)) == ()
 
 
 def test_count_in_interval_examples():
@@ -106,7 +109,7 @@ def test_count_in_interval_endpoint_root():
 
 def test_multiplicities_do_not_inflate_counts():
     f = (Y - 1) * (Y - 1) * (Y + 2)
-    assert count_real_roots(f).total_real == 2
+    assert count_real_roots(f) == 2
 
 
 def test_repeated_factors_chain_is_squarefree_chain():
@@ -115,22 +118,21 @@ def test_repeated_factors_chain_is_squarefree_chain():
 
 
 def test_repeated_factors_count_and_isolation():
-    assert count_real_roots(REPEATED).total_real == 4
-    assert count_real_roots(-REPEATED).total_real == 4
-    rc = isolate_roots(REPEATED)
-    assert rc.total_real == 4
-    (a1, b1), (a2, b2), (a3, b3), (a4, b4) = rc.intervals
+    assert count_real_roots(REPEATED) == 4
+    assert count_real_roots(-REPEATED) == 4
+    intervals = isolate_roots(REPEATED)
+    (a1, b1), (a2, b2), (a3, b3), (a4, b4) = intervals
     assert a1 < -2 < b1
     assert b2 < 0 and a2 * a2 > 2 > b2 * b2
     assert a3 < 1 < b3
     assert a4 > 0 and a4 * a4 < 2 < b4 * b4
-    assert all(_count_open(REPEATED, lo, hi) == 1 for lo, hi in rc.intervals)
+    assert all(_count_open(REPEATED, lo, hi) == 1 for lo, hi in intervals)
 
 
 def test_chain_contract_raises_when_squarefree_part_is_wrong(monkeypatch):
     # with the division skipped, the rebuilt chain still ends in gcd(f, f')
     monkeypatch.setattr(riley.realroots, "_int_squarefree", lambda f, g: f)
-    assert count_real_roots(CUBIC).total_real == 1  # squarefree: no fallback
+    assert count_real_roots(CUBIC) == 1  # squarefree: no fallback
     with pytest.raises(ArithmeticError, match="constant"):
         count_real_roots(REPEATED)
 
@@ -250,7 +252,7 @@ def test_count_matches_sympy_with_repeated_factors():
         if f.degree < 1:
             continue
         ref = sympy.Poly([int(c) for c in reversed(f.coeffs)], y).count_roots()
-        assert count_real_roots(f).total_real == ref, f
+        assert count_real_roots(f) == ref, f
 
 
 def test_count_matches_sympy_hypothesis():
@@ -273,50 +275,43 @@ def test_count_matches_sympy_hypothesis():
         for g, mult in fs:
             f = f * _pow(g, mult)
         ref = sympy.Poly([int(c) for c in reversed(f.coeffs)], y).count_roots()
-        assert count_real_roots(f).total_real == ref
+        assert count_real_roots(f) == ref
 
     agrees()
 
 
 def test_isolate_linear():
-    rc = isolate_roots(Y - 3)
-    assert rc.total_real == 1
-    (lo, hi), = rc.intervals
+    (lo, hi), = isolate_roots(Y - 3)
     assert lo < 3 < hi
 
 
 def test_isolate_sqrt5():
-    rc = isolate_roots(Y * Y - 5)
-    assert rc.total_real == 2
-    assert len(rc.intervals) == 2
-    for lo, hi in rc.intervals:
+    intervals = isolate_roots(Y * Y - 5)
+    assert len(intervals) == 2
+    for lo, hi in intervals:
         assert hi - lo <= Fraction(1, 64)
-    (a1, b1), (a2, b2) = rc.intervals
+    (a1, b1), (a2, b2) = intervals
     # straddle -sqrt(5) and +sqrt(5)
     assert a1 < 0 and a1 * a1 > 5 > b1 * b1
     assert b2 > 0 and a2 * a2 < 5 < b2 * b2
 
 
 def test_isolate_cubic():
-    rc = isolate_roots(CUBIC)
-    assert rc.total_real == 1
-    (lo, hi), = rc.intervals
+    (lo, hi), = isolate_roots(CUBIC)
     assert 2 <= lo < hi <= 3
 
 
 def test_isolate_root_at_bisection_midpoint():
     # roots at 0 and +-3 make 0 an early midpoint of (-B, B)
     f = Y * (Y - 3) * (Y + 3)
-    rc = isolate_roots(f)
-    assert rc.total_real == 3
-    for (lo, hi), root in zip(rc.intervals, (-3, 0, 3)):
+    intervals = isolate_roots(f)
+    assert len(intervals) == 3
+    for (lo, hi), root in zip(intervals, (-3, 0, 3)):
         assert lo < root < hi
         assert hi - lo <= Fraction(1, 64)
     # a second root 10^-6 from the midpoint root needs 13 halvings of the
     # enclosure, well inside the separation bound
-    rc = isolate_roots(Y * (Y * 10**6 - 1))
-    assert rc.total_real == 2
-    (lo0, hi0), (lo1, hi1) = rc.intervals
+    (lo0, hi0), (lo1, hi1) = isolate_roots(Y * (Y * 10**6 - 1))
     assert lo0 < 0 < hi0 <= lo1 < Fraction(1, 10**6) < hi1
 
 
@@ -345,33 +340,16 @@ def test_isolate_checks_its_interval_count(monkeypatch):
         isolate_roots(Y)
 
 
-def test_isolate_accepts_an_int_width():
-    # the first midpoint of f = y is its root, so the enclosure starts from
-    # max_width / 2, which must stay exact for an int max_width
-    rc = isolate_roots(UniPoly([0, 1]), 1)
-    assert rc.total_real == 1
-    (lo, hi), = rc.intervals
-    assert type(lo) is Fraction and type(hi) is Fraction
-    assert lo < 0 < hi and hi - lo <= 1
-
-
-@pytest.mark.parametrize("width", [Fraction(0), Fraction(-1, 64)])
-def test_isolate_rejects_non_positive_width(width):
-    # no interval around sqrt(2) is ever that narrow; bisection must not start
-    with pytest.raises(ValueError, match="max_width"):
-        isolate_roots(Y * Y - 2, width)
-
-
 def test_isolate_interval_counts_sum():
     rng = random.Random(23)
     for _ in range(20):
         f = UniPoly([rng.randint(-8, 8) for _ in range(rng.randint(2, 8))])
         if f.degree < 1:
             continue
-        rc = isolate_roots(f)
-        per_interval = [_count_open(f, lo, hi) for lo, hi in rc.intervals]
-        assert all(c == 1 for c in per_interval)
-        assert sum(per_interval) == rc.total_real
+        intervals = isolate_roots(f)
+        assert list(intervals) == sorted(intervals)
+        assert all(_count_open(f, lo, hi) == 1 for lo, hi in intervals)
+        assert len(intervals) == count_real_roots(f)
 
 
 def test_count_equals_interval_count_beyond_cauchy_bound():
@@ -381,8 +359,8 @@ def test_count_equals_interval_count_beyond_cauchy_bound():
         f = UniPoly([rng.randint(-50, 50) for _ in range(rng.randint(2, 11))])
         if f.degree < 1:
             continue
-        b = cauchy_bound(f) + 1
-        assert count_real_roots(f).total_real == _count_open(f, -b, b)
+        b = _cauchy_bound(f) + 1
+        assert count_real_roots(f) == _count_open(f, -b, b)
         checked += 1
     assert checked > 450
 
@@ -396,7 +374,7 @@ def test_distinct_linear_factors():
         f = UniPoly.const(1)
         for r in roots:
             f = f * UniPoly([-r.numerator, r.denominator])
-        assert count_real_roots(f).total_real == k
+        assert count_real_roots(f) == k
 
 
 def test_scale_invariance():
@@ -406,4 +384,4 @@ def test_scale_invariance():
         if f.degree < 1:
             continue
         c = rng.randint(1, 9) * rng.choice([1, -1])
-        assert count_real_roots(f).total_real == count_real_roots(f * c).total_real
+        assert count_real_roots(f) == count_real_roots(f * c)

@@ -683,11 +683,17 @@ def test_empty_word_validation_raises_promptly():
         _riley_from_word(SchubertWord(()), "empty word")
 
 
+def _json_form(phi: BiPoly) -> dict:
+    """The JSON form the pinned digests were taken of: y-coefficients
+    ascending, each a list of "num/den" strings ascending by x-degree."""
+    return {"y_degree": phi.degree, "coeffs": [[f"{c}/1" for c in p.coeffs] for p in phi.coeffs]}
+
+
 def test_riley_general_pinned_p31():
     # sha256 of the general route over every knot with p <= 31, taken
     # with the Fraction matrix product this kernel replaced
     text = "".join(
-        json.dumps([str(k), riley_general(k).phi_xy.to_json_dict()]) + "\n"
+        json.dumps([str(k), _json_form(riley_general(k).phi_xy)]) + "\n"
         for k in enumerate_knots(31)
     )
     assert hashlib.sha256(text.encode()).hexdigest() == (
@@ -701,7 +707,7 @@ def test_riley_general_pinned_crosscheck_families():
     # list-valued Laurent product the packed one replaced
     families = [DoubleTwist(f, m, n) for f in FAMILIES for m in range(1, 8) for n in range(1, 3)]
     text = "".join(
-        json.dumps([str(d), str(k), riley_general(k).phi_xy.to_json_dict()]) + "\n"
+        json.dumps([str(d), str(k), _json_form(riley_general(k).phi_xy)]) + "\n"
         for d in families
         for k in [family_to_pq(d)]
     )
@@ -775,10 +781,10 @@ def test_riley_parabolic_examples():
     assert riley_parabolic(KnotId(5, 2)) == UniPoly([3, -3, 1])
     phi = riley_parabolic(KnotId(7, 3))
     assert phi.degree == 3
-    assert count_real_roots(phi).total_real == 1
+    assert count_real_roots(phi) == 1
     # same real root count as the closed form of the q-inverse presentation
     other = riley_closed_form(DoubleTwist("ON", 1, 1)).phi_xy.eval_x(2)
-    assert count_real_roots(other).total_real == 1
+    assert count_real_roots(other) == 1
 
 
 def test_riley_parabolic_matches_general_specialization():
@@ -1072,14 +1078,22 @@ def test_normalize_bipoly():
     norm = normalize_bipoly(raw)
     assert norm == BiPoly([UniPoly([-1, 0, 1]), UniPoly.const(1)])
     assert norm.leading(Fraction(2)) > 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cannot normalize"):
         normalize_bipoly(BiPoly.zero())
+
+
+def test_normalize_bipoly_refuses_a_lead_vanishing_at_two():
+    # (x - 2)*y + 1: no sign at x = 2 to normalize by
+    with pytest.raises(ValueError, match="vanishes at x = 2"):
+        normalize_bipoly(BiPoly([UniPoly([1]), UniPoly([-2, 1])]))
 
 
 def test_normalize_parabolic():
     assert normalize_parabolic(UniPoly([3, -1])) == UniPoly([-3, 1])
     assert normalize_parabolic(UniPoly([6, -2])) == UniPoly([-3, 1])
     assert normalize_parabolic(UniPoly([-6, 4])) == UniPoly([-3, 2])
+    with pytest.raises(ValueError, match="cannot normalize"):
+        normalize_parabolic(UniPoly.zero())
 
 
 def test_closed_form_coefficients_are_integers():

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from riley.exact import UniPoly
-from riley.realroots import _IntChain, cauchy_bound
+from riley.realroots import _cauchy_bound, _IntChain
 from riley import signature
 from riley.signature import EvenCF, SignatureError, even_cf, signature_two_bridge
 from riley.twobridge import DoubleTwist, KnotId, family_to_pq, schubert_word
@@ -33,7 +33,7 @@ def _oracle_signature(entries):
     characteristic polynomial.  An unreduced tridiagonal matrix has simple
     eigenvalues, so distinct roots are all the roots."""
     chi = _charpoly(entries)
-    bound = cauchy_bound(chi) + 1
+    bound = _cauchy_bound(chi) + 1
     assert chi(0) != 0
     return len(entries) - 2 * _IntChain(chi).count_open(-bound, Fraction(0))
 

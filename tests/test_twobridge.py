@@ -31,6 +31,13 @@ def test_normalize_rejects_links_and_non_coprime():
         KnotId(9, 6)
 
 
+def test_knotid_link_note_only_for_even_p():
+    with pytest.raises(ValueError, match=r"^p must be an odd integer >= 3, got 1$"):
+        KnotId(1, 1)
+    with pytest.raises(ValueError, match=r"got 4 \(even p gives a link, not a knot\)$"):
+        KnotId(4, 1)
+
+
 def test_knotid_rejects_q_out_of_range():
     # 9 is coprime to 7, so only the range guard refuses q >= p
     with pytest.raises(ValueError, match="q must satisfy"):

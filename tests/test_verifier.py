@@ -141,8 +141,8 @@ def test_conjecture_data_is_presentation_invariant():
             base = KnotId(p, q)
             for other in (KnotId(p, p - q), KnotId(p, pow(q, -1, p))):
                 assert (
-                    count_real_roots(riley_parabolic(base)).total_real
-                    == count_real_roots(riley_parabolic(other)).total_real
+                    count_real_roots(riley_parabolic(base))
+                    == count_real_roots(riley_parabolic(other))
                 )
                 assert (
                     signature_two_bridge(base).sigma_abs
@@ -286,8 +286,8 @@ def test_cross_validate_counts_across_q_conventions():
     closed = riley_closed_form(DoubleTwist("OE", 1, 1)).phi_xy.eval_x(2)
     general = riley_parabolic(KnotId(5, 2))
     assert (
-        count_real_roots(closed).total_real
-        == count_real_roots(general).total_real
+        count_real_roots(closed)
+        == count_real_roots(general)
         == 0
     )
 
