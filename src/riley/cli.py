@@ -300,12 +300,19 @@ def _cmd_verify_conjecture(pmax: int, fmt: str, out: str | None, jobs: int) -> i
     if pmax % 2 == 0:
         print(f"pmax {pmax} is even; scanning odd p <= {pmax - 1}", file=sys.stderr)
         pmax -= 1
-    result = scan_conjecture(pmax, jobs=jobs)
     if out is None:
+        result = scan_conjecture(pmax, jobs=jobs)
         sys.stdout.write(emit_report(result.records, format=fmt))
         summary_stream = sys.stderr
     else:
-        emit_report(result.records, format=fmt, destination=out)
+        # opened before the first knot, so an unwritable path fails at once
+        try:
+            report = open(out, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise OSError(f"cannot write report to {out}: {exc}") from exc
+        with report:
+            result = scan_conjecture(pmax, jobs=jobs)
+            emit_report(result.records, format=fmt, destination=report)
         summary_stream = sys.stdout
     n_viol = len(result.violations)
     print(

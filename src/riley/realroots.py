@@ -1,7 +1,12 @@
 """Exact real root counting and isolation via Sturm sequences.
 
-Counts are always of *distinct* real roots: the chain is built from the
-squarefree part of the input, so multiplicities never inflate a count.
+Counts are always of *distinct* real roots, from one chain: the Sturm
+sequence of the input f itself.  It ends in +-gcd(f, f'), and every
+element is a multiple of that gcd, so dividing it out changes no sign
+variation at a point that is not a root of f: the chain counts the
+distinct roots of f whether or not f is squarefree (Sturm's theorem in
+Basu, Pollack and Roy, Algorithms in Real Algebraic Geometry, ch. 2).
+A last element that is not constant must divide f, else ArithmeticError.
 Internally the chain lives on integer coefficient lists, each a positive
 multiple of the Sturm remainder; a positive rescale preserves every sign
 in the sequence, hence every variation count.  The lists are the elements
@@ -12,14 +17,7 @@ taken out only when a remainder's leading coefficient shares a factor
 with that of the input (at a rational x0, where the leading coefficient
 carries a power of x0's denominator), and it goes into kappa_i.  The
 last element is made primitive, so it is the primitive +-gcd(f, f').
-
-One remainder sequence per input suffices.  The Sturm sequence of f is,
-up to sign, the Euclidean sequence of f and f', so it ends in
-+-gcd(f, f').  When that last element is a nonzero constant, f is
-squarefree and the sequence is already its Sturm chain.  Only otherwise
-is f divided exactly by the gcd and the chain built again on the
-squarefree part.  The sequence itself is _int_sturm, which also gives
-squarefree_part its gcd.
+The sequence is _int_sturm, which also gives squarefree_part its gcd.
 
 count_real_roots returns the count as an int and isolate_roots the
 isolating intervals as a tuple, ascending, one per distinct real root.
@@ -217,46 +215,42 @@ def squarefree_part(a: UniPoly) -> UniPoly:
     return UniPoly._raw(tuple(q) if q[-1] > 0 else tuple(-c for c in q))
 
 
-class _IntChain:
-    """Integer Sturm chain with sign-variation queries.  A nonzero
-    constant is its own chain; the zero polynomial raises ValueError."""
+def _sturm_chain(f: UniPoly) -> list[list[int]]:
+    """The Sturm chain of f itself on integer lists, f made primitive; a
+    nonzero constant is its own chain, zero raises ValueError.  It ends
+    in the primitive +-gcd(f, f'), which must divide f."""
+    if f.is_zero():
+        raise ValueError("root count of the zero polynomial is undefined")
+    f_int = _int_primitive(f.coeffs)
+    if not f.degree:
+        return [f_int]
+    chain = _int_sturm(f_int)
+    if len(chain[-1]) > 1:
+        _int_squarefree(f_int, chain[-1])  # raises unless the tail divides f
+    return chain
 
-    def __init__(self, f: UniPoly):
-        if f.is_zero():
-            raise ValueError("root count of the zero polynomial is undefined")
-        f_int = _int_primitive(f.coeffs)
-        chain = _int_sturm(f_int) if f.degree else [f_int]
-        if len(chain[-1]) > 1:
-            chain = _int_sturm(_int_squarefree(f_int, chain[-1]))
-            if len(chain[-1]) != 1:
-                raise ArithmeticError(
-                    "Sturm chain of the squarefree part does not end in a constant"
-                )
-        self.chain = chain
 
-    def variations_at(self, v: Fraction) -> int:
-        # den^d * p(v) has the sign of p(v): den > 0
-        num, den = v.numerator, v.denominator
-        return _variations([_sign(_homogeneous(p, num, den)) for p in self.chain])
+def _signs_at(chain: list[list[int]], v: Fraction) -> list[int]:
+    # den^d * p(v) has the sign of p(v): den > 0
+    num, den = v.numerator, v.denominator
+    return [_sign(_homogeneous(p, num, den)) for p in chain]
 
-    def sign_at(self, v: Fraction) -> int:
-        return _sign(_homogeneous(self.chain[0], v.numerator, v.denominator))
 
-    def count_all(self) -> int:
-        """V(-inf) - V(+inf), from the leading coefficients' signs; at
-        -inf the odd-degree elements flip sign."""
-        at_pos = [_sign(p[-1]) for p in self.chain]
-        at_neg = [-s if len(p) % 2 == 0 else s for s, p in zip(at_pos, self.chain)]
-        return _variations(at_neg) - _variations(at_pos)
-
-    def count_open(self, lo: Fraction, hi: Fraction) -> int:
-        """Distinct roots in (lo, hi); endpoints must not be roots."""
-        return self.variations_at(lo) - self.variations_at(hi)
+def _count_all(chain: list[list[int]]) -> int:
+    """Distinct real roots, V(-inf) - V(+inf), from the leading
+    coefficients' signs; at -inf the odd-degree elements flip sign.
+    Whatever the middle elements, the count is congruent to
+    deg f - deg gcd(f, f') mod 2, since the parity of a variation count
+    is fixed by its end signs: a parity check could not catch a wrong
+    element."""
+    at_pos = [_sign(p[-1]) for p in chain]
+    at_neg = [-s if len(p) % 2 == 0 else s for s, p in zip(at_pos, chain)]
+    return _variations(at_neg) - _variations(at_pos)
 
 
 def count_real_roots(f: UniPoly) -> int:
     """Number of distinct real roots of f; ValueError on zero."""
-    return _IntChain(f).count_all()
+    return _count_all(_sturm_chain(f))
 
 
 def _cauchy_bound(f: UniPoly) -> Fraction:
@@ -287,23 +281,25 @@ def isolate_roots(f: UniPoly) -> tuple[tuple[Fraction, Fraction], ...]:
     root-separation bound; past that the contract raises ArithmeticError.
     ValueError on zero; a nonzero constant gives ().
     """
-    chain = _IntChain(f)
-    total = chain.count_all()
+    chain = _sturm_chain(f)
+    total = _count_all(chain)
     if total == 0:
         return ()
     bound = _cauchy_bound(f)
     intervals: list[tuple[Fraction, Fraction]] = []
 
-    def enclose_root_at(mid: Fraction, radius: Fraction) -> tuple[Fraction, Fraction]:
+    def enclose_root_at(mid: Fraction, radius: Fraction) -> tuple[Fraction, Fraction, int, int]:
+        """(lo, hi, V(lo), V(hi)) for a symmetric interval around the
+        root mid that holds no other root."""
+        squarefree = _int_squarefree(chain[0], chain[-1])
         w = radius
-        for _ in range(_halvings_below_separation(chain.chain[0], radius) + 1):
+        for _ in range(_halvings_below_separation(squarefree, radius) + 1):
             lo, hi = mid - w, mid + w
-            if (
-                chain.sign_at(lo) != 0
-                and chain.sign_at(hi) != 0
-                and chain.count_open(lo, hi) == 1
-            ):
-                return lo, hi
+            at_lo, at_hi = _signs_at(chain, lo), _signs_at(chain, hi)
+            if at_lo[0] and at_hi[0]:
+                v_lo, v_hi = _variations(at_lo), _variations(at_hi)
+                if v_lo - v_hi == 1:
+                    return lo, hi, v_lo, v_hi
             w /= 2
         raise ArithmeticError(
             f"no isolating interval around the root {mid} within the root separation bound"
@@ -311,28 +307,27 @@ def isolate_roots(f: UniPoly) -> tuple[tuple[Fraction, Fraction], ...]:
 
     # an explicit worklist, not recursion: the bisection depth grows with
     # the bit size of the Cauchy bound, past Python's recursion limit at
-    # x0 = 10^100
-    work = [(-bound, bound, total)]
+    # x0 = 10^100.  Each entry carries the variations at both of its ends,
+    # so every point's chain signs are computed once.
+    v_neg, v_pos = (_variations(_signs_at(chain, v)) for v in (-bound, bound))
+    work = [(-bound, bound, v_neg, v_pos)]
     while work:
-        lo, hi, cnt = work.pop()
-        if cnt == 0:
+        lo, hi, v_lo, v_hi = work.pop()
+        if v_lo == v_hi:
             continue
-        if cnt == 1 and hi - lo <= _ISOLATION_WIDTH:
+        if v_lo - v_hi == 1 and hi - lo <= _ISOLATION_WIDTH:
             intervals.append((lo, hi))
             continue
         mid = (lo + hi) / 2
-        if chain.sign_at(mid) == 0:
-            inner = enclose_root_at(mid, min(_ISOLATION_WIDTH, hi - mid) / 2)
-            intervals.append(inner)
-            work.append((lo, inner[0], chain.count_open(lo, inner[0])))
-            work.append((inner[1], hi, chain.count_open(inner[1], hi)))
+        at_mid = _signs_at(chain, mid)
+        if at_mid[0] == 0:
+            a, b, v_a, v_b = enclose_root_at(mid, min(_ISOLATION_WIDTH, hi - mid) / 2)
+            intervals.append((a, b))
+            work += [(lo, a, v_lo, v_a), (b, hi, v_b, v_hi)]
             continue
-        left = chain.count_open(lo, mid)
-        work.append((lo, mid, left))
-        work.append((mid, hi, cnt - left))
+        v_mid = _variations(at_mid)
+        work += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
     intervals.sort()
     if len(intervals) != total:
-        raise ArithmeticError(
-            f"isolation found {len(intervals)} intervals for {total} roots"
-        )
+        raise ArithmeticError(f"isolation found {len(intervals)} intervals for {total} roots")
     return tuple(intervals)

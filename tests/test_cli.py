@@ -279,7 +279,7 @@ def test_roots_isolate_at_huge_x(capsys):
     # the Cauchy bound at x = 10^100 needs hundreds of bisection levels,
     # more than a recursive bisection could nest
     from riley.cli import _specialized_poly
-    from riley.realroots import _IntChain
+    from riley.realroots import _signs_at, _sturm_chain, _variations
     from riley.twobridge import KnotId
 
     x0 = 10**100
@@ -292,8 +292,9 @@ def test_roots_isolate_at_huge_x(capsys):
         if line.startswith("  (")
     ]
     assert len(intervals) == 3
-    chain = _IntChain(_specialized_poly(KnotId(7, 3), Fraction(x0)))
-    assert all(chain.count_open(lo, hi) == 1 for lo, hi in intervals)
+    chain = _sturm_chain(_specialized_poly(KnotId(7, 3), Fraction(x0)))
+    for lo, hi in intervals:
+        assert _variations(_signs_at(chain, lo)) - _variations(_signs_at(chain, hi)) == 1
 
 
 def test_roots_contract_failure_exits_internal(capsys, monkeypatch):
@@ -383,7 +384,15 @@ def test_verify_conjecture_to_file(tmp_path, capsys):
     assert rows[0]["knot"] == "b(3,1)"
 
 
-def test_verify_conjecture_unwritable_out_is_an_io_error(tmp_path, capsys):
+def test_verify_conjecture_unwritable_out_is_an_io_error(tmp_path, capsys, monkeypatch):
+    # the report is opened before the first knot, so no knot is checked
+    import riley.verifier
+
+    checked = []
+    real_check = riley.verifier.check_conjecture
+    monkeypatch.setattr(
+        riley.verifier, "check_conjecture", lambda k: checked.append(k) or real_check(k)
+    )
     out_path = tmp_path / "missing" / "r.jsonl"
     code, _, err = run_cli(
         capsys, "verify", "conjecture", "--pmax", "5", "--out", str(out_path), "--jobs", "1"
@@ -391,6 +400,7 @@ def test_verify_conjecture_unwritable_out_is_an_io_error(tmp_path, capsys):
     assert code == EXIT_INTERNAL
     assert err.startswith("i/o error: cannot write report to ")
     assert not out_path.parent.exists()
+    assert checked == []
 
 
 def test_verify_conjecture_stdout_and_even_pmax(tmp_path, capsys):

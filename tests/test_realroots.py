@@ -6,16 +6,19 @@ import pytest
 import riley.realroots
 from riley.exact import UniPoly, _int_primitive
 from riley.realroots import (
+    _cauchy_bound,
+    _count_all,
     _int_derivative,
     _int_sturm,
-    _cauchy_bound,
-    _IntChain,
+    _signs_at,
+    _sturm_chain,
+    _variations,
     count_real_roots,
     isolate_roots,
     squarefree_part,
 )
-from riley.rileypoly import riley_closed_form_at, riley_parabolic
-from riley.twobridge import FAMILIES, DoubleTwist
+from riley.rileypoly import normalize_parabolic, riley_closed_form_at, riley_general, riley_parabolic
+from riley.twobridge import FAMILIES, DoubleTwist, KnotId
 from riley.verifier import enumerate_knots
 
 Y = UniPoly.gen()
@@ -36,31 +39,35 @@ REPEATED = _pow(Y - 1, 2) * _pow(Y + 2, 3) * (Y * Y - 2)  # distinct roots -2, -
 def _count_open(f, lo, hi):
     """Distinct roots of f in (lo, hi); the endpoints must not be roots."""
     assert f(lo) != 0 and f(hi) != 0
-    return _IntChain(f).count_open(Fraction(lo), Fraction(hi))
+    chain = _sturm_chain(f)
+    return _variations(_signs_at(chain, Fraction(lo))) - _variations(_signs_at(chain, Fraction(hi)))
 
 
 def test_chain_linear():
-    assert _IntChain(Y - 3).chain == [[-3, 1], [1]]
+    assert _sturm_chain(Y - 3) == [[-3, 1], [1]]
 
 
 def test_chain_quadratic_ends_negative():
     # remainder of (y^2-3y+3, 2y-3) is the constant 3/4; negated (and
     # rescaled positively to integer form) the chain ends negative
-    chain = _IntChain(UniPoly([3, -3, 1])).chain
+    chain = _sturm_chain(UniPoly([3, -3, 1]))
     assert len(chain) == 3
     assert len(chain[-1]) == 1
     assert chain[-1][0] < 0
 
 
-def test_chain_squarefree_reduction():
-    chain = _IntChain((Y - 1) * (Y - 1)).chain
-    assert chain[0] == [-1, 1]
+def test_chain_of_repeated_root_ends_in_the_gcd():
+    # one chain, on f itself: its head is f and its tail gcd(f, f') = y - 1
+    chain = _sturm_chain((Y - 1) * (Y - 1))
+    assert chain[0] == [1, -2, 1]
+    assert chain[-1] == [-1, 1]
+    assert _count_all(chain) == 1
 
 
 def test_chain_of_constant_is_itself_and_zero_raises():
-    assert _IntChain(UniPoly.const(-6)).chain == [[-1]]
+    assert _sturm_chain(UniPoly.const(-6)) == [[-1]]
     with pytest.raises(ValueError, match="root count of the zero polynomial is undefined"):
-        _IntChain(UniPoly.zero())
+        _sturm_chain(UniPoly.zero())
 
 
 def test_chain_degrees_strictly_decrease():
@@ -70,7 +77,7 @@ def test_chain_degrees_strictly_decrease():
         f = UniPoly(coeffs)
         if f.degree < 1:
             continue
-        degs = [len(p) - 1 for p in _IntChain(f).chain]
+        degs = [len(p) - 1 for p in _sturm_chain(f)]
         assert all(a > b for a, b in zip(degs, degs[1:]))
 
 
@@ -81,7 +88,7 @@ def test_count_examples():
 
 
 def test_count_zero_raises():
-    # both entry points refuse zero with the one message of _IntChain
+    # both entry points refuse zero with the one message of _sturm_chain
     for fn in (count_real_roots, isolate_roots):
         with pytest.raises(ValueError, match="^root count of the zero polynomial is undefined$"):
             fn(UniPoly.zero())
@@ -100,11 +107,12 @@ def test_count_in_interval_examples():
 
 
 def test_count_in_interval_endpoint_root():
-    # isolation tests an endpoint with sign_at before counting across it
-    chain = _IntChain(Y - 3)
-    assert chain.sign_at(Fraction(3)) == 0
-    assert chain.sign_at(Fraction(2)) == -1 and chain.sign_at(Fraction(4)) == 1
-    assert chain.count_open(Fraction(1), Fraction(2)) == 0
+    # isolation reads the sign of f at a point as the first of its chain
+    # signs, and tests it before counting across the point
+    chain = _sturm_chain(Y - 3)
+    assert _signs_at(chain, Fraction(3)) == [0, 1]
+    assert _signs_at(chain, Fraction(2))[0] == -1 and _signs_at(chain, Fraction(4))[0] == 1
+    assert _variations(_signs_at(chain, Fraction(1))) == _variations(_signs_at(chain, Fraction(2)))
 
 
 def test_multiplicities_do_not_inflate_counts():
@@ -112,9 +120,16 @@ def test_multiplicities_do_not_inflate_counts():
     assert count_real_roots(f) == 2
 
 
-def test_repeated_factors_chain_is_squarefree_chain():
+def test_repeated_factors_count_and_isolate_as_squarefree_part():
     for f in (REPEATED, _pow(Y - 1, 2), _pow(Y, 3) * _pow(Y + 1, 2), _pow(Y * Y + 1, 2) * (Y - 3)):
-        assert _IntChain(f).chain == _IntChain(squarefree_part(f)).chain
+        # the intervals differ where the Cauchy bounds of f and g do, but
+        # they isolate the same roots in the same order
+        g = squarefree_part(f)
+        assert count_real_roots(f) == count_real_roots(g)
+        on_f, on_g = isolate_roots(f), isolate_roots(g)
+        assert len(on_f) == len(on_g)
+        for (lo, hi), (glo, ghi) in zip(on_f, on_g):
+            assert _count_open(g, lo, hi) == 1 and max(lo, glo) < min(hi, ghi)
 
 
 def test_repeated_factors_count_and_isolation():
@@ -129,12 +144,15 @@ def test_repeated_factors_count_and_isolation():
     assert all(_count_open(REPEATED, lo, hi) == 1 for lo, hi in intervals)
 
 
-def test_chain_contract_raises_when_squarefree_part_is_wrong(monkeypatch):
-    # with the division skipped, the rebuilt chain still ends in gcd(f, f')
-    monkeypatch.setattr(riley.realroots, "_int_squarefree", lambda f, g: f)
-    assert count_real_roots(CUBIC) == 1  # squarefree: no fallback
-    with pytest.raises(ArithmeticError, match="constant"):
-        count_real_roots(REPEATED)
+def test_chain_tail_must_divide_f(monkeypatch):
+    # a chain that ends before gcd(f, f') ends in a polynomial that does
+    # not divide f; with its last element dropped, the irreducible CUBIC's
+    # chain ends in a linear remainder
+    real_sturm = riley.realroots._int_sturm
+    monkeypatch.setattr(riley.realroots, "_int_sturm", lambda f: real_sturm(f)[:-1])
+    for fn in (count_real_roots, isolate_roots):
+        with pytest.raises(ArithmeticError, match=r"^gcd\(f, f'\) does not divide f$"):
+            fn(CUBIC)
 
 
 def test_sturm_sequence_is_bounded(monkeypatch):
@@ -316,28 +334,48 @@ def test_isolate_root_at_bisection_midpoint():
 
 
 def test_isolate_root_at_midpoint_is_bounded(monkeypatch):
-    # The first midpoint of f = y is its root; with count_open never
-    # returning 1, the enclosure must give up at the root separation bound.
+    # The first midpoint of f = y is its root; with the chain showing no
+    # variation at the enclosure's points (0 < |v| < 1, inside the Cauchy
+    # bound 1), the enclosure must give up at the root separation bound.
     calls = []
 
-    def never_one(self, lo, hi):
-        calls.append((lo, hi))
+    def no_variation_near_root(chain, v):
+        signs = _signs_at(chain, v)
+        if not 0 < abs(v) < 1:
+            return signs
+        calls.append(v)
         if len(calls) > 1000:
             raise RuntimeError("enclosure kept halving past any separation bound")
-        return 0
+        return [signs[0]] * len(signs)
 
-    monkeypatch.setattr(riley.realroots._IntChain, "count_open", never_one)
+    monkeypatch.setattr(riley.realroots, "_signs_at", no_variation_near_root)
     with pytest.raises(ArithmeticError, match="root separation"):
         isolate_roots(Y)
+    assert calls
 
 
 def test_isolate_checks_its_interval_count(monkeypatch):
     # f = y has one root, at the first midpoint; a chain claiming two
     # roots leaves bisection with one interval, and the final count check
     # must refuse to return it
-    monkeypatch.setattr(riley.realroots._IntChain, "count_all", lambda self: 2)
+    monkeypatch.setattr(riley.realroots, "_count_all", lambda chain: 2)
     with pytest.raises(ArithmeticError, match="isolation found 1 intervals for 2 roots"):
         isolate_roots(Y)
+
+
+def test_isolate_evaluates_each_point_once(monkeypatch):
+    # each worklist entry carries the variations at both of its ends, so
+    # no point's chain signs are computed twice
+    points = []
+    monkeypatch.setattr(
+        riley.realroots, "_signs_at", lambda chain, v: points.append(v) or _signs_at(chain, v)
+    )
+    phi = normalize_parabolic(riley_general(KnotId(61, 17)).phi_xy.eval_x(Fraction(7, 3)))
+    for f in (REPEATED, phi, Y * (Y - 3) * (Y + 3)):
+        points.clear()
+        isolate_roots(f)
+        assert len(points) > 10
+        assert len(set(points)) == len(points)
 
 
 def test_isolate_interval_counts_sum():

@@ -19,6 +19,7 @@ from riley.exact import (
     _zsub,
 )
 from riley.realroots import count_real_roots
+from riley.signature import signature_two_bridge
 from riley.rileypoly import (
     ClosedFormParams,
     RileyValidationError,
@@ -1071,6 +1072,39 @@ def test_parabolic_never_vanishes_at_two():
         for q in range(1, p):
             if math.gcd(p, q) == 1:
                 assert riley_parabolic(KnotId(p, q))(2) != 0
+
+
+def _continuant(exponents) -> UniPoly:
+    """v_L(w) for v_-1 = 0, v_0 = 1 and v_k = v_(k-2) + c_k*w*v_(k-1),
+    with c_k = e_k at odd k (an a-letter) and -e_k at even k (a b-letter)."""
+    w = UniPoly.gen()
+    prev, cur = UniPoly.zero(), UniPoly.const(1)
+    for k, e in enumerate(exponents, 1):
+        prev, cur = cur, prev + cur * w * (e if k % 2 else -e)
+    return cur
+
+
+def test_continuant_is_phi_at_two_plus_w_squared_and_bounds_the_count():
+    # A third construction of Phi(2, y), from the relator word alone: at
+    # s = 1 and y = 2 + w^2, conjugating each letter's matrix by diag(1, w)
+    # leaves one entry +-w, so W11 is the continuant v_L(w), L = p - 1.
+    # v_L has at least |sum e_k| = |sigma| real roots (Pontryagin's theorem
+    # on a tridiagonal matrix self-adjoint for diag(e_1*e_k)), and each
+    # real root y > 2 of Phi gives two, so 2 * real_roots >= |sigma|; the
+    # difference was divisible by 4 on every knot with p <= 199.
+    w = UniPoly.gen()
+    knots = enumerate_knots(99)
+    assert len(knots) == 798
+    flipped = 0
+    for k in knots:
+        phi = riley_parabolic(k)
+        sign = phi(2)  # a unit; normalization fixes the leading sign, not this one
+        assert sign in (1, -1), k
+        assert _continuant(schubert_word(k).exponents) == sign * phi(2 + w * w), k
+        flipped += sign == -1
+        real, sigma = count_real_roots(phi), signature_two_bridge(k).sigma_abs
+        assert 2 * real >= sigma and (2 * real - sigma) % 4 == 0, k
+    assert flipped == 393
 
 
 def test_normalize_bipoly():

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from riley.exact import UniPoly
-from riley.realroots import _cauchy_bound, _IntChain
+from riley.realroots import _cauchy_bound, _signs_at, _sturm_chain, _variations
 from riley import signature
 from riley.signature import EvenCF, SignatureError, even_cf, signature_two_bridge
 from riley.twobridge import DoubleTwist, KnotId, family_to_pq, schubert_word
@@ -35,7 +35,9 @@ def _oracle_signature(entries):
     chi = _charpoly(entries)
     bound = _cauchy_bound(chi) + 1
     assert chi(0) != 0
-    return len(entries) - 2 * _IntChain(chi).count_open(-bound, Fraction(0))
+    chain = _sturm_chain(chi)
+    negative = _variations(_signs_at(chain, -bound)) - _variations(_signs_at(chain, Fraction(0)))
+    return len(entries) - 2 * negative
 
 
 def test_even_cf_hand_expansions():
