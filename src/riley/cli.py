@@ -303,23 +303,26 @@ def _cmd_verify_conjecture(pmax: int, fmt: str, out: str | None, jobs: int) -> i
     if out is None:
         result = scan_conjecture(pmax, jobs=jobs)
         sys.stdout.write(emit_report(result.records, format=fmt))
-        summary_stream = sys.stderr
     else:
-        # opened before the first knot, so an unwritable path fails at once
+        # opened before the first knot, so an unwritable path fails at once;
+        # the scan's own OSErrors are not relabelled as report errors
         try:
             report = open(out, "w", encoding="utf-8", newline="")
         except OSError as exc:
             raise OSError(f"cannot write report to {out}: {exc}") from exc
         with report:
             result = scan_conjecture(pmax, jobs=jobs)
-            emit_report(result.records, format=fmt, destination=report)
-        summary_stream = sys.stdout
+            try:
+                emit_report(result.records, format=fmt, destination=report)
+                report.close()  # its flush can fail too
+            except OSError as exc:
+                raise OSError(f"cannot write report to {out}: {exc}") from exc
     n_viol = len(result.violations)
     print(
         f"scanned {len(result.records)} knots: {len(result.records) - n_viol} hold, "
         f"{n_viol} violations, {len(result.failures)} errors"
         + (f"; wrote {out}" if out else ""),
-        file=summary_stream,
+        file=sys.stderr if out is None else sys.stdout,
     )
     for pq, msg in result.failures:
         print(f"error at b({pq[0]},{pq[1]}): {msg}", file=sys.stderr)

@@ -403,6 +403,41 @@ def test_verify_conjecture_unwritable_out_is_an_io_error(tmp_path, capsys, monke
     assert checked == []
 
 
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_verify_conjecture_failed_report_write_names_the_file(tmp_path, capsys, monkeypatch, failing):
+    # a full disk hit while writing the records or flushing them at close
+    import errno
+    import io
+
+    import riley.cli
+
+    class FullDisk(io.StringIO):
+        def write(self, s):
+            if failing == "write":
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return super().write(s)
+
+        def flush(self):
+            if failing == "flush" and not self.closed:
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        def close(self):
+            # as a file does: flush, then close even when the flush fails
+            try:
+                self.flush()
+            finally:
+                super().close()
+
+    monkeypatch.setattr(riley.cli, "open", lambda *a, **kw: FullDisk(), raising=False)
+    out_path = tmp_path / "r.jsonl"
+    code, out, err = run_cli(
+        capsys, "verify", "conjecture", "--pmax", "5", "--out", str(out_path), "--jobs", "1"
+    )
+    assert code == EXIT_INTERNAL
+    assert err.startswith(f"i/o error: cannot write report to {out_path}: [Errno 28] ")
+    assert out == ""
+
+
 def test_verify_conjecture_stdout_and_even_pmax(tmp_path, capsys):
     code, out, err = run_cli(capsys, "verify", "conjecture", "--pmax", "8", "--jobs", "1")
     assert code == 0

@@ -2,15 +2,15 @@
 
 Each `raise` in the module is replaced by `pass`, one at a time, in a
 temporary copy of the repository (the working tree is never edited).
-The tier-1 suite then runs on the copy with `-x` and a per-mutant
-timeout, and one line per mutant reports "killed by <test>", "killed by
-timeout", "killed (pytest exit N)" when the run failed without naming a
-test, or "survived".  A surviving mutant is a check that no test
+The tier-1 suite then runs on the copy with `-x`, for at most TIMEOUT
+seconds per mutant, and one line per mutant reports "killed by <test>",
+"killed by timeout", "killed (pytest exit N)" when the run failed
+without naming a test, or "survived".  A surviving mutant is a check that no test
 observes.  Line numbers are those of the unmutated module.
 
 Needs only the standard library and pytest.  Run from anywhere:
 
-    python tools/mutate_raises.py src/riley/realroots.py [--timeout 300]
+    python tools/mutate_raises.py src/riley/realroots.py
 
 The sweep runs one pytest process at a time; a module with n raises
 costs up to n runs of the suite.
@@ -28,6 +28,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis")
+TIMEOUT = 300.0  # seconds per mutant; tier-1 takes about 20
 FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+?)(?: - |$)", re.MULTILINE)
 
 
@@ -50,12 +51,12 @@ def mutate(source: str, node: ast.Raise) -> str:
     return (data[:start] + b"pass" + pad + data[end:]).decode()
 
 
-def run_suite(copy: Path, timeout: float) -> str:
+def run_suite(copy: Path) -> str:
     env = dict(os.environ, PYTHONPATH=str(copy / "src"))
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider"]
     try:
         done = subprocess.run(
-            cmd, cwd=copy, env=env, capture_output=True, text=True, timeout=timeout
+            cmd, cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT
         )
     except subprocess.TimeoutExpired:
         return "killed by timeout"
@@ -68,7 +69,6 @@ def run_suite(copy: Path, timeout: float) -> str:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("module", type=Path, help="a module under src/, e.g. src/riley/realroots.py")
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per mutant")
     args = parser.parse_args()
     rel = args.module.resolve().relative_to(REPO)
     source = (REPO / rel).read_text(encoding="utf-8")
@@ -80,7 +80,7 @@ def main() -> None:
         target = copy / rel
         for node in nodes:
             target.write_text(mutate(source, node), encoding="utf-8")
-            verdict = run_suite(copy, args.timeout)
+            verdict = run_suite(copy)
             survived += verdict == "survived"
             first = source.splitlines()[node.lineno - 1].strip()
             print(f"{rel}:{node.lineno}  {first}  {verdict}", flush=True)
