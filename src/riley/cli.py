@@ -48,6 +48,7 @@ from .twobridge import (
 )
 from .verifier import (
     CrossValidationError,
+    ScanWorkerError,
     cross_validate,
     emit_report,
     scan_conjecture,
@@ -400,12 +401,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except Exception as exc:
-        # imported here so that serial runs do not load the pool machinery
-        from concurrent.futures import BrokenExecutor
-
-        if not isinstance(exc, BrokenExecutor):
-            raise
+    except ScanWorkerError as exc:
         print(f"worker process failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

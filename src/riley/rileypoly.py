@@ -450,7 +450,9 @@ def riley_parabolic(k: KnotId) -> UniPoly:
     C = diag(1, 2-y) and det U exactly 1, which
     give W = U C U^T C^-1, det W = 1 and W21 = (2-y) W12, so the relation
     defect at s = 1 is Phi [[0, 1], [-(2-y), 0]]; and Phi must be 1 at
-    y = 2 before the sign is normalized.
+    y = 2 before the sign is normalized, and monic after it.  Monic holds
+    for every knot: Phi(2, 2 + w^2) is +-1 times a continuant in w whose
+    leading coefficient is a product of exponents +-1.
     """
     first = _first_half(schubert_word(k), f"relator word of {k}")
     m11, m12, _, _ = _majorants(len(first))
@@ -465,6 +467,8 @@ def riley_parabolic(k: KnotId) -> UniPoly:
     at_two = _horner(phi, 2, 0)
     if at_two != 1:
         raise RileyValidationError(f"parabolic Riley polynomial of {k} is {at_two} at y = 2, not 1")
+    if abs(phi[-1]) != 1:
+        raise RileyValidationError(f"parabolic Riley polynomial of {k} has leading coefficient {phi[-1]}, not +-1")
     return UniPoly._raw(tuple(phi) if phi[-1] > 0 else tuple(-c for c in phi))
 
 

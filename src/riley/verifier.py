@@ -17,9 +17,10 @@ Three kinds of checks run here:
     must equal the general matrix-product polynomial exactly after
     normalization.
 
-Scan work items are independent; scans can fan out over processes and
-always emit records in canonical (p, q) order regardless of execution
-order, so reports are byte-for-byte reproducible.
+Scan work items are independent; scans can fan out over forked
+processes, one stripe of knots each, and always emit records in
+canonical (p, q) order regardless of execution order, so reports are
+byte-for-byte reproducible.
 """
 
 from __future__ import annotations
@@ -47,6 +48,10 @@ from .rileypoly import (
 )
 from .signature import signature_two_bridge
 from .twobridge import DoubleTwist, KnotId, family_to_pq
+
+
+class ScanWorkerError(RuntimeError):
+    """A forked scan worker exited nonzero; names its pid and exit code."""
 
 
 class CrossValidationError(RuntimeError):
@@ -164,36 +169,76 @@ def _scan_worker(pq: tuple[int, int]):
         return ("err", (pq, f"{type(exc).__name__}: {exc}"))
 
 
+def _scan_stripes(pairs: list[tuple[int, int]], jobs: int) -> list:
+    """_scan_worker over pairs, knot i in process i mod jobs: the caller
+    runs stripe 0 while jobs - 1 forked children run the others, each
+    sending its stripe back as one pickle over its own pipe.
+
+    A child that exits nonzero raises ScanWorkerError.  On every path,
+    every child is reaped before this returns or raises."""
+    import pickle
+    import signal
+
+    children: dict[int, IO[bytes]] = {}  # pid -> read end of its pipe, until reaped
+    try:
+        for j in range(1, jobs):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                # the child never returns into the caller and flushes no
+                # buffer it inherited; it drops its read end, so that a
+                # dead parent ends its write
+                try:
+                    os.close(r)
+                    with open(w, "wb") as out:
+                        out.write(pickle.dumps([_scan_worker(pq) for pq in pairs[j::jobs]]))
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(w)
+            children[pid] = open(r, "rb")
+        stripes = [[_scan_worker(pq) for pq in pairs[0::jobs]]]
+        # a child blocked on a full pipe waits for this read; the parent
+        # never writes to a child, so neither side can deadlock
+        for pid in list(children):
+            data = children[pid].read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(pid).close()
+            if code:
+                raise ScanWorkerError(f"worker process {pid} exited with code {code}")
+            stripes.append(pickle.loads(data))
+    finally:
+        for pid, pipe in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [stripes[i % jobs][i // jobs] for i in range(len(pairs))]
+
+
 def scan_conjecture(p_max: int, jobs: int = 1) -> ScanResult:
     """Run check_conjecture over the whole scan set up to p_max.
 
     Work items are independent and fan out over `jobs` processes, never
-    more than there are knots or CPUs; results keep enumerate_knots'
-    canonical order (sorted by p, then q) regardless of scheduling.  A
-    worker process that dies raises BrokenExecutor.
+    more than there are knots or CPUs, and only one where os has no fork:
+    the caller runs one stripe of the knots and each forked child
+    another.  Results keep enumerate_knots' canonical order (sorted by p,
+    then q) regardless of scheduling.  A worker process that dies raises
+    ScanWorkerError.
     """
     if p_max < 3:
         raise ValueError(f"p_max must be >= 3, got {p_max}")
     pairs = [(k.p, k.q) for k in enumerate_knots(p_max)]
-    # the pool starts all its workers at the first submit
-    jobs = min(jobs, len(pairs), os.cpu_count() or 1)
-    if jobs > 1:
-        # imported here so that serial runs do not load the pool machinery
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunksize = max(1, len(pairs) // (jobs * 8))
-            outcomes = list(pool.map(_scan_worker, pairs, chunksize=chunksize))
-    else:
-        outcomes = [_scan_worker(pq) for pq in pairs]
-    records: list[ConjectureRecord] = []
-    failures: list[tuple[tuple[int, int], str]] = []
-    for status, payload in outcomes:
-        if status == "ok":
-            records.append(payload)
-        else:
-            failures.append(payload)
-    return ScanResult(records=records, failures=failures)
+    jobs = min(jobs, len(pairs), os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    outcomes = _scan_stripes(pairs, jobs) if jobs > 1 else [_scan_worker(pq) for pq in pairs]
+    return ScanResult(
+        records=[payload for status, payload in outcomes if status == "ok"],
+        failures=[payload for status, payload in outcomes if status == "err"],
+    )
 
 
 def _theorem_record(

@@ -309,58 +309,67 @@ def test_roots_contract_failure_exits_internal(capsys, monkeypatch):
     assert err.startswith("internal validation error: ")
 
 
-def test_scan_with_dying_worker_exits_internal():
-    # A worker process that dies must break the scan with exit 3; run in a
-    # subprocess with a timeout so that a hang fails here instead of
-    # stalling the suite.
+def _run_script(script: str) -> subprocess.CompletedProcess:
+    """script in a fresh interpreter that imports this checkout's riley,
+    with a timeout so that a hang fails here instead of stalling the
+    suite."""
     import riley
 
-    script = textwrap.dedent(
+    src = str(Path(riley.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+def test_scan_with_dying_worker_exits_internal():
+    # a forked worker that dies must end the scan with exit 3; two CPUs
+    # give one child whatever the host has, and only the child dies
+    proc = _run_script(
         """
         import os, sys
         import riley.verifier as verifier
         from riley.cli import main
-        from riley.twobridge import KnotId
 
+        parent = os.getpid()
         real = verifier.check_conjecture
 
         def dying(k):
-            if k == KnotId(13, 5):
+            if os.getpid() != parent:
                 os._exit(1)
             return real(k)
 
+        os.cpu_count = lambda: 2
         verifier.check_conjecture = dying
         sys.exit(main(["verify", "conjecture", "--pmax", "21", "--jobs", "2"]))
         """
-    )
-    src = str(Path(riley.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("worker process failed: ")
 
 
 def test_cli_import_leaves_the_pool_machinery_unloaded():
-    # serial scans, sweeps and crosschecks never start a pool, so loading
-    # the CLI must not import concurrent.futures (the scan's parallel
-    # branch and the worker-failure handler import it when they run)
-    import riley
+    # serial scans, sweeps and crosschecks fork nothing, so loading the
+    # CLI must not import pickle or any pool machinery; a parallel scan
+    # loads pickle only, in the scan itself
+    proc = _run_script(
+        """
+        import os, sys, riley.cli
 
-    src = str(Path(riley.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    script = "import sys, riley.cli; print('concurrent.futures' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-        timeout=60,
+        pool = ("concurrent.futures", "multiprocessing")
+        print(sorted(m for m in pool + ("pickle",) if m in sys.modules))
+        os.cpu_count = lambda: 2
+        code = riley.cli.main(["verify", "conjecture", "--pmax", "9", "--jobs", "2"])
+        print(code, sorted(m for m in pool if m in sys.modules))
+        """
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines()[0] == "[]"
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_signature_command(capsys):
@@ -436,6 +445,22 @@ def test_verify_conjecture_failed_report_write_names_the_file(tmp_path, capsys, 
     assert code == EXIT_INTERNAL
     assert err.startswith(f"i/o error: cannot write report to {out_path}: [Errno 28] ")
     assert out == ""
+
+
+def test_verify_conjecture_three_jobs_match_one(tmp_path, capsys, monkeypatch):
+    # three processes, so the caller's stripe and two children's stripes
+    # interleave in the report
+    from riley.verifier import enumerate_knots
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    paths = [tmp_path / f"jobs{j}.jsonl" for j in (1, 3)]
+    for j, path in zip((1, 3), paths):
+        code, _, _ = run_cli(
+            capsys, "verify", "conjecture", "--pmax", "31", "--out", str(path), "--jobs", str(j)
+        )
+        assert code == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert len(paths[0].read_bytes().splitlines()) == len(enumerate_knots(31))
 
 
 def test_verify_conjecture_stdout_and_even_pmax(tmp_path, capsys):

@@ -371,6 +371,13 @@ def test_too_narrow_parabolic_slot_is_caught(monkeypatch):
             riley_parabolic(k)
 
 
+def test_parabolic_leading_coefficient_contract(monkeypatch):
+    # 2y - 3 is 1 at y = 2, so only the monic check can refuse it
+    monkeypatch.setattr(rileypoly, "_unpack", lambda n, bits: [-3, 2])
+    with pytest.raises(RileyValidationError, match="leading coefficient 2, not"):
+        riley_parabolic(KnotId(7, 3))
+
+
 # --- the full-word products the half-word routes replaced, as oracles ---
 
 
@@ -1105,6 +1112,29 @@ def test_continuant_is_phi_at_two_plus_w_squared_and_bounds_the_count():
         real, sigma = count_real_roots(phi), signature_two_bridge(k).sigma_abs
         assert 2 * real >= sigma and (2 * real - sigma) % 4 == 0, k
     assert flipped == 393
+
+
+def _gf2_gcd(a: int, b: int) -> int:
+    """gcd over GF(2) of polynomials held as int bitmasks (bit i is the
+    coefficient of y^i)."""
+    while b:
+        while a and a.bit_length() >= b.bit_length():
+            a ^= b << (a.bit_length() - b.bit_length())
+        a, b = b, a
+    return a
+
+
+def test_parabolic_is_monic_and_squarefree_mod_two():
+    # Mod 2, Phi = u11^2 + y u12^2 and Phi' = u12^2, so gcd(Phi, Phi') is
+    # gcd(u11, u12)^2 = 1 (det U = 1 holds mod 2); with lc Phi = 1 the
+    # reduction keeps the degree, so by Gauss's lemma Phi is squarefree
+    # over Q, and the Sturm chain of every scanned Phi ends in a constant
+    for k in enumerate_knots(99):
+        coeffs = riley_parabolic(k).coeffs
+        assert coeffs[-1] == 1, k
+        phi = sum(1 << i for i, c in enumerate(coeffs) if c % 2)
+        derivative = sum(1 << (i - 1) for i, c in enumerate(coeffs) if i % 2 and c % 2)
+        assert _gf2_gcd(phi, derivative) == 1, k
 
 
 def test_normalize_bipoly():

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import io
 import json
@@ -8,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from riley import verifier
+from riley.exact import UniPoly
 from riley.realroots import count_real_roots
 from riley.rileypoly import riley_parabolic
 from riley.twobridge import DoubleTwist, KnotId
@@ -24,6 +26,12 @@ from riley.verifier import (
     sweep_theorem1,
     sweep_theorem2,
 )
+
+
+def test_check_conjecture_refuses_a_parabolic_polynomial_of_wrong_degree(monkeypatch):
+    monkeypatch.setattr(verifier, "riley_parabolic", lambda k: UniPoly([-3, 1]))
+    with pytest.raises(verifier.RileyValidationError, match=r"has degree 1, expected \(p-1\)/2 = 3"):
+        check_conjecture(KnotId(7, 3))
 
 
 def test_check_conjecture_examples():
@@ -73,55 +81,125 @@ def test_scan_parallel_matches_serial():
     assert strip(serial.records) == strip(parallel.records)
 
 
-def _record_pool_sizes(monkeypatch) -> list:
-    """Replace the process pool by a fake that records its size and runs
-    the map in process, so no worker process is started at any count."""
-    import concurrent.futures
+def _count_forks(monkeypatch) -> list:
+    """Wrap the real os.fork so that it records each call and refuses a
+    ninth, so that a broken clamp cannot start many processes."""
+    real_fork = os.fork
+    forks = []
 
-    sizes = []
+    def counting_fork():
+        if len(forks) >= 8:
+            raise AssertionError("more than 8 forks")
+        forks.append(1)
+        return real_fork()
 
-    class RecordingExecutor:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
 
-        def __enter__(self):
-            return self
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
-    return sizes
+def _no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 def test_scan_pool_has_no_more_workers_than_knots(monkeypatch):
-    sizes = _record_pool_sizes(monkeypatch)
+    forks = _count_forks(monkeypatch)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     result = scan_conjecture(5, jobs=64)
-    assert sizes == [3]
+    assert len(forks) == 2  # three processes: the caller and two children
     assert [str(r.knot) for r in result.records] == ["b(3,1)", "b(5,1)", "b(5,2)"]
     scan_conjecture(7, jobs=2)
-    assert sizes == [3, 2]
+    assert len(forks) == 3
+    assert _no_child_left()
 
 
 def test_scan_pool_has_no_more_workers_than_cpus(monkeypatch):
-    sizes = _record_pool_sizes(monkeypatch)
+    forks = _count_forks(monkeypatch)
     # every knot passes through untouched, so the 3,154 knots cost nothing
     monkeypatch.setattr(verifier, "_scan_worker", lambda pq: ("ok", pq))
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     result = scan_conjecture(199, jobs=5000)
-    assert sizes == [4]
-    assert len(result.records) == 3154
+    assert len(forks) == 3
+    assert result.records == [(k.p, k.q) for k in enumerate_knots(199)]
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     scan_conjecture(199, jobs=2)
-    assert sizes == [4, 2]
-    # an unknown CPU count runs serially, with no pool at all
+    assert len(forks) == 4
+    # an unknown CPU count, or no fork at all, runs serially in the caller
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     scan_conjecture(199, jobs=5000)
-    assert sizes == [4, 2]
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.delattr(os, "fork")
+    assert len(scan_conjecture(199, jobs=5000).records) == 3154
+    assert len(forks) == 4
+    assert _no_child_left()
+
+
+def test_scan_with_dying_child_raises_and_reaps(monkeypatch):
+    parent = os.getpid()
+    real = verifier._scan_worker
+
+    def dying(pq):
+        if os.getpid() != parent:
+            os._exit(1)
+        return real(pq)
+
+    monkeypatch.setattr(verifier, "_scan_worker", dying)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    with pytest.raises(verifier.ScanWorkerError, match=r"worker process \d+ exited with code 1"):
+        scan_conjecture(21, jobs=3)
+    assert _no_child_left()
+
+
+def test_scan_with_failing_fork_raises_and_closes_its_pipes(monkeypatch):
+    # the second fork fails: its error propagates, the first child is
+    # reaped, and no end of either pipe stays open
+    forks = _count_forks(monkeypatch)
+    real_fork, real_pipe = os.fork, os.pipe
+    fds = []
+
+    def recording_pipe():
+        fds.extend(real_pipe())
+        return fds[-2:]
+
+    def second_fork_fails():
+        if forks:
+            raise OSError("fork refused")
+        return real_fork()
+
+    monkeypatch.setattr(os, "pipe", recording_pipe)
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    with pytest.raises(OSError, match="fork refused"):
+        scan_conjecture(21, jobs=3)
+    assert len(forks) == 1 and len(fds) == 4
+    for fd in fds:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+    assert _no_child_left()
+
+
+def test_scan_interrupted_in_the_caller_leaves_no_child(monkeypatch):
+    # the children would sleep well past the test; the caller's own
+    # stripe raises at once, and the scan must kill and reap them
+    import time
+
+    parent = os.getpid()
+
+    def interrupted(pq):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(30)
+
+    monkeypatch.setattr(verifier, "_scan_worker", interrupted)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        scan_conjecture(21, jobs=3)
+    assert _no_child_left()
+    assert time.monotonic() - started < 20
 
 
 def test_scan_rejects_tiny_pmax():
@@ -131,23 +209,33 @@ def test_scan_rejects_tiny_pmax():
 
 def test_conjecture_data_is_presentation_invariant():
     # mirrors and inverses carry the same (|sigma|, root count) data,
-    # which is what justifies scanning one representative per window
+    # which is what justifies scanning one representative per window.
+    # A mirror has the same Phi, but the inverse presentation's Phi
+    # differs on 713 of the 798 scanned knots, so there the Sturm engine
+    # gets a second polynomial that must give the same count
     from riley.signature import signature_two_bridge
 
-    for p in range(3, 22, 2):
+    counts = {}  # Phi's coefficients -> its root count
+    phis = {}
+
+    @functools.cache
+    def data(p: int, q: int) -> tuple[int, int]:
+        phi = phis[p, q] = riley_parabolic(KnotId(p, q))
+        if phi.coeffs not in counts:
+            counts[phi.coeffs] = count_real_roots(phi)
+        return counts[phi.coeffs], signature_two_bridge(KnotId(p, q)).sigma_abs
+
+    for p in range(3, 100, 2):
         for q in range(1, p):
             if math.gcd(p, q) != 1:
                 continue
-            base = KnotId(p, q)
-            for other in (KnotId(p, p - q), KnotId(p, pow(q, -1, p))):
-                assert (
-                    count_real_roots(riley_parabolic(base))
-                    == count_real_roots(riley_parabolic(other))
-                )
-                assert (
-                    signature_two_bridge(base).sigma_abs
-                    == signature_two_bridge(other).sigma_abs
-                )
+            base = data(p, q)
+            for other in (p - q, pow(q, -1, p)):
+                assert data(p, other) == base, (p, q, other)
+    inverse_differs = [
+        phis[k.p, k.q] != phis[k.p, pow(k.q, -1, k.p)] for k in enumerate_knots(99)
+    ]
+    assert (len(inverse_differs), sum(inverse_differs)) == (798, 713)
 
 
 def test_check_theorem1_at_two():
@@ -265,7 +353,6 @@ def test_cross_validate_examples():
 
 def test_cross_validate_raises_on_disagreement(monkeypatch):
     # the general route's Phi with x added to its y^0 coefficient
-    from riley.exact import UniPoly
     from riley.rileypoly import RileyPoly
 
     real = verifier.riley_general
