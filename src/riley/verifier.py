@@ -18,8 +18,8 @@ Three kinds of checks run here:
     normalization.
 
 Scan work items are independent; scans can fan out over forked
-processes, one stripe of knots each, and always emit records in
-canonical (p, q) order regardless of execution order, so reports are
+processes that share the knots out in pieces, and always emit records
+in canonical (p, q) order regardless of execution order, so reports are
 byte-for-byte reproducible.
 """
 
@@ -169,19 +169,38 @@ def _scan_worker(pq: tuple[int, int]):
         return ("err", (pq, f"{type(exc).__name__}: {exc}"))
 
 
-def _scan_stripes(pairs: list[tuple[int, int]], jobs: int) -> list:
-    """_scan_worker over pairs, knot i in process i mod jobs: the caller
-    runs stripe 0 while jobs - 1 forked children run the others, each
-    sending its stripe back as one pickle over its own pipe.
+def _scan_pieces(pairs: list[tuple[int, int]], jobs: int) -> list:
+    """_scan_worker over pairs in the caller and jobs - 1 forked children.
+
+    The knots are cut into at most 4,096 pieces of consecutive knots,
+    heaviest (largest p) first.  Process j starts on piece j; then every
+    process takes the next piece from one shared queue, a pipe filled
+    with the pieces' 4-byte starts before the first fork, until it is
+    empty.  So a process that the host slows down takes fewer pieces.
+    Each child sends its pieces back as one pickle over its own pipe.
 
     A child that exits nonzero raises ScanWorkerError.  On every path,
     every child is reaped before this returns or raises."""
     import pickle
     import signal
 
+    size = -(-len(pairs) // 4096)
+    tokens = [i.to_bytes(4, "little") for i in reversed(range(0, len(pairs), size))]
+    queue, w = os.pipe()
+    with open(w, "wb") as out:  # at most 16 KiB: the write cannot block
+        out.write(b"".join(tokens[jobs:]))
+
+    def run(token: bytes) -> dict[int, list]:
+        done = {}
+        while token:  # the queue holds finitely many pieces
+            i = int.from_bytes(token, "little")
+            done[i] = [_scan_worker(pq) for pq in pairs[i : i + size]]
+            token = os.read(queue, 4)
+        return done
+
     children: dict[int, IO[bytes]] = {}  # pid -> read end of its pipe, until reaped
     try:
-        for j in range(1, jobs):
+        for j in range(1, min(jobs, len(tokens))):
             r, w = os.pipe()
             try:
                 pid = os.fork()
@@ -196,13 +215,13 @@ def _scan_stripes(pairs: list[tuple[int, int]], jobs: int) -> list:
                 try:
                     os.close(r)
                     with open(w, "wb") as out:
-                        out.write(pickle.dumps([_scan_worker(pq) for pq in pairs[j::jobs]]))
+                        out.write(pickle.dumps(run(tokens[j])))
                     os._exit(0)
                 finally:
                     os._exit(1)
             os.close(w)
             children[pid] = open(r, "rb")
-        stripes = [[_scan_worker(pq) for pq in pairs[0::jobs]]]
+        done = run(tokens[0])
         # a child blocked on a full pipe waits for this read; the parent
         # never writes to a child, so neither side can deadlock
         for pid in list(children):
@@ -211,13 +230,14 @@ def _scan_stripes(pairs: list[tuple[int, int]], jobs: int) -> list:
             children.pop(pid).close()
             if code:
                 raise ScanWorkerError(f"worker process {pid} exited with code {code}")
-            stripes.append(pickle.loads(data))
+            done.update(pickle.loads(data))
     finally:
+        os.close(queue)
         for pid, pipe in children.items():
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return [stripes[i % jobs][i // jobs] for i in range(len(pairs))]
+    return [outcome for i in range(0, len(pairs), size) for outcome in done[i]]
 
 
 def scan_conjecture(p_max: int, jobs: int = 1) -> ScanResult:
@@ -225,16 +245,16 @@ def scan_conjecture(p_max: int, jobs: int = 1) -> ScanResult:
 
     Work items are independent and fan out over `jobs` processes, never
     more than there are knots or CPUs, and only one where os has no fork:
-    the caller runs one stripe of the knots and each forked child
-    another.  Results keep enumerate_knots' canonical order (sorted by p,
-    then q) regardless of scheduling.  A worker process that dies raises
-    ScanWorkerError.
+    the caller and jobs - 1 forked children take pieces of the knots
+    from one queue (see _scan_pieces).  Results keep enumerate_knots'
+    canonical order (sorted by p, then q) regardless of scheduling.  A
+    worker process that dies raises ScanWorkerError.
     """
     if p_max < 3:
         raise ValueError(f"p_max must be >= 3, got {p_max}")
     pairs = [(k.p, k.q) for k in enumerate_knots(p_max)]
     jobs = min(jobs, len(pairs), os.cpu_count() or 1) if hasattr(os, "fork") else 1
-    outcomes = _scan_stripes(pairs, jobs) if jobs > 1 else [_scan_worker(pq) for pq in pairs]
+    outcomes = _scan_pieces(pairs, jobs) if jobs > 1 else [_scan_worker(pq) for pq in pairs]
     return ScanResult(
         records=[payload for status, payload in outcomes if status == "ok"],
         failures=[payload for status, payload in outcomes if status == "err"],

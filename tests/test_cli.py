@@ -328,7 +328,8 @@ def _run_script(script: str) -> subprocess.CompletedProcess:
 
 def test_scan_with_dying_worker_exits_internal():
     # a forked worker that dies must end the scan with exit 3; two CPUs
-    # give one child whatever the host has, and only the child dies
+    # give one child whatever the host has, it always checks the knots of
+    # its first piece, and only the child dies
     proc = _run_script(
         """
         import os, sys
@@ -448,7 +449,7 @@ def test_verify_conjecture_failed_report_write_names_the_file(tmp_path, capsys, 
 
 
 def test_verify_conjecture_three_jobs_match_one(tmp_path, capsys, monkeypatch):
-    # three processes, so the caller's stripe and two children's stripes
+    # three processes, so the caller's pieces and two children's pieces
     # interleave in the report
     from riley.verifier import enumerate_knots
 

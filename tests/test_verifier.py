@@ -127,13 +127,17 @@ def test_scan_pool_has_no_more_workers_than_cpus(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     scan_conjecture(199, jobs=2)
     assert len(forks) == 4
+    # 6,999 knots make pieces of two, merged back in canonical order
+    result = scan_conjecture(299, jobs=2)
+    assert result.records == [(k.p, k.q) for k in enumerate_knots(299)]
+    assert len(forks) == 5
     # an unknown CPU count, or no fork at all, runs serially in the caller
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     scan_conjecture(199, jobs=5000)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.delattr(os, "fork")
     assert len(scan_conjecture(199, jobs=5000).records) == 3154
-    assert len(forks) == 4
+    assert len(forks) == 5
     assert _no_child_left()
 
 
@@ -153,9 +157,34 @@ def test_scan_with_dying_child_raises_and_reaps(monkeypatch):
     assert _no_child_left()
 
 
+def test_scan_shares_the_knots_by_speed(monkeypatch):
+    # the caller is slow, so the child takes the pieces it leaves; each
+    # process still starts on a piece of its own
+    import time
+
+    parent = os.getpid()
+    real = verifier._scan_worker
+    in_caller = []
+
+    def slow_caller(pq):
+        if os.getpid() == parent:
+            in_caller.append(pq)
+            time.sleep(0.02)
+        return real(pq)
+
+    monkeypatch.setattr(verifier, "_scan_worker", slow_caller)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    result = scan_conjecture(21, jobs=2)
+    assert [r.knot for r in result.records] == enumerate_knots(21)
+    knots = len(enumerate_knots(21))
+    assert 1 <= len(in_caller) < knots // 2, (len(in_caller), knots)
+    assert in_caller[0] == (21, 10)  # the heaviest piece: the last knot
+    assert _no_child_left()
+
+
 def test_scan_with_failing_fork_raises_and_closes_its_pipes(monkeypatch):
     # the second fork fails: its error propagates, the first child is
-    # reaped, and no end of either pipe stays open
+    # reaped, and no end of the queue or of either child's pipe stays open
     forks = _count_forks(monkeypatch)
     real_fork, real_pipe = os.fork, os.pipe
     fds = []
@@ -174,7 +203,7 @@ def test_scan_with_failing_fork_raises_and_closes_its_pipes(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     with pytest.raises(OSError, match="fork refused"):
         scan_conjecture(21, jobs=3)
-    assert len(forks) == 1 and len(fds) == 4
+    assert len(forks) == 1 and len(fds) == 6
     for fd in fds:
         with pytest.raises(OSError):
             os.fstat(fd)
@@ -182,8 +211,9 @@ def test_scan_with_failing_fork_raises_and_closes_its_pipes(monkeypatch):
 
 
 def test_scan_interrupted_in_the_caller_leaves_no_child(monkeypatch):
-    # the children would sleep well past the test; the caller's own
-    # stripe raises at once, and the scan must kill and reap them
+    # each of the two children would sleep on its one knot well past the
+    # test; the caller's own first knot raises at once, and the scan must
+    # kill and reap them
     import time
 
     parent = os.getpid()
@@ -197,7 +227,7 @@ def test_scan_interrupted_in_the_caller_leaves_no_child(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     started = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        scan_conjecture(21, jobs=3)
+        scan_conjecture(5, jobs=3)
     assert _no_child_left()
     assert time.monotonic() - started < 20
 
