@@ -172,7 +172,7 @@ def _scan_worker(pq: tuple[int, int]):
 def _scan_pieces(pairs: list[tuple[int, int]], jobs: int) -> list:
     """_scan_worker over pairs in the caller and jobs - 1 forked children.
 
-    The knots are cut into at most 4,096 pieces of consecutive knots,
+    The knots are cut into at most 1,024 pieces of consecutive knots,
     heaviest (largest p) first.  Process j starts on piece j; then every
     process takes the next piece from one shared queue, a pipe filled
     with the pieces' 4-byte starts before the first fork, until it is
@@ -184,10 +184,12 @@ def _scan_pieces(pairs: list[tuple[int, int]], jobs: int) -> list:
     import pickle
     import signal
 
-    size = -(-len(pairs) // 4096)
+    size = -(-len(pairs) // 1024)
     tokens = [i.to_bytes(4, "little") for i in reversed(range(0, len(pairs), size))]
     queue, w = os.pipe()
-    with open(w, "wb") as out:  # at most 16 KiB: the write cannot block
+    # at most 4 KiB, which even a pipe cut to one page holds: the write
+    # cannot block
+    with open(w, "wb") as out:
         out.write(b"".join(tokens[jobs:]))
 
     def run(token: bytes) -> dict[int, list]:

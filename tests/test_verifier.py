@@ -127,7 +127,7 @@ def test_scan_pool_has_no_more_workers_than_cpus(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     scan_conjecture(199, jobs=2)
     assert len(forks) == 4
-    # 6,999 knots make pieces of two, merged back in canonical order
+    # 6,999 knots make pieces of seven, merged back in canonical order
     result = scan_conjecture(299, jobs=2)
     assert result.records == [(k.p, k.q) for k in enumerate_knots(299)]
     assert len(forks) == 5
